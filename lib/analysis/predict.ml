@@ -128,9 +128,9 @@ type rloop = {
       (** |bytes| between consecutive iterations; [None] = irregular
           (non-affine subscript, or affine through a scalar the loop body
           mutates) *)
-  l_body : group list;
-      (** snapshot of the loop-body scope: its footprint is the reuse
-          distance that repeated references see across iterations *)
+  l_body : scope;
+      (** the loop-body scope: its footprint is the reuse distance that
+          repeated references see across iterations *)
 }
 
 (* A group of references to one array that touch the same data (equal
@@ -148,10 +148,20 @@ and group = {
   g_dimprod : int list;  (** per-dim element multiplier (column-major) *)
   g_loops : rloop list;  (** outermost first *)
   g_sealed : bool;  (** wrapped by a loop; merging across scopes is off *)
-  g_dedup_body : group list option;
+  g_dedup_body : scope option;
       (** another group in the same scope covers the same data; charge
           this one only when that scope's footprint exceeds the cache *)
 }
+
+(* A snapshot of the groups of one scope, shared by every group it
+   encloses.  Each of them asks whether the scope fits a cache level, so
+   the footprint is summed once per line size and remembered. *)
+and scope = {
+  s_groups : group list;
+  mutable s_fp_lines : (float * float) list;  (** line bytes -> lines *)
+}
+
+let scope_of groups = { s_groups = groups; s_fp_lines = [] }
 
 let make_group decls array subs ~write =
   let decl = Hashtbl.find_opt decls array in
@@ -253,6 +263,17 @@ let scope_fp_lines groups ~line =
 
 let scope_fp_bytes groups ~line = scope_fp_lines groups ~line *. line
 
+let scope_fits scope ~capacity ~line =
+  let lines =
+    match List.assoc_opt line scope.s_fp_lines with
+    | Some lines -> lines
+    | None ->
+      let lines = scope_fp_lines scope.s_groups ~line in
+      scope.s_fp_lines <- (line, lines) :: scope.s_fp_lines;
+      lines
+  in
+  lines *. line <= capacity
+
 (* Element-dense footprint, for reporting. *)
 let fp_of_groups groups =
   let tbl = Hashtbl.create 16 in
@@ -313,7 +334,7 @@ let dedup_scope groups =
   done;
   if not (Array.exists Fun.id shadowed) then groups
   else begin
-    let scope = Array.to_list arr in
+    let scope = scope_of groups in
     Array.to_list
       (Array.mapi
          (fun i g ->
@@ -372,6 +393,7 @@ let mentions_mutated mutated affs =
        affs
 
 let wrap_loop (l : Ast.loop) tcount body_groups =
+  let body = scope_of body_groups in
   let index = l.Ast.index in
   let step = abs (Option.value ~default:1 (const_int l.Ast.step)) in
   let lo_affine = Affine.of_expr l.Ast.lo in
@@ -395,7 +417,7 @@ let wrap_loop (l : Ast.loop) tcount body_groups =
       { g with
         g_affine = subst_index index lo_affine g.g_affine;
         g_loops =
-          { l_trips = tcount; l_contrib; l_stride; l_body = body_groups }
+          { l_trips = tcount; l_contrib; l_stride; l_body = body }
           :: g.g_loops;
         g_sealed = true })
     body_groups
@@ -459,7 +481,7 @@ and walk_stmt decls env (s : Ast.stmt) =
      (the body footprint; for irregular loops also the full working set,
      since revisits land far apart) fits in the level. *)
 let group_misses g ~capacity ~line =
-  let fits groups = scope_fp_bytes groups ~line <= capacity in
+  let fits scope = scope_fits scope ~capacity ~line in
   match g.g_dedup_body with
   | Some scope when fits scope -> 0.0
   | _ ->

@@ -6,10 +6,15 @@
     Treibig-&-Hager-style bandwidth-limited performance model against a
     machine's cache geometry: per-level line traffic, memory bytes, and
     a runtime bound as the max over the CPU rate and every hierarchy
-    boundary's bandwidth.  Nothing executes; a query costs microseconds
-    regardless of problem size, which is what lets fusion searches and
-    capacity sweeps triage thousands of candidates before paying for a
-    single trace replay.
+    boundary's bandwidth.  Nothing executes, so a query's cost does not
+    depend on trip counts or array sizes.  It grows with the program
+    text instead: with the number of references times their loop depth
+    (each reference group is described again at every enclosing loop,
+    and each loop body's footprint is summed once per cache line size).
+    A kernel of a few references takes microseconds, a program of
+    hundreds of references in deep nests a fraction of a millisecond;
+    either way fusion searches and capacity sweeps can triage thousands
+    of candidates before paying for a single trace replay.
 
     The model is deliberately simple — fully associative caches, affine
     reuse only, both branches of every [If] charged — so its answers

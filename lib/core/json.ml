@@ -23,8 +23,10 @@ let escape_into buf s =
       | c -> Buffer.add_char buf c)
     s
 
+(* JSON has no infinity or NaN: they are emitted as null. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
 let to_string v =

@@ -8,7 +8,8 @@
 
     Deliberately tiny: objects, arrays, strings, numbers, booleans and
     null.  The parser accepts exactly what {!to_string} emits (standard
-    JSON with the common escapes), and the emitter is deterministic —
+    JSON with the common escapes; a non-finite [Float], which JSON
+    cannot express, is emitted as [null]), and the emitter is deterministic —
     the same value always serialises to the same bytes, a property the
     serve result cache's byte-identical-hit guarantee relies on. *)
 

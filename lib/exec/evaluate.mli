@@ -5,7 +5,8 @@
     the same answer.  The tiers:
 
     - {b Analytic}: {!Bw_analysis.Predict}'s closed-form model.  No
-      execution; microseconds per query regardless of problem size.
+      execution; the cost of a query does not depend on trip counts,
+      only on the program's references times their loop depth.
       Carries the error envelope documented in EXPERIMENTS.md.
     - {b Reuse_pass}: one reuse-distance pass over a captured reference
       stream ({!Run.reuse_of_capture}), pricing every fully associative

@@ -8,11 +8,12 @@ type env = {
   decls : (string, decl) Hashtbl.t;
   mutable loop_stack : string list;
   mutable errors : error list;
-  mutable context : string;
+  mutable context : string Lazy.t;
+      (** rendered only when an error needs it: most statements have none *)
 }
 
 let add_error env message =
-  env.errors <- { context = env.context; message } :: env.errors
+  env.errors <- { context = Lazy.force env.context; message } :: env.errors
 
 let lookup_dtype env name =
   if List.mem name env.loop_stack then Some I64
@@ -184,25 +185,25 @@ let expect_int env what e =
 let rec check_stmt env s =
   match s with
   | Assign (lv, e) ->
-    env.context <- Format.asprintf "%a" Pretty.pp_stmt s;
+    env.context <- lazy (Format.asprintf "%a" Pretty.pp_stmt s);
     let tl = check_lvalue env lv and tr = type_expr env e in
     (match (tl, tr) with
     | Some a, Some b when a <> b ->
       add_error env "assignment between mixed types"
     | _ -> ())
   | Read_input lv ->
-    env.context <- Format.asprintf "%a" Pretty.pp_stmt s;
+    env.context <- lazy (Format.asprintf "%a" Pretty.pp_stmt s);
     ignore (check_lvalue env lv)
   | Print e ->
-    env.context <- Format.asprintf "%a" Pretty.pp_stmt s;
+    env.context <- lazy (Format.asprintf "%a" Pretty.pp_stmt s);
     ignore (type_expr env e)
   | If (c, t, e) ->
-    env.context <- "if";
+    env.context <- Lazy.from_val "if";
     check_cond env c;
     List.iter (check_stmt env) t;
     List.iter (check_stmt env) e
   | For { index; lo; hi; step; body } ->
-    env.context <- Printf.sprintf "for %s" index;
+    env.context <- lazy (Printf.sprintf "for %s" index);
     if Hashtbl.mem env.decls index then
       add_error env
         (Printf.sprintf "loop index '%s' shadows a declaration" index);
@@ -241,7 +242,9 @@ let check (p : program) =
             message = Printf.sprintf "undeclared live-out '%s'" name }
           :: !errors)
     p.live_out;
-  let env = { decls; loop_stack = []; errors = !errors; context = "body" } in
+  let env =
+    { decls; loop_stack = []; errors = !errors; context = Lazy.from_val "body" }
+  in
   List.iter (check_stmt env) p.body;
   match env.errors with [] -> Ok () | es -> Error (List.rev es)
 

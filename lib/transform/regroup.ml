@@ -1,24 +1,36 @@
 open Bw_ir.Ast
 
-(* Are [a] and [b] co-accessed?  Walk statements; in every Assign /
-   Read_input / Print, the multisets of subscript lists used for [a] and
-   [b] must match.  (Statement granularity keeps the test simple and
-   conservative.) *)
-let co_accessed (p : program) a b =
-  let subs_of name stmt =
-    Bw_analysis.Refs.collect [ stmt ]
-    |> Bw_analysis.Refs.of_array name
-    |> List.map (fun (r : Bw_analysis.Refs.t) -> r.Bw_analysis.Refs.subscripts)
-    |> List.sort compare
-  in
-  (* top-level statement granularity: each loop nest must use the two
-     arrays through the same multiset of subscript lists *)
-  List.for_all (fun stmt -> subs_of a stmt = subs_of b stmt) p.body
+(* One top-level statement's references: per array, its subscript
+   lists, sorted so that two arrays used through the same multiset of
+   subscripts compare equal. *)
+let subscripts_by_array stmt =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Bw_analysis.Refs.t) ->
+      let subs = Option.value ~default:[] (Hashtbl.find_opt tbl r.array) in
+      Hashtbl.replace tbl r.array (r.subscripts :: subs))
+    (Bw_analysis.Refs.collect [ stmt ]);
+  Hashtbl.filter_map_inplace
+    (fun _ subs -> Some (List.sort compare (List.rev subs)))
+    tbl;
+  tbl
 
 let candidates (p : program) =
   let arrays = List.filter is_array p.decls in
   let eligible d =
     not (List.mem d.var_name p.live_out)
+  in
+  (* built on the first same-shape pair: most programs have none *)
+  let stmts = lazy (List.map subscripts_by_array p.body) in
+  let subs_of name tbl = Option.value ~default:[] (Hashtbl.find_opt tbl name) in
+  (* Are [a] and [b] co-accessed?  At top-level statement granularity
+     (simple and conservative), each loop nest must use the two arrays
+     through the same multiset of subscript lists. *)
+  let co_accessed a b =
+    List.for_all (fun tbl -> subs_of a tbl = subs_of b tbl) (Lazy.force stmts)
+  in
+  let referenced a =
+    List.exists (fun tbl -> Hashtbl.mem tbl a) (Lazy.force stmts)
   in
   let rec pairs = function
     | [] -> []
@@ -29,10 +41,8 @@ let candidates (p : program) =
             eligible d && eligible d'
             && d.dims = d'.dims
             && d.dtype = d'.dtype
-            && co_accessed p d.var_name d'.var_name
-            && Bw_analysis.Refs.of_array d.var_name
-                 (Bw_analysis.Refs.collect p.body)
-               <> []
+            && co_accessed d.var_name d'.var_name
+            && referenced d.var_name
           then Some (d.var_name, d'.var_name)
           else None)
         rest

@@ -48,7 +48,13 @@ let other_dims_free ~x ~dim (r : Bw_analysis.Refs.t) =
       d = dim || not (List.mem x (Bw_ir.Ast_util.expr_reads sub)))
     (List.mapi (fun d sub -> (d, sub)) r.Bw_analysis.Refs.subscripts)
 
-let plan (p : program) array =
+(* Each top-level statement's references.  Planning reads one array's
+   references from these, so planning every array collects them once —
+   and not at all when every array fails the checks before. *)
+let stmt_refs (p : program) =
+  lazy (List.map (fun stmt -> Bw_analysis.Refs.collect [ stmt ]) p.body)
+
+let plan_with ~refs (p : program) array =
   let* decl =
     match find_decl p array with
     | Some d when is_array d -> Ok d
@@ -62,11 +68,9 @@ let plan (p : program) array =
   let tagged =
     List.concat
       (List.mapi
-         (fun top stmt ->
-           Bw_analysis.Refs.collect [ stmt ]
-           |> Bw_analysis.Refs.of_array array
-           |> List.map (fun r -> (top, r)))
-         p.body)
+         (fun top in_stmt ->
+           Bw_analysis.Refs.of_array array in_stmt |> List.map (fun r -> (top, r)))
+         (Lazy.force refs))
   in
   let mine = List.map snd tagged in
   let top_of (r : Bw_analysis.Refs.t) =
@@ -325,6 +329,8 @@ let plan (p : program) array =
   in
   try_candidates [] candidates
 
+let plan p array = plan_with ~refs:(stmt_refs p) p array
+
 (* ------------------------------------------------------------------ *)
 (* Rewriting *)
 
@@ -435,8 +441,8 @@ let rec modular_stmt ~array ~dim ~base ~depth s =
   | For l ->
     For { l with body = List.map (modular_stmt ~array ~dim ~base ~depth) l.body }
 
-let apply (p : program) array =
-  let* pl = plan p array in
+let apply_with ~refs (p : program) array =
+  let* pl = plan_with ~refs p array in
   let decl = Option.get (find_decl p array) in
   let l =
     match List.nth p.body pl.loop_position with
@@ -515,14 +521,17 @@ let apply (p : program) array =
   in
   Ok ({ p with decls; body = Simplify.simplify_stmts body }, pl)
 
+let apply p array = apply_with ~refs:(stmt_refs p) p array
+
 let shrink_all (p : program) =
   let rec go p plans =
     let arrays = List.filter_map (fun d -> if is_array d then Some d.var_name else None) p.decls in
+    let refs = stmt_refs p in
     let attempt =
       List.find_map
         (fun a ->
           if List.exists (fun (pl : plan) -> pl.array = a) plans then None
-          else match apply p a with Ok r -> Some r | Error _ -> None)
+          else match apply_with ~refs p a with Ok r -> Some r | Error _ -> None)
         arrays
     in
     match attempt with

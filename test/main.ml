@@ -6,4 +6,5 @@ let () =
    @ Test_reuse.suites @ Test_packing.suites @ Test_compile.suites
    @ Test_cache_equiv.suites @ Test_trace_store.suites @ Test_misc.suites
    @ Test_obs.suites @ Test_qa.suites @ Test_predict.suites
-   @ Test_serve.suites @ Test_lang.suites @ Test_search.suites)
+   @ Test_serve.suites @ Test_lang.suites @ Test_search.suites
+   @ Test_pins.suites)

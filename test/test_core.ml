@@ -135,6 +135,37 @@ let test_regroup_candidates () =
     "re/im grouped" [ ("re", "im") ]
     (Bw_transform.Regroup.candidates p)
 
+(* Co-access compares, per top-level statement, the multisets of
+   subscript lists: a and b are read at the same offsets in a different
+   order, c and d at different ones, and e and f (never referenced)
+   are no candidates even though they agree everywhere. *)
+let test_regroup_candidates_multiset () =
+  let p =
+    Bw_ir.Parser.parse_program_exn
+      {|
+      program multiset
+        real a[64] = hash(1)
+        real b[64] = hash(1)
+        real c[64] = hash(1)
+        real d[64] = hash(1)
+        real e[64] = hash(1)
+        real f[64] = hash(1)
+        real outp[64]
+        live_out outp
+        for i = 2, 63
+          outp[i] = a[i] + a[i+1] + b[i+1] + b[i]
+        end for
+        for i = 2, 63
+          outp[i] = outp[i] + c[i] + d[i-1]
+        end for
+      end
+      |}
+  in
+  check
+    Alcotest.(list (pair string string))
+    "only a/b" [ ("a", "b") ]
+    (Bw_transform.Regroup.candidates p)
+
 let test_regroup_semantics () =
   let p = regroupable_program 128 in
   match Bw_transform.Regroup.regroup_pair p "re" "im" with
@@ -460,6 +491,27 @@ let test_bench_json_error_outcomes () =
       (Option.bind (J.member "error" bad) J.to_str)
   | _ -> Alcotest.fail "expected two tables"
 
+(* JSON cannot express infinity or NaN: non-finite floats emit as null,
+   so every emitted document parses; finite floats round-trip exactly. *)
+let test_json_non_finite_floats () =
+  let module J = Bw_core.Json in
+  let doc =
+    J.Obj
+      [ ("inf", J.Float infinity); ("neg_inf", J.Float neg_infinity);
+        ("nan", J.Float nan);
+        ("list", J.List [ J.Float 1.5; J.Float (0.0 /. 0.0) ]);
+        ("finite", J.Float 0.1) ]
+  in
+  let text = J.to_string doc in
+  check Alcotest.string "emitted"
+    {|{"inf":null,"neg_inf":null,"nan":null,"list":[1.5,null],"finite":0.10000000000000001}|}
+    text;
+  check bool "parses back" true
+    (J.parse text
+    = J.Obj
+        [ ("inf", J.Null); ("neg_inf", J.Null); ("nan", J.Null);
+          ("list", J.List [ J.Float 1.5; J.Null ]); ("finite", J.Float 0.1) ])
+
 (* Property: whatever bytes end up in an outcome's id/title/body —
    quotes, backslashes, newlines, control characters — the bench JSON
    document must round-trip them exactly through print + parse. *)
@@ -528,6 +580,8 @@ let suites =
           test_bench_json_roundtrip;
         Alcotest.test_case "json parse errors" `Quick
           test_bench_json_parse_errors;
+        Alcotest.test_case "json non-finite floats" `Quick
+          test_json_non_finite_floats;
         QCheck_alcotest.to_alcotest ~long:false
           prop_bench_json_string_roundtrip;
         Alcotest.test_case "harness deterministic order" `Quick
@@ -546,6 +600,8 @@ let suites =
       [ Alcotest.test_case "latency tolerance model" `Quick test_latency_model ] );
     ( "transform.regroup",
       [ Alcotest.test_case "candidates" `Quick test_regroup_candidates;
+        Alcotest.test_case "candidates compare multisets" `Quick
+          test_regroup_candidates_multiset;
         Alcotest.test_case "semantics" `Quick test_regroup_semantics;
         Alcotest.test_case "locality" `Quick test_regroup_improves_locality;
         Alcotest.test_case "rejects live-out" `Quick test_regroup_rejects_live_out;

@@ -81,6 +81,50 @@ let test_check_rejects_mod_float () =
   expect_reject "mod float"
     (program "bad" ~decls:[ scalar "x" ] [ sc "x" <-- (v "x" %: v "x") ])
 
+(* Every error carries the context it was found in: the declaration or
+   live-out list, the pretty-printed statement, or the [if] or [for]
+   header whose condition or bounds are at fault.  (The initial "body"
+   context never reaches an error: every statement sets its own before
+   checking anything.)  The strings are pinned exactly. *)
+let test_check_error_strings () =
+  let open Builder in
+  let p =
+    program "ill_typed"
+      ~decls:
+        [ array "a" [ 8 ]; array "b" [ 8; 8 ]; int_scalar "k"; scalar "x";
+          scalar "x" ]
+      ~live_out:[ "a"; "nope" ]
+      [ for_ ~step:(v "x") "i" (int 1) (int 8)
+          [ if_ (v "x" >: v "k")
+              [ ("a" $. [ v "i" ]) <-- v "k"; print (v "x" +: v "k") ]
+              [ read ("b" $. [ v "i" ]) ];
+            for_ "j" (int 1) (v "x")
+              [ ("b" $. [ v "i"; v "j" ]) <-- sqrt_ (v "k");
+                if_ (v "j" >: v "x") [ print ("a" $ [ v "x" ]) ] [] ] ];
+        sc "i" <-- int 0 ]
+  in
+  let zero_extent = { var_name = "z"; dtype = F64; dims = [ 0 ]; init = Init_zero } in
+  let errors =
+    match Check.check { p with decls = p.decls @ [ zero_extent ] } with
+    | Ok () -> Alcotest.fail "expected check errors"
+    | Error es -> List.map (Format.asprintf "%a" Check.pp_error) es
+  in
+  check str_list "errors"
+    [ "[decls] duplicate declaration 'x'";
+      "[decls] non-positive extent in 'z'";
+      "[live_out] undeclared live-out 'nope'";
+      "[for i] loop step must be an integer expression";
+      "[if] comparison of mixed types";
+      "[a[i] = k] assignment between mixed types";
+      "[print x + k] mixed operand types in x + k";
+      "[read(b[i])] array 'b' has 2 dims but 1 subscripts";
+      "[for j] loop upper bound must be an integer expression";
+      "[b[i,j] = sqrt(k)] sqrt of an integer expression";
+      "[if] comparison of mixed types";
+      "[print a[x]] non-integer subscript x of 'a'";
+      "[i = 0] assignment to undeclared 'i'" ]
+    errors
+
 (* --- Ast_util ----------------------------------------------------------- *)
 
 let test_vars_read_written () =
@@ -374,7 +418,8 @@ let suites =
         Alcotest.test_case "rejects mixed types" `Quick test_check_rejects_mixed_types;
         Alcotest.test_case "rejects shadowing" `Quick test_check_rejects_shadowing_loop;
         Alcotest.test_case "rejects bad live_out" `Quick test_check_rejects_bad_live_out;
-        Alcotest.test_case "rejects float mod" `Quick test_check_rejects_mod_float ] );
+        Alcotest.test_case "rejects float mod" `Quick test_check_rejects_mod_float;
+        Alcotest.test_case "error strings" `Quick test_check_error_strings ] );
     ( "ir.ast_util",
       [ Alcotest.test_case "vars read/written" `Quick test_vars_read_written;
         Alcotest.test_case "arrays accessed" `Quick test_arrays_accessed;

@@ -351,6 +351,30 @@ let test_server_survives_malformed_requests () =
           check bool "connection still alive" true
             (Result.is_ok (Protocol.response_result r))))
 
+(* A program whose only work is a dead store optimizes to no work at
+   all, so its speedup is infinite.  JSON has no infinity: the answer
+   must still be a line the client parses, with the speedup as null. *)
+let test_server_optimize_all_work_deleted () =
+  let source =
+    "program dead_store\n  real a[64]\nfor i = 1, 64\n  a[i] = 1.0\nend for\nend\n"
+  in
+  let req =
+    { (Protocol.default_request Protocol.Optimize) with
+      Protocol.source = Some source;
+      machines = [ "origin2000" ] }
+  in
+  with_server (fun addr ->
+      match Client.one_shot addr req with
+      | Error msg -> Alcotest.failf "answer does not parse: %s" msg
+      | Ok r -> (
+        match Protocol.response_result r with
+        | Error msg -> Alcotest.fail msg
+        | Ok result ->
+          check bool "seconds_after is zero" true
+            (Json.member "seconds_after" result = Some (Json.Float 0.0));
+          check bool "speedup is null" true
+            (Json.member "speedup" result = Some Json.Null)))
+
 let test_server_metrics_endpoint () =
   with_server (fun addr ->
       ignore
@@ -862,6 +886,8 @@ let suites =
           test_server_repeat_does_zero_engine_work;
         Alcotest.test_case "malformed requests never kill it" `Quick
           test_server_survives_malformed_requests;
+        Alcotest.test_case "optimize that deletes all work parses" `Quick
+          test_server_optimize_all_work_deleted;
         Alcotest.test_case "metrics endpoint" `Quick
           test_server_metrics_endpoint;
         Alcotest.test_case "drains on shutdown" `Quick
