@@ -64,9 +64,9 @@ let analyse (p : program) =
 
 let range_of ranges name = List.find_opt (fun r -> r.array = name) ranges
 
-let dead_after p ~position name =
-  match range_of (analyse p) name with
-  | None -> not (List.mem name p.live_out)
+let dead_after ranges ~position name =
+  match range_of ranges name with
+  | None -> false
   | Some r ->
     (not r.live_out)
     && not (List.exists (fun pos -> pos > position) r.read_positions)

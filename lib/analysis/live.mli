@@ -24,8 +24,10 @@ val range_of : range list -> string -> range option
 
 (** [dead_after ranges ~position array]: no statement strictly after
     [position] reads [array], and it is not live-out — so values written
-    at or before [position] need never reach memory. *)
-val dead_after : Bw_ir.Ast.program -> position:int -> string -> bool
+    at or before [position] need never reach memory.  [ranges] come from
+    {!analyse}; an array without a range is never referenced, the ranges
+    do not say whether it is live-out, and the answer is [false]. *)
+val dead_after : range list -> position:int -> string -> bool
 
 (** Arrays whose entire live range is the single statement at [position]
     (and that are not live-out): candidates for storage reduction. *)

@@ -41,13 +41,16 @@ let rec fold_stmts f acc stmts =
       | Assign _ | Read_input _ | Print _ -> acc)
     acc stmts
 
-let rec expr_reads = function
-  | Int_lit _ | Float_lit _ -> []
-  | Scalar s -> [ s ]
-  | Element (a, idxs) -> a :: List.concat_map expr_reads idxs
-  | Unary (_, e) -> expr_reads e
-  | Binary (_, a, b) -> expr_reads a @ expr_reads b
-  | Call (_, args) -> List.concat_map expr_reads args
+(* Conses the names [e] reads onto [acc], last-read first. *)
+let rec push_reads acc = function
+  | Int_lit _ | Float_lit _ -> acc
+  | Scalar s -> s :: acc
+  | Element (a, idxs) -> List.fold_left push_reads (a :: acc) idxs
+  | Unary (_, e) -> push_reads acc e
+  | Binary (_, a, b) -> push_reads (push_reads acc a) b
+  | Call (_, args) -> List.fold_left push_reads acc args
+
+let expr_reads e = List.rev (push_reads [] e)
 
 let rec expr_array_reads = function
   | Int_lit _ | Float_lit _ | Scalar _ -> []
@@ -68,17 +71,16 @@ let dedup_keep_order names =
     names
 
 let vars_read stmts =
-  fold_stmts_exprs (fun acc e -> acc @ expr_reads e) [] stmts
-  |> dedup_keep_order
+  fold_stmts_exprs push_reads [] stmts |> List.rev |> dedup_keep_order
 
 let vars_written stmts =
   fold_stmts
     (fun acc s ->
       match s with
-      | Assign (lv, _) | Read_input lv -> acc @ [ lvalue_name lv ]
+      | Assign (lv, _) | Read_input lv -> lvalue_name lv :: acc
       | If _ | For _ | Print _ -> acc)
     [] stmts
-  |> dedup_keep_order
+  |> List.rev |> dedup_keep_order
 
 let arrays_accessed program stmts =
   let is_array name =
@@ -89,9 +91,9 @@ let arrays_accessed program stmts =
 
 let loop_indices stmts =
   fold_stmts
-    (fun acc s -> match s with For { index; _ } -> acc @ [ index ] | _ -> acc)
+    (fun acc s -> match s with For { index; _ } -> index :: acc | _ -> acc)
     [] stmts
-  |> dedup_keep_order
+  |> List.rev |> dedup_keep_order
 
 let rec subst_scalar ~name ~value e =
   let recur = subst_scalar ~name ~value in

@@ -381,28 +381,15 @@ let split_candidates (p : program) =
       | _ -> None)
     p.decls
 
-let pad_candidates (p : program) =
-  List.filter_map
-    (fun d ->
-      if
-        is_array d
-        && (not (List.mem d.var_name p.live_out))
-        && decl_bytes d mod 4096 = 0
-      then
-        Some
-          (Pad
-             { array = d.var_name;
-               extra = (if List.length d.dims = 1 then 8 else 1) })
-      else None)
-    p.decls
-
+(* No pads: a pad only makes one declaration larger, which never lowers
+   the analytic tier's predicted traffic (test [transform.layout] "pads
+   never lower predicted traffic"), so {!run} could not accept one. *)
 let candidates (p : program) =
   transpose_candidates p
   @ split_candidates p
   @ List.map
       (fun (a, b) -> Interleave { first = a; second = b })
       (Regroup.candidates p)
-  @ pad_candidates p
 
 (* --- greedy analytic-gated driver ---------------------------------------- *)
 

@@ -2,13 +2,15 @@
     burst/page-friendly data reorganisation: change {e where} values
     live, never {e what} is computed.
 
-    Four rewrites:
+    Four rewrites, the last three of which {!run} searches:
 
     - {b Pad}: extend an array's {e last} dimension (column-major, so
       existing element offsets — and hence initial values — are
       untouched).  The extra rows shift every later array's base
       address, breaking the power-of-two inter-array alignments that
-      thrash direct-mapped caches.
+      thrash direct-mapped caches.  Available through {!apply} only:
+      the analytic tier never sees addresses, so a pad cannot lower its
+      predicted traffic and {!run} could never accept one.
     - {b Interleave}: fuse two co-accessed same-shape arrays into one
       with a leading extent-2 dimension ({!Regroup}), so one cache line
       delivers both operands.
@@ -45,8 +47,8 @@ val apply :
   Bw_ir.Ast.program -> action -> (Bw_ir.Ast.program, string) result
 
 (** Rewrites that structurally apply to the program, heuristically
-    ordered (transposes first, then splits, interleaves, pads).  No
-    scoring — {!run} prices them. *)
+    ordered (transposes first, then splits, then interleaves); never a
+    pad.  No scoring — {!run} prices them. *)
 val candidates : Bw_ir.Ast.program -> action list
 
 (** [run ?machine ?threshold p] greedily applies candidates: each round

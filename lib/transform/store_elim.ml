@@ -1,9 +1,8 @@
 open Bw_ir.Ast
 
 (* Can any read of [a] inside loop [l] observe a value stored by a write
-   inside [l]? *)
-let stored_value_read (l : loop) a =
-  let refs = Bw_analysis.Refs.collect [ For l ] in
+   inside [l]?  [refs] are [Refs.collect [ For l ]]. *)
+let stored_value_read (l : loop) refs a =
   let mine = Bw_analysis.Refs.of_array a refs in
   let writes = Bw_analysis.Refs.writes mine in
   let reads = Bw_analysis.Refs.reads mine in
@@ -49,15 +48,16 @@ let remove_stores_to a stmts =
   filter stmts
 
 let eliminate_dead_stores (p : program) =
+  let ranges = Bw_analysis.Live.analyse p in
   let eliminated = ref [] in
   let body =
     List.mapi
       (fun pos stmt ->
         match stmt with
         | For l ->
+          let refs = Bw_analysis.Refs.collect [ stmt ] in
           let arrays_written =
-            Bw_analysis.Refs.collect [ stmt ]
-            |> Bw_analysis.Refs.writes
+            Bw_analysis.Refs.writes refs
             |> List.map (fun (r : Bw_analysis.Refs.t) -> r.Bw_analysis.Refs.array)
             |> List.sort_uniq compare
             |> List.filter (fun a ->
@@ -68,8 +68,8 @@ let eliminate_dead_stores (p : program) =
           let removable =
             List.filter
               (fun a ->
-                Bw_analysis.Live.dead_after p ~position:pos a
-                && (not (stored_value_read l a))
+                Bw_analysis.Live.dead_after ranges ~position:pos a
+                && (not (stored_value_read l refs a))
                 && not (written_by_read_input [ stmt ] a))
               arrays_written
           in

@@ -380,8 +380,10 @@ let test_live_ranges () =
     check int "last" 2 r.Live.last;
     check bool "not live out" false r.Live.live_out
   | None -> Alcotest.fail "res has a range");
-  check bool "dead after loop 2" true (Live.dead_after p ~position:2 "res");
-  check bool "not dead after loop 1" false (Live.dead_after p ~position:1 "res")
+  check bool "dead after loop 2" true
+    (Live.dead_after ranges ~position:2 "res");
+  check bool "not dead after loop 1" false
+    (Live.dead_after ranges ~position:1 "res")
 
 let test_live_out_flag () =
   let p =

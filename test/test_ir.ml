@@ -140,6 +140,87 @@ let test_arrays_accessed () =
 let test_loop_indices () =
   check str_list "indices" [ "i" ] (Ast_util.loop_indices sample_program.body)
 
+(* Reference definitions that accumulate with [@]: quadratic in the
+   number of names, but plainly in first-occurrence order.  The library's
+   must return the same lists, in the same order. *)
+module Append_reference = struct
+  let dedup_keep_order names =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun n ->
+        if Hashtbl.mem seen n then false
+        else begin
+          Hashtbl.add seen n ();
+          true
+        end)
+      names
+
+  let rec expr_reads = function
+    | Int_lit _ | Float_lit _ -> []
+    | Scalar s -> [ s ]
+    | Element (a, idxs) -> a :: List.concat_map expr_reads idxs
+    | Unary (_, e) -> expr_reads e
+    | Binary (_, a, b) -> expr_reads a @ expr_reads b
+    | Call (_, args) -> List.concat_map expr_reads args
+
+  let vars_read stmts =
+    Ast_util.fold_stmts_exprs (fun acc e -> acc @ expr_reads e) [] stmts
+    |> dedup_keep_order
+
+  let vars_written stmts =
+    Ast_util.fold_stmts
+      (fun acc s ->
+        match s with
+        | Assign (lv, _) | Read_input lv -> acc @ [ lvalue_name lv ]
+        | If _ | For _ | Print _ -> acc)
+      [] stmts
+    |> dedup_keep_order
+
+  let loop_indices stmts =
+    Ast_util.fold_stmts
+      (fun acc s -> match s with For { index; _ } -> acc @ [ index ] | _ -> acc)
+      [] stmts
+    |> dedup_keep_order
+end
+
+(* The top level and every nested statement list: loop bodies and both
+   branches of each [if]. *)
+let rec stmt_lists stmts =
+  stmts
+  :: List.concat_map
+       (function
+         | For l -> stmt_lists l.body
+         | If (_, t, e) -> stmt_lists t @ stmt_lists e
+         | Assign _ | Read_input _ | Print _ -> [])
+       stmts
+
+let test_name_lists_match_reference () =
+  let programs =
+    Pins.corpus_programs ~corpus:"../corpus" @ Pins.gen_programs ()
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iteri
+        (fun i stmts ->
+          let same what f reference =
+            check str_list
+              (Printf.sprintf "%s list %d %s" name i what)
+              (reference stmts) (f stmts)
+          in
+          same "vars_read" Ast_util.vars_read Append_reference.vars_read;
+          same "vars_written" Ast_util.vars_written
+            Append_reference.vars_written;
+          same "loop_indices" Ast_util.loop_indices
+            Append_reference.loop_indices;
+          Ast_util.fold_stmts_exprs
+            (fun () e ->
+              check str_list
+                (Printf.sprintf "%s list %d expr_reads" name i)
+                (Append_reference.expr_reads e) (Ast_util.expr_reads e))
+            () stmts)
+        (stmt_lists p.body))
+    programs
+
 let test_rename_scalar () =
   let open Builder in
   let stmts = [ for_ "i" (int 1) (v "n") [ sc "x" <-- to_float (v "i") ] ] in
@@ -429,7 +510,9 @@ let suites =
         Alcotest.test_case "subst scalar" `Quick test_subst_scalar;
         Alcotest.test_case "subst rejects writes" `Quick test_subst_rejects_write;
         Alcotest.test_case "fresh name" `Quick test_fresh_name;
-        Alcotest.test_case "stmt count" `Quick test_stmt_count ] );
+        Alcotest.test_case "stmt count" `Quick test_stmt_count;
+        Alcotest.test_case "name lists match the append reference" `Quick
+          test_name_lists_match_reference ] );
     ( "ir.parse",
       [ Alcotest.test_case "simple program" `Quick test_parse_simple_program;
         Alcotest.test_case "if and intrinsics" `Quick test_parse_if_and_intrinsics;

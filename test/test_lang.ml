@@ -303,6 +303,59 @@ let test_layout_identity_when_nothing_applies () =
   check Alcotest.bool "unchanged" true (Ast.equal_program p p');
   check Alcotest.int "no actions" 0 (List.length actions)
 
+(* [Layout.run] does not price pads.  A pad only makes one declaration
+   larger, and the analytic tier that prices layout candidates never
+   sees addresses, so it must never predict less traffic for the padded
+   program: a pad could then never pass the gate.  If this ever fails,
+   pads must be priced again ([Layout.candidates]).  Every array that
+   may be padded (any non-live-out one) grows its last dimension by 1,
+   or by 8 for a 1-D array. *)
+let pad_lowering_traffic (name, p) =
+  List.find_map
+    (fun (mname, machine) ->
+      let traffic p = Bw_analysis.Predict.(memory_bytes (predict ~machine p)) in
+      let base = traffic p in
+      List.find_map
+        (fun d ->
+          if Ast.is_array d && not (List.mem d.Ast.var_name p.Ast.live_out)
+          then
+            let extra = if List.length d.Ast.dims = 1 then 8 else 1 in
+            match
+              Layout.apply p (Layout.Pad { array = d.Ast.var_name; extra })
+            with
+            | Error msg ->
+              Some (Printf.sprintf "%s: pad %s refused: %s" name d.var_name msg)
+            | Ok padded ->
+              let after = traffic padded in
+              if after < base then
+                Some
+                  (Printf.sprintf "%s on %s: pad %s +%d lowers traffic %h -> %h"
+                     name mname d.var_name extra base after)
+              else None
+          else None)
+        p.Ast.decls)
+    Pins.machines
+
+let test_pads_never_lower_traffic () =
+  let programs =
+    Pins.corpus_programs ~corpus:"../corpus"
+    @ Pins.registry_programs ~scale:1
+    @ Pins.dag_programs ()
+  in
+  match List.find_map pad_lowering_traffic programs with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
+let pads_never_lower_traffic_prop =
+  QCheck.Test.make ~count:100
+    ~name:"generated programs: pads never lower traffic"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(1 -- 100_000))
+    (fun seed ->
+      let p = Bw_qa.Gen.generate ~seed ~size:6 in
+      match pad_lowering_traffic (Printf.sprintf "gen%d" seed, p) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 let suites =
   [ ( "lang.parse",
       [ Alcotest.test_case "accepts legacy grammar" `Quick
@@ -331,4 +384,8 @@ let suites =
         Alcotest.test_case "unsafe rewrites are refused" `Quick
           test_layout_refuses_unsafe;
         Alcotest.test_case "identity when nothing applies" `Quick
-          test_layout_identity_when_nothing_applies ] ) ]
+          test_layout_identity_when_nothing_applies;
+        Alcotest.test_case "pads never lower predicted traffic" `Quick
+          test_pads_never_lower_traffic;
+        QCheck_alcotest.to_alcotest ~long:false pads_never_lower_traffic_prop ]
+    ) ]
