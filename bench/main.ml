@@ -110,14 +110,6 @@ let micro_tests () =
     Test.make ~name:"full strategy pipeline on fig7"
       (Staged.stage (fun () -> ignore (Bw_transform.Strategy.run p)))
   in
-  let parse_program =
-    let src =
-      Bw_ir.Pretty.program_to_string (Bw_workloads.Fig6.fused ~n:64)
-    in
-    Test.make ~name:"parse + check fig6 source"
-      (Staged.stage (fun () ->
-           ignore (Bw_ir.Parser.parse_program_exn src)))
-  in
   (* The tiered-evaluator pair: the same registry workload priced by the
      exact tier (replay of a pre-captured stream — the engine run is
      deliberately excluded, biasing the comparison *against* the
@@ -146,8 +138,8 @@ let micro_tests () =
   in
   [ cache_streaming; interp_sum; compiled_sum; simulate_kernel;
     capture_kernel; replay_kernel; two_machines_serial; two_machines_fanout;
-    hyper_cut; fusion_plan; strategy_pipeline; parse_program;
-    evaluate_exact; evaluate_analytic ]
+    hyper_cut; fusion_plan; strategy_pipeline; evaluate_exact;
+    evaluate_analytic ]
 
 (* Run the micro suite and return sorted (name, ns/run) estimates. *)
 let micro_estimates () =
@@ -336,7 +328,7 @@ let () =
           outcomes
       in
       let oc = open_out json_path in
-      output_string oc (Bw_core.Bench_json.to_string doc);
+      output_string oc (Bw_core.Json.to_string doc);
       output_char oc '\n';
       close_out oc;
       Format.printf "wrote %s (%d tables, %d micro estimates, %d spans)@."

@@ -365,7 +365,7 @@ let with_trace_file file f =
   let spans = Bw_obs.Trace.collect () in
   let doc = Bw_core.Trace_export.json_of_spans spans in
   Bw_core.Trace_export.write_file file doc;
-  ignore (Bw_core.Bench_json.parse (Bw_core.Bench_json.to_string doc));
+  ignore (Bw_core.Json.parse (Bw_core.Json.to_string doc));
   Format.printf "wrote %s (%d spans)@." file (List.length spans);
   v
 
@@ -650,7 +650,7 @@ let profile_cmd =
     | Some file ->
       let doc = Bw_core.Trace_export.json_of_spans spans in
       Bw_core.Trace_export.write_file file doc;
-      ignore (Bw_core.Bench_json.parse (Bw_core.Bench_json.to_string doc));
+      ignore (Bw_core.Json.parse (Bw_core.Json.to_string doc));
       Format.printf "@.wrote %s (%d spans)@." file (List.length spans)
   in
   Cmd.v
@@ -675,9 +675,9 @@ let validate_json_cmd =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    match Bw_core.Bench_json.parse src with
+    match Bw_core.Json.parse src with
     | _ -> Format.printf "%s: valid JSON (%d bytes)@." file (String.length src)
-    | exception Bw_core.Bench_json.Parse_error msg ->
+    | exception Bw_core.Json.Parse_error msg ->
       Format.eprintf "bwc: %s: invalid JSON: %s@." file msg;
       exit 1
   in

@@ -124,39 +124,39 @@ let json_of_results ?trace ?serve ~scale ~jobs ~micro outcomes =
       (* v5: the "serve" block gained per-outcome counts
          (ok/degraded/rejected/shed/failed/retried) and an "outcomes"
          object of per-class latency percentiles *)
-      ("schema_version", Bench_json.Int 5);
-      ("scale", Bench_json.Int scale);
-      ("jobs", Bench_json.Int jobs);
+      ("schema_version", Json.Int 5);
+      ("scale", Json.Int scale);
+      ("jobs", Json.Int jobs);
       ( "tables",
-        Bench_json.List
+        Json.List
           (List.map
              (fun o ->
                let fields =
                  [
-                   ("id", Bench_json.String o.id);
-                   ("title", Bench_json.String o.title);
-                   ("body", Bench_json.String o.body);
-                   ("seconds", Bench_json.Float o.seconds);
+                   ("id", Json.String o.id);
+                   ("title", Json.String o.title);
+                   ("body", Json.String o.body);
+                   ("seconds", Json.Float o.seconds);
                    ( "status",
-                     Bench_json.String
+                     Json.String
                        (match o.status with Ok -> "ok" | Error _ -> "error") );
                  ]
                in
                let error_field =
                  match o.status with
                  | Ok -> []
-                 | Error msg -> [ ("error", Bench_json.String msg) ]
+                 | Error msg -> [ ("error", Json.String msg) ]
                in
-               Bench_json.Obj (fields @ error_field))
+               Json.Obj (fields @ error_field))
              outcomes) );
       ( "micro",
-        Bench_json.List
+        Json.List
           (List.map
              (fun (name, ns) ->
-               Bench_json.Obj
+               Json.Obj
                  [
-                   ("name", Bench_json.String name);
-                   ("ns_per_run", Bench_json.Float ns);
+                   ("name", Json.String name);
+                   ("ns_per_run", Json.Float ns);
                  ])
              micro) );
     ]
@@ -169,4 +169,4 @@ let json_of_results ?trace ?serve ~scale ~jobs ~micro outcomes =
   let serve_field =
     match serve with None -> [] | Some j -> [ ("serve", j) ]
   in
-  Bench_json.Obj (base @ serve_field @ trace_field)
+  Json.Obj (base @ serve_field @ trace_field)

@@ -1,7 +1,23 @@
 (** Recursive-descent parser for the [.bw] surface language.
 
-    Accepts exactly the language of the legacy {!Bw_ir.Parser} (and in
-    particular everything {!Bw_ir.Pretty.pp_program} prints), but every
+    {v
+    program axpy
+      real a[100] = linear(1.0, 0.5)
+      real b[100]
+      real s
+      live_out a, s
+      for i = 1, 100
+        a[i] = a[i] + 2.0 * b[i]
+      end for
+      print s
+    end
+    v}
+
+    Accepts everything {!Bw_ir.Pretty.pp_program} prints.  Comparison
+    inside conditions uses [==] (or a single [=], as in the paper's
+    pseudo-code), [<>], [<], [<=], [>], [>=].  [for] loops take
+    [lo, hi] or [lo, hi, step] and are closed by [end for] (or
+    [endfor]); [if (cond) ... else ... end if] likewise.  Every
     diagnostic — lexical, syntactic, {e and} the common semantic
     mistakes — carries a 1-based line and column:
 

@@ -1,5 +1,6 @@
 open Bw_ir
 open Bw_analysis
+module Parse = Bw_lang.Parse
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -7,10 +8,16 @@ let int = Alcotest.int
 
 (* --- Affine -------------------------------------------------------------- *)
 
+(* [s] is parsed as the right-hand side of [x = s] in a program that
+   declares i and j *)
 let affine_of s =
-  match Parser.parse_expr s with
-  | Ok e -> Affine.of_expr e
-  | Error _ -> Alcotest.failf "cannot parse %s" s
+  let src =
+    Printf.sprintf
+      "program e\n  integer i\n  integer j\n  integer x\nx = %s\nend" s
+  in
+  match Parse.parse_program src with
+  | Ok { Ast.body = [ Ast.Assign (_, e) ]; _ } -> Affine.of_expr e
+  | _ -> Alcotest.failf "cannot parse %s" s
 
 let test_affine_extraction () =
   (match affine_of "2*i + j - 3" with
@@ -47,7 +54,7 @@ let test_affine_arith () =
 
 let test_refs_collect () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program refs
         real a[10,10]
@@ -71,7 +78,7 @@ let test_refs_collect () =
 
 let test_refs_subscript_wrt () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program s
         real a[10,10]
@@ -95,7 +102,7 @@ let test_refs_subscript_wrt () =
 (* --- Depend --------------------------------------------------------------- *)
 
 let loop_of src =
-  let p = Parser.parse_program_exn src in
+  let p = Parse.parse_program_exn src in
   match p.Ast.body with
   | [ Ast.For l ] -> l
   | _ -> Alcotest.fail "expected a single loop"
@@ -245,7 +252,7 @@ let test_fusable_read_stream () =
 
 let test_pair_test_multidim () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program md
         real a[10,10]
@@ -266,7 +273,7 @@ let test_pair_test_multidim () =
 let test_gcd_independent () =
   (* a[2i] written, a[2i+1] read: parity separates them *)
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program par
         real a[40]
@@ -285,7 +292,7 @@ let test_gcd_independent () =
   | other -> Alcotest.failf "expected independent, got %a" Depend.pp_answer other);
   (* and with compatible parity the GCD test cannot rule it out *)
   let p2 =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program par2
         real a[40]
@@ -326,7 +333,7 @@ end"
 
 let test_pair_test_independent_rows () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program rows
         real a[10,10]
@@ -387,7 +394,7 @@ let test_live_ranges () =
 
 let test_live_out_flag () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program lo
         real a[10]
@@ -404,7 +411,7 @@ let test_live_out_flag () =
 
 let test_local_to () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program local
         real t[10]

@@ -61,7 +61,7 @@ let test_engines_agree_on_transformed_programs () =
 
 let test_compile_bounds_check () =
   let p =
-    Bw_ir.Parser.parse_program_exn
+    Bw_lang.Parse.parse_program_exn
       {|
       program oob
         real a[4]

@@ -1,5 +1,7 @@
 open Bw_ir
 open Bw_ir.Ast
+module Lexer = Bw_lang.Lexer
+module Parse = Bw_lang.Parse
 
 let check = Alcotest.check
 let str_list = Alcotest.(list string)
@@ -260,7 +262,7 @@ let test_stmt_count () =
   (* two loops + two loop-body assigns + the print *)
   check Alcotest.int "count" 5 (Ast_util.stmt_count sample_program.body)
 
-(* --- Pretty / Parser round trips ------------------------------------------ *)
+(* --- Pretty / Parse round trips ------------------------------------------- *)
 
 let test_pretty_expr () =
   let open Builder in
@@ -286,8 +288,8 @@ let test_parse_simple_program () =
     end
     |}
   in
-  match Parser.parse_program src with
-  | Error e -> Alcotest.failf "parse failed: %a" Parser.pp_parse_error e
+  match Parse.parse_program src with
+  | Error e -> Alcotest.failf "parse failed: %a" Parse.pp_error e
   | Ok p ->
     check Alcotest.string "name" "two_loops" p.prog_name;
     check Alcotest.int "decls" 2 (List.length p.decls);
@@ -310,8 +312,8 @@ let test_parse_if_and_intrinsics () =
     end
     |}
   in
-  match Parser.parse_program src with
-  | Error e -> Alcotest.failf "parse failed: %a" Parser.pp_parse_error e
+  match Parse.parse_program src with
+  | Error e -> Alcotest.failf "parse failed: %a" Parse.pp_error e
   | Ok p -> check Alcotest.int "stmts" 1 (List.length p.body)
 
 let test_parse_step_and_multidim () =
@@ -329,8 +331,8 @@ let test_parse_step_and_multidim () =
     end
     |}
   in
-  match Parser.parse_program src with
-  | Error e -> Alcotest.failf "parse failed: %a" Parser.pp_parse_error e
+  match Parse.parse_program src with
+  | Error e -> Alcotest.failf "parse failed: %a" Parse.pp_error e
   | Ok p -> (
     match p.body with
     | [ For { step = Int_lit 4; _ } ] -> ()
@@ -338,9 +340,12 @@ let test_parse_step_and_multidim () =
 
 let test_parse_errors_are_located () =
   let src = "program p\n  real a[4]\n  a[1] =\nend" in
-  match Parser.parse_program src with
+  match Parse.parse_program src with
   | Ok _ -> Alcotest.fail "expected a parse error"
-  | Error e -> check Alcotest.bool "line recorded" true (e.line >= 3)
+  | Error e ->
+    check Alcotest.string "line:col and message"
+      "4:1: expected an expression, found keyword 'end'"
+      (Parse.error_to_string e)
 
 let test_parse_rejects_ill_typed () =
   let src =
@@ -354,15 +359,15 @@ let test_parse_rejects_ill_typed () =
     end
     |}
   in
-  match Parser.parse_program src with
+  match Parse.parse_program src with
   | Ok _ -> Alcotest.fail "expected a check error"
   | Error _ -> ()
 
 let test_roundtrip_pretty_parse () =
   (* Pretty-printed programs are re-parseable and structurally equal. *)
   let printed = Pretty.program_to_string sample_program in
-  match Parser.parse_program printed with
-  | Error e -> Alcotest.failf "roundtrip failed: %a@,%s" Parser.pp_parse_error e printed
+  match Parse.parse_program printed with
+  | Error e -> Alcotest.failf "roundtrip failed: %a@,%s" Parse.pp_error e printed
   | Ok p ->
     check Alcotest.bool "same body" true (p.body = sample_program.body)
 
@@ -383,8 +388,10 @@ let test_lexer_numbers () =
 
 let test_lexer_error () =
   match Lexer.tokenize "a @ b" with
-  | exception Lexer.Lex_error (_, 1) -> ()
-  | _ -> Alcotest.fail "expected a lex error on line 1"
+  | exception Lexer.Lex_error (msg, { line; col }) ->
+    check Alcotest.(pair int int) "position" (1, 3) (line, col);
+    check Alcotest.string "message" "unexpected character '@'" msg
+  | _ -> Alcotest.fail "expected a lex error at 1:3"
 
 (* --- QCheck: substitution and renaming --------------------------------------- *)
 
@@ -425,9 +432,15 @@ let qcheck_cases =
         not (List.mem "n" (Ast_util.expr_reads e')));
     Test.make ~name:"pretty/parse expression roundtrip" ~count:200 arb_expr
       (fun e ->
-        match Parser.parse_expr (Pretty.expr_to_string e) with
-        | Ok e' -> e' = e
-        | Error _ -> false) ]
+        (* the right-hand side of [x = e] in a program declaring n and m *)
+        let src =
+          Printf.sprintf
+            "program e\n  integer n\n  integer m\n  integer x\nx = %s\nend"
+            (Pretty.expr_to_string e)
+        in
+        match Parse.parse_program src with
+        | Ok { body = [ Assign (_, e') ]; _ } -> e' = e
+        | _ -> false) ]
 
 (* --- Digest: the serve cache-key primitive ----------------------------------- *)
 
@@ -436,7 +449,7 @@ let test_digest_roundtrip_stable () =
   List.iter
     (fun p ->
       let src = Pretty.program_to_string p in
-      let q = Parser.parse_program_exn src in
+      let q = Parse.parse_program_exn src in
       check Alcotest.bool "roundtrip equal_program" true (equal_program p q);
       check Alcotest.string "digest stable across roundtrip"
         (Digest.program p) (Digest.program q))
@@ -480,7 +493,7 @@ let qcheck_digest_cases =
   [ Test.make ~name:"equal programs digest equally (generator roundtrip)"
       ~count:100 arb_seed (fun seed ->
         let p = Bw_qa.Gen.generate ~seed ~size:4 in
-        let q = Parser.parse_program_exn (Pretty.program_to_string p) in
+        let q = Parse.parse_program_exn (Pretty.program_to_string p) in
         equal_program p q && Digest.program p = Digest.program q);
     Test.make ~name:"distinct seeds rarely collide" ~count:50 arb_seed
       (fun seed ->

@@ -1,9 +1,9 @@
 (* The .bw surface-language front end and the data-layout pass.
 
-   - positioned parser: accepts the legacy grammar, reports every
+   - positioned parser: accepts the .bw grammar, reports every
      diagnostic with an exact line and column (pinned strings below);
    - round trip: generated programs print and re-parse to an equal AST
-     through BOTH parser paths (QCheck over 100 seeds);
+     (QCheck over 100 seeds);
    - golden renderer: deterministic, byte-identical re-rendering;
    - layout pass: padding/splitting/transposition preserve observable
      behaviour (differential validation + Preserve lint) and cut
@@ -28,7 +28,7 @@ let expect_error src expected =
   | Error e ->
     check Alcotest.string "pinned rendering" expected (Parse.error_to_string e)
 
-let test_accepts_legacy_grammar () =
+let test_accepts_grammar () =
   let p =
     parse_ok
       "program two\n\
@@ -83,47 +83,42 @@ let test_file_errors_are_total () =
   | Error msg -> check Alcotest.bool "one line" false (String.contains msg '\n')
 
 let test_parenthesized_conditions () =
-  (* what pp_cond prints for nested and/or — both parsers accept it *)
-  let src =
-    "program p\n\
-    \  real s\n\
-    \  live_out s\n\
-     if (((s > 1.0 and s < 2.0) or not (s = 0.0)))\n\
-    \  s = s + 1.0\n\
-     end if\n\
-     end"
+  (* what pp_cond prints for nested and/or *)
+  let p =
+    parse_ok
+      "program p\n\
+      \  real s\n\
+      \  live_out s\n\
+       if (((s > 1.0 and s < 2.0) or not (s = 0.0)))\n\
+      \  s = s + 1.0\n\
+       end if\n\
+       end"
   in
-  let p = parse_ok src in
-  let q =
-    match Parser.parse_program src with
-    | Ok q -> q
-    | Error e -> Alcotest.failf "legacy parse failed: %a" Parser.pp_parse_error e
+  let expected =
+    Builder.(
+      program "p" ~decls:[ scalar "s" ] ~live_out:[ "s" ]
+        [ if_
+            (or_
+               (and_ (v "s" >: fl 1.0) (v "s" <: fl 2.0))
+               (not_ (v "s" =: fl 0.0)))
+            [ sc "s" <-- (v "s" +: fl 1.0) ]
+            [] ])
   in
-  check Alcotest.bool "same AST" true (Ast.equal_program p q)
+  check Alcotest.bool "same AST" true (Ast.equal_program expected p)
 
-(* --- round trip through both parsers -------------------------------------- *)
+(* --- print/parse round trip ----------------------------------------------- *)
 
 let roundtrip_seed seed =
   let p = Bw_qa.Gen.generate ~seed ~size:6 in
   let printed = Pretty.program_to_string p in
-  let via_new =
-    match Parse.parse_program printed with
-    | Ok q -> q
-    | Error e ->
-      Alcotest.failf "seed %d: new parser rejected printed form: %s@.%s" seed
-        (Parse.error_to_string e) printed
-  in
-  let via_legacy =
-    match Parser.parse_program printed with
-    | Ok q -> q
-    | Error e ->
-      Alcotest.failf "seed %d: legacy parser rejected printed form: %a@.%s"
-        seed Parser.pp_parse_error e printed
-  in
-  Ast.equal_program p via_new && Ast.equal_program p via_legacy
+  match Parse.parse_program printed with
+  | Ok q -> Ast.equal_program p q
+  | Error e ->
+    Alcotest.failf "seed %d: printed form rejected: %s@.%s" seed
+      (Parse.error_to_string e) printed
 
 let roundtrip_prop =
-  QCheck.Test.make ~count:100 ~name:"print/parse round trip (both parsers)"
+  QCheck.Test.make ~count:100 ~name:"print/parse round trip"
     (QCheck.make QCheck.Gen.(map (fun n -> n + 1) (int_bound 9999)))
     roundtrip_seed
 
@@ -358,8 +353,7 @@ let pads_never_lower_traffic_prop =
 
 let suites =
   [ ( "lang.parse",
-      [ Alcotest.test_case "accepts legacy grammar" `Quick
-          test_accepts_legacy_grammar;
+      [ Alcotest.test_case "accepts the .bw grammar" `Quick test_accepts_grammar;
         Alcotest.test_case "pinned error positions" `Quick test_error_positions;
         Alcotest.test_case "lex error position" `Quick test_lex_error_position;
         Alcotest.test_case "file errors are total" `Quick

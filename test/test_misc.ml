@@ -1,8 +1,9 @@
 (* Corner-case coverage that the per-module suites do not reach:
    simplifier algebra, interpreter edge semantics, probe shapes on the
-   second machine, distribution interplay, hyper-fusion validation. *)
+   second machine, scattered-loop interplay, hyper-fusion validation. *)
 
 open Bw_ir
+module Parse = Bw_lang.Parse
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -37,7 +38,7 @@ let test_simplify_identities () =
 
 let test_simplify_empty_loop_dropped () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program empty
         real s
@@ -84,7 +85,7 @@ let test_init_lanes_semantics () =
 
 let test_interp_division_by_zero () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program div0
         integer k
@@ -98,7 +99,7 @@ let test_interp_division_by_zero () =
 
 let test_interp_min_max_semantics () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program mm
         real x
@@ -145,14 +146,14 @@ let test_hyper_fusion_validate () =
   let bad3 = Bw_fusion.Hyper_fusion.validate inst [ [ 0 ]; [ 2 ] ] in
   check bool "missing node rejected" true (Result.is_error bad3)
 
-(* --- Distribution + strategy interplay ------------------------------------------- *)
+(* --- Fused vs scattered loops + strategy ----------------------------------------- *)
 
 let test_scattered_program_recovers_via_strategy () =
-  (* write a program as one big fused loop, distribute it into minimal
-     pieces, and confirm the strategy pipeline re-optimises the scattered
-     version to (at least) the traffic of the optimised original *)
+  (* the same computation written as one big fused loop (Figure 7(b))
+     and scattered into minimal pieces (Figure 7's two loops): the
+     strategy pipeline optimises both to the same traffic *)
   let p = Bw_workloads.Fig7.fused_by_hand ~n:100_000 in
-  let scattered = Bw_transform.Distribute.distribute_all p in
+  let scattered = Bw_workloads.Fig7.original ~n:100_000 in
   let machine = Bw_machine.Machine.origin2000 in
   let traffic q =
     let q', _ = Bw_transform.Strategy.run q in
@@ -165,12 +166,14 @@ let test_scattered_program_recovers_via_strategy () =
 (* --- Advisor on a file-loaded program --------------------------------------------- *)
 
 let test_parse_error_positions_stable () =
-  (* regression guard: messages carry the line of the offending token *)
+  (* regression guard: messages carry the position of the offending token *)
   let src = "program p\n real a[4]\n for i = 1, 4\n a[i] = \n end for\nend" in
-  match Parser.parse_program src with
+  match Parse.parse_program src with
   | Ok _ -> Alcotest.fail "expected failure"
   | Error e ->
-    check bool "line 4 or 5" true (e.Parser.line = 4 || e.Parser.line = 5)
+    check Alcotest.string "line:col and message"
+      "5:2: expected an expression, found keyword 'end'"
+      (Parse.error_to_string e)
 
 let suites =
   [ ( "misc.simplify",

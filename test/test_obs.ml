@@ -1,6 +1,6 @@
 (* The observability subsystem: span recording and collection across
    domains, the disabled no-op guarantee, the metrics registry, Chrome
-   trace export through Bench_json, the per-pass optimizer spans, the
+   trace export through Json, the per-pass optimizer spans, the
    run-level cache/engine metrics, and the robust CLI program loader. *)
 
 let check = Alcotest.check
@@ -218,7 +218,7 @@ let test_disabled_strategy_traces_nothing () =
 
 let test_ir_stats_exact_on_constant_bounds () =
   let p =
-    Bw_ir.Parser.parse_program_exn
+    Bw_lang.Parse.parse_program_exn
       {|
       program tiny
         real a[10]
@@ -254,7 +254,7 @@ let test_chrome_export_roundtrip () =
         (fun () -> Trace.with_span "leaf" (fun () -> ()) |> ignore)
       |> ignore);
   let spans = Trace.collect () in
-  let module J = Bw_core.Bench_json in
+  let module J = Bw_core.Json in
   let doc = Bw_core.Trace_export.json_of_spans spans in
   let parsed = J.parse (J.to_string doc) in
   let events =

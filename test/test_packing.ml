@@ -87,7 +87,7 @@ let test_group_improves_locality () =
 
 let test_pack_rejects_direct_access () =
   let p =
-    Bw_ir.Parser.parse_program_exn
+    Bw_lang.Parse.parse_program_exn
       {|
       program direct
         integer idx[10] = linear(1.0, 0.5)
@@ -112,7 +112,7 @@ let test_pack_rejects_direct_access () =
 
 let test_pack_rejects_index_rewrite () =
   let p =
-    Bw_ir.Parser.parse_program_exn
+    Bw_lang.Parse.parse_program_exn
       {|
       program rewrite
         integer idx[10] = linear(1.0, 0.5)

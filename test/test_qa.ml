@@ -1,4 +1,5 @@
 open Bw_ir
+module Parse = Bw_lang.Parse
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -87,7 +88,7 @@ let test_oracle_clean_on_registry () =
     Bw_workloads.Registry.all
 
 let drop_demo =
-  Parser.parse_program_exn
+  Parse.parse_program_exn
     {|
     program drop
       real a[10]
@@ -178,7 +179,7 @@ let test_preserve_flags_backward_dependence () =
   (* hand "fusion" that brings a[i] = ... and ... = a[i+1] into one
      loop: the read now sees the value one iteration too early *)
   let before =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program bad_fuse
         real a[20]
@@ -195,7 +196,7 @@ let test_preserve_flags_backward_dependence () =
       |}
   in
   let after =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program bad_fuse
         real a[20]
@@ -245,9 +246,9 @@ let test_init_roundtrip () =
       [ for_ "i" (int 1) (int 8) [ ("a" $. [ v "i" ]) <-- fl 1.5 ] ]
   in
   let printed = Format.asprintf "%a" Pretty.pp_program p in
-  match Parser.parse_program printed with
+  match Parse.parse_program printed with
   | Error e ->
-    Alcotest.failf "re-parse failed: %a@.%s" Parser.pp_parse_error e printed
+    Alcotest.failf "re-parse failed: %a@.%s" Parse.pp_error e printed
   | Ok p' -> check bool "equal after round trip" true (Ast.equal_program p p')
 
 let suites =

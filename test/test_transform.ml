@@ -15,7 +15,7 @@ let same_semantics ?(tol = 0.0) name p1 p2 =
     Alcotest.failf "%s: observations differ@.%a@.vs@.%a" name
       Bw_exec.Interp.pp_observation o1 Bw_exec.Interp.pp_observation o2
 
-let parse = Parser.parse_program_exn
+let parse = Bw_lang.Parse.parse_program_exn
 
 (* --- Toplevel dependences ---------------------------------------------- *)
 
@@ -464,85 +464,6 @@ let test_shrink_plain_window () =
     check int "depth 1" 1 plan.Shrink.depth;
     same_semantics "window" p p'
 
-(* --- Distribution ----------------------------------------------------------- *)
-
-let test_distribute_fig7 () =
-  let fused = Bw_workloads.Fig7.fused_by_hand ~n:300 in
-  match Distribute.distribute_at fused 1 with
-  | Error e -> Alcotest.fail e
-  | Ok p' ->
-    (* the fused body splits back into the update loop and the reduction *)
-    check int "two loops + sum=0 + print" 4 (List.length p'.Ast.body);
-    same_semantics "fig7 distribution" fused p'
-
-let test_distribute_keeps_cycles_together () =
-  let p =
-    parse
-      {|
-      program cyc
-        real a[100]
-        real c[100]
-        live_out a, c
-        for i = 2, 99
-          a[i] = c[i-1] + 1.0
-          c[i] = a[i] * 2.0
-        end for
-      end
-      |}
-  in
-  match Distribute.distribute_at p 0 with
-  | Error e -> Alcotest.fail e
-  | Ok p' ->
-    check int "cycle stays one loop" 1 (List.length p'.Ast.body);
-    same_semantics "cycle" p p'
-
-let test_distribute_orders_components () =
-  (* backward value flow: the consumer must run first after splitting *)
-  let p =
-    parse
-      {|
-      program back
-        real a[100]
-        real b[100]
-        live_out a, b
-        for i = 1, 99
-          b[i] = a[i+1] * 2.0
-          a[i] = a[i] + 1.0
-        end for
-      end
-      |}
-  in
-  match Distribute.distribute_at p 0 with
-  | Error e -> Alcotest.fail e
-  | Ok p' ->
-    check int "split in two" 2 (List.length p'.Ast.body);
-    same_semantics "ordering" p p'
-
-let test_distribute_then_refuse_roundtrip () =
-  (* distribute_all followed by bandwidth-minimal fusion re-derives an
-     equivalent program no worse than the original grouping *)
-  List.iter
-    (fun seed ->
-      let p =
-        Bw_workloads.Random_programs.generate ~seed ~loops:4 ~arrays:3 ~n:64
-      in
-      let scattered = Distribute.distribute_all p in
-      same_semantics (Printf.sprintf "seed %d scatter" seed) p scattered;
-      match Bw_fusion.Bandwidth_minimal.fuse_program scattered with
-      | Error e -> Alcotest.failf "seed %d: %s" seed e
-      | Ok (refused, _) ->
-        same_semantics (Printf.sprintf "seed %d refuse" seed) p refused;
-        let cost q =
-          let g = Bw_fusion.Fusion_graph.build q in
-          Bw_fusion.Cost.bandwidth_cost g (Bw_fusion.Cost.unfused g)
-        in
-        check bool
-          (Printf.sprintf "seed %d: refused %d <= original %d" seed
-             (cost refused) (cost p))
-          true
-          (cost refused <= cost p))
-    [ 41; 42; 43; 44 ]
-
 (* --- Simplify ----------------------------------------------------------------------- *)
 
 let test_simplify_folding () =
@@ -852,11 +773,6 @@ let suites =
         Alcotest.test_case "rejects live-out" `Quick test_shrink_rejects_live_out;
         Alcotest.test_case "rejects lookahead" `Quick test_shrink_rejects_lookahead;
         Alcotest.test_case "plain window" `Quick test_shrink_plain_window ] );
-    ( "transform.distribute",
-      [ Alcotest.test_case "fig7 fission" `Quick test_distribute_fig7;
-        Alcotest.test_case "cycles stay together" `Quick test_distribute_keeps_cycles_together;
-        Alcotest.test_case "component ordering" `Quick test_distribute_orders_components;
-        Alcotest.test_case "distribute + refuse roundtrip" `Quick test_distribute_then_refuse_roundtrip ] );
     ( "transform.simplify",
       [ Alcotest.test_case "folding" `Quick test_simplify_folding;
         Alcotest.test_case "prunes branches" `Quick test_simplify_prunes_branches;
