@@ -382,14 +382,16 @@ let optimize_cmd =
   let run name scale machine print_program layout trace_out validate lint
       no_rollback fuel faults fuse_search search_seed =
     arm_faults_or_die ~what:"--faults" faults;
-    let p = or_die (load_program ~scale name) in
     let guard =
-      { Bw_transform.Guard.default_config with
-        Bw_transform.Guard.validate = Option.value validate ~default:0;
-        lint;
-        rollback = not no_rollback;
-        fuel }
+      or_die
+        (Bw_transform.Guard.check_config
+           { Bw_transform.Guard.default_config with
+             Bw_transform.Guard.validate = Option.value validate ~default:0;
+             lint;
+             rollback = not no_rollback;
+             fuel })
     in
+    let p = or_die (load_program ~scale name) in
     let search_engine =
       match fuse_search with
       | None -> None
@@ -421,8 +423,11 @@ let optimize_cmd =
               q)
         search_engine
     in
+    let stages =
+      Bw_transform.Strategy.(if layout then default @ [ Layout ] else default)
+    in
     let run_pipeline () =
-      Bw_transform.Strategy.run_guarded ~guard ?fuse_search p
+      Bw_transform.Strategy.run_guarded ~stages ~guard ~machine ?fuse_search p
     in
     let outcome =
       try
@@ -441,28 +446,16 @@ let optimize_cmd =
           Bw_transform.Guard.pp_report events;
         exit 2
     in
-    (* the data-layout pass runs after the loop pipeline (inside its own
-       guarded stage) so its candidate analysis sees the final nests *)
-    let p', events =
-      if not layout then (p', events)
-      else begin
-        let g = Bw_transform.Guard.create guard in
-        let p', actions =
-          Bw_transform.Guard.stage g ~name:"layout" ~default:[]
-            (fun q -> Bw_transform.Layout.run ~machine q)
-            p'
-        in
-        (match actions with
-        | [] -> Format.printf "layout: no profitable rewrite@."
-        | actions ->
-          List.iter
-            (fun a ->
-              Format.printf "layout: %s@."
-                (Bw_transform.Layout.action_to_string a))
-            actions);
-        (p', events @ Bw_transform.Guard.events g)
-      end
+    (* a rolled-back layout stage prints no line: the guard report says
+       why *)
+    let layout_committed : Bw_transform.Guard.event =
+      { stage = Bw_transform.Strategy.(stage_name Layout); verdict = Committed }
     in
+    if List.mem layout_committed events then
+      List.iter (Format.printf "layout: %s@.")
+        (match report.Bw_transform.Strategy.layout with
+        | [] -> [ "no profitable rewrite" ]
+        | actions -> List.map Bw_transform.Layout.action_to_string actions);
     (match !search_stats with
     | None -> ()
     | Some st ->
@@ -489,10 +482,7 @@ let optimize_cmd =
     Format.printf "%a@.@." Bw_transform.Strategy.pp_report report;
     let rolled_back =
       List.exists
-        (fun (e : Bw_transform.Guard.event) ->
-          match e.Bw_transform.Guard.verdict with
-          | Bw_transform.Guard.Rolled_back _ -> true
-          | Bw_transform.Guard.Committed -> false)
+        (fun e -> e.Bw_transform.Guard.verdict <> Bw_transform.Guard.Committed)
         events
     in
     if validate <> None || lint || no_rollback || fuel <> None
@@ -524,10 +514,10 @@ let optimize_cmd =
       value & flag
       & info [ "layout" ]
           ~doc:
-            "After the loop pipeline, run the data-layout pass (array \
-             padding, interleaving, AoS-to-SoA splitting, read-only \
-             transposition) as a guarded stage, keeping only rewrites the \
-             analytic evaluator prices as a memory-traffic win on \
+            "After the loop stages, run the data-layout pass \
+             (interleaving, AoS-to-SoA splitting, read-only transposition) \
+             as the pipeline's last guarded stage, keeping only rewrites \
+             the analytic evaluator prices as a memory-traffic win on \
              $(b,--machine).")
   in
   let validate_arg =
@@ -590,8 +580,9 @@ let optimize_cmd =
              (seeded randomized-restart annealing, the default when the \
              flag is given bare) or exact (set-partition DP, small \
              programs only).  The winning plan runs in its own guarded \
-             stage behind the analytic regression gate; greedy-vs-search \
-             predicted traffic is reported either way.")
+             stage and is kept only when the analytic predictor prices it \
+             no worse than the input; greedy-vs-search predicted traffic \
+             is reported either way.")
   in
   let search_seed_arg =
     Arg.(
@@ -876,7 +867,7 @@ let faults_cmd =
     (* force registration of sites living in modules this command does
        not otherwise touch *)
     Bw_core.Harness.declare_fault_sites ();
-    ignore Bw_transform.Strategy.stage_names;
+    ignore Bw_transform.Strategy.default;
     ignore Bw_qa.Oracle.site;
     let armed = Bw_obs.Fault.armed () in
     List.iter

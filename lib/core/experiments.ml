@@ -336,8 +336,8 @@ let ablation_pipeline ?(scale = 2) () =
   let n = pick scale 300_000 2_000_000 in
   let machine = Machine.origin2000 in
   let p = Bw_workloads.Fig7.original ~n in
-  let traffic options =
-    let p', _ = Bw_transform.Strategy.run ~options p in
+  let traffic stages =
+    let p', _ = Bw_transform.Strategy.run ~stages p in
     let r = Bw_exec.Run.simulate ~machine p' in
     float_of_int (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache) /. 1e6
   in
@@ -346,12 +346,11 @@ let ablation_pipeline ?(scale = 2) () =
     ~title:"Ablation: pipeline stages on the Figure 7 program"
     ~header:[ "stages"; "memory traffic (MB)" ]
     ~notes:[ "each stage strictly reduces traffic; store elimination needs fusion first" ]
-    [ [ "none";
-        Table.f2 (traffic { fuse = false; contract = false; shrink = false; store_elim = false }) ];
-      [ "fusion"; Table.f2 (traffic fusion_only) ];
-      [ "fusion + store elimination"; Table.f2 (traffic all_on) ];
+    [ [ "none"; Table.f2 (traffic []) ];
+      [ "fusion"; Table.f2 (traffic [ Fuse ]) ];
+      [ "fusion + store elimination"; Table.f2 (traffic default) ];
       [ "store elimination alone (no fusion)";
-        Table.f2 (traffic { fuse = false; contract = false; shrink = false; store_elim = true }) ] ]
+        Table.f2 (traffic [ Forward; Store_elim ]) ] ]
 
 let ablation_cache ?(scale = 2) () =
   let n = pick scale 64 144 in

@@ -749,8 +749,8 @@ let run (cfg : config) (p : Bw_ir.Ast.program) =
   match plan cfg p with
   | Error _ as e -> e
   | Ok (best, stats) ->
-    (* commit only a predicted win; the caller's Guard / analytic gate
-       re-checks, this keeps a declined search a visible no-op *)
+    (* commit only a predicted win; the caller's Guard re-checks, this
+       keeps a declined search a visible no-op *)
     if stats.traffic > stats.input_traffic then begin
       Bw_obs.Metrics.incr reject_counter;
       Ok (p, { stats with accepted = false })

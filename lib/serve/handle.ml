@@ -97,13 +97,7 @@ let verdict_json = function
             (Format.asprintf "%a" Bw_transform.Guard.pp_failure failure) ) ]
 
 let optimize ?deadline (req : Protocol.request) ~machines p =
-  let pl = req.Protocol.pipeline in
-  let guard =
-    { Bw_transform.Guard.default_config with
-      Bw_transform.Guard.validate = pl.Protocol.validate;
-      lint = pl.Protocol.lint;
-      fuel = pl.Protocol.fuel }
-  in
+  let guard = Protocol.guard_config req.Protocol.pipeline in
   let machine = List.hd machines in
   check_deadline deadline;
   let p', report, events =

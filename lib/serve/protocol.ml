@@ -33,6 +33,10 @@ type pipeline = { validate : int; lint : bool; fuel : int option }
 
 let default_pipeline = { validate = 0; lint = false; fuel = None }
 
+let guard_config { validate; lint; fuel } =
+  { Bw_transform.Guard.default_config with
+    Bw_transform.Guard.validate; lint; fuel }
+
 type request = {
   id : string option;
   op : op;
@@ -167,8 +171,9 @@ let pipeline_of_json json =
       | Some (Json.Int i) -> Ok (Some i)
       | Some _ -> Error "field 'fuel' must be an integer or null"
     in
-    if validate < 0 then Error "field 'validate' must be >= 0"
-    else Ok { validate; lint; fuel }
+    let pipeline = { validate; lint; fuel } in
+    let* _ = Bw_transform.Guard.check_config (guard_config pipeline) in
+    Ok pipeline
 
 let request_of_json json =
   match json with

@@ -64,6 +64,9 @@ type pipeline = { validate : int; lint : bool; fuel : int option }
 
 val default_pipeline : pipeline
 
+(** The {!Bw_transform.Guard.config} an [optimize] request runs under. *)
+val guard_config : pipeline -> Bw_transform.Guard.config
+
 type request = {
   id : string option;  (** client correlation id, echoed in the response *)
   op : op;

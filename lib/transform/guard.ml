@@ -22,6 +22,14 @@ type config = {
 let default_config =
   { validate = 0; lint = false; tolerance = 1e-9; rollback = true; fuel = None }
 
+let check_config c =
+  if c.validate < 0 then
+    Error (Printf.sprintf "validate must be >= 0 (got %d)" c.validate)
+  else
+    match c.fuel with
+    | Some f when f < 0 -> Error (Printf.sprintf "fuel must be >= 0 (got %d)" f)
+    | _ -> Ok c
+
 exception Guard_failed of event list
 
 type t = {

@@ -74,6 +74,12 @@ type config = {
     executed. *)
 val default_config : config
 
+(** [check_config c] is [Ok c], or a one-line [Error] when [c.validate]
+    or [c.fuel] is negative.  The guard settings a user supplies —
+    [bwc optimize]'s flags and serve's ["pipeline"] field — all pass
+    through this one check. *)
+val check_config : config -> (config, string) result
+
 (** Raised (with all events so far, failure last) when a stage fails
     and [config.rollback] is [false]. *)
 exception Guard_failed of event list

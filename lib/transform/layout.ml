@@ -15,12 +15,6 @@ let action_to_string = function
 
 let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
 
-(* `bwc optimize --layout` runs this pass under a Guard stage; the site
-   exists so `bwc faults` can list it before anything arms it. *)
-let () =
-  Bw_obs.Fault.declare ~doc:"data-layout stage (raise or corrupt)"
-    "guard.layout"
-
 (* --- generic reference rewriting ---------------------------------------
    [rw name idxs] maps an array reference (read or write) whose
    subscripts are already rewritten; used by Split and Transpose. *)

@@ -1,36 +1,51 @@
+type stage =
+  | Fuse
+  | Contract
+  | Shrink
+  | Forward
+  | Store_elim
+  | Contract_tidy
+  | Layout
+
+let default = [ Fuse; Contract; Shrink; Forward; Store_elim; Contract_tidy ]
+
+let stage_name = function
+  | Fuse -> "fuse"
+  | Contract -> "contract"
+  | Shrink -> "shrink"
+  | Forward -> "forward"
+  | Store_elim -> "store-elim"
+  | Contract_tidy -> "contract-tidy"
+  | Layout -> "layout"
+
 type stage_report = {
   fused_loops : int;
   contracted : string list;
   shrink_plans : Shrink.plan list;
   stores_eliminated : string list;
   forwarded : int;
+  layout : Layout.action list;
 }
 
-type options = {
-  fuse : bool;
-  contract : bool;
-  shrink : bool;
-  store_elim : bool;
-}
-
-let all_on = { fuse = true; contract = true; shrink = true; store_elim = true }
-
-let fusion_only =
-  { fuse = true; contract = false; shrink = false; store_elim = false }
+let empty_report =
+  { fused_loops = 0;
+    contracted = [];
+    shrink_plans = [];
+    stores_eliminated = [];
+    forwarded = 0;
+    layout = [] }
 
 (* Every guarded stage has a fault-injection site, declared eagerly so
-   `bwc faults` can list them before anything is armed. *)
-let stage_names =
-  [ "input"; "fuse"; "fuse_search"; "contract"; "shrink"; "forward";
-    "store-elim"; "contract-tidy" ]
-
+   `bwc faults` can list them before anything is armed: the "input"
+   pseudo-stage, the fusion search that stands in for [Fuse], and every
+   stage of the list. *)
 let () =
   List.iter
     (fun n ->
       Bw_obs.Fault.declare
         ~doc:(Printf.sprintf "optimizer stage '%s' (raise or corrupt)" n)
         ("guard." ^ n))
-    stage_names
+    ("input" :: "fuse_search" :: List.map stage_name (default @ [ Layout ]))
 
 (* Run one pass under observability: a "pass:<name>" span carrying the
    program's static statistics before and after (statement counts,
@@ -64,41 +79,48 @@ let pass name f p =
 
 let count name n = Bw_obs.Metrics.incr ~by:n (Bw_obs.Metrics.counter name)
 
-let fuse_accept = Bw_obs.Metrics.counter "pass.fuse.analytic_accept"
-let fuse_reject = Bw_obs.Metrics.counter "pass.fuse.analytic_reject"
-let search_accept = Bw_obs.Metrics.counter "pass.fuse_search.analytic_accept"
-let search_reject = Bw_obs.Metrics.counter "pass.fuse_search.analytic_reject"
+(* A stage as its guard name and a transform whose auxiliary result adds
+   the stage's contribution to the report.  A search engine, when
+   supplied, replaces the greedy adjacent sweep and runs under its own
+   name (fault site guard.fuse_search). *)
+let step ~machine ~fuse_search stage =
+  let adding f add =
+    ( stage_name stage,
+      fun p ->
+        let p', x = f p in
+        (p', fun r -> add r x) )
+  in
+  match stage with
+  | Fuse ->
+    let name, fuse =
+      match fuse_search with
+      | Some search -> ("fuse_search", search)
+      | None -> ("fuse", Fuse.greedy)
+    in
+    let loops (q : Bw_ir.Ast.program) = List.length q.body in
+    ( name,
+      fun p ->
+        let p' = fuse p in
+        let n = loops p - loops p' in
+        (p', fun r -> { r with fused_loops = r.fused_loops + n }) )
+  | Contract | Contract_tidy ->
+    adding Contract.contract_arrays (fun r l ->
+        { r with contracted = r.contracted @ l })
+  | Shrink ->
+    adding Shrink.shrink_all (fun r l ->
+        { r with shrink_plans = r.shrink_plans @ l })
+  | Forward ->
+    adding Scalar_replace.forward_stores (fun r n ->
+        { r with forwarded = r.forwarded + n })
+  | Store_elim ->
+    adding Store_elim.eliminate_dead_stores (fun r l ->
+        { r with stores_eliminated = r.stores_eliminated @ l })
+  | Layout ->
+    adding
+      (fun p -> Layout.run ~machine p)
+      (fun r l -> { r with layout = r.layout @ l })
 
-let analytic_traffic ~machine p =
-  Bw_exec.Evaluate.memory_bytes
-    (Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds ~machine
-       p)
-
-(* Fusion candidates are scored with the analytic tier of the tiered
-   evaluator before being committed: the greedy sweep's output is kept
-   only when the closed-form model does not predict a memory-traffic
-   regression beyond 5% on [machine].  Fusion removes loop boundaries
-   and never adds references, so the model should always accept real
-   candidates — the gate exists to catch pathological ones for the price
-   of two closed-form queries instead of a replay.  Accept/reject
-   decisions are counted under [pass.fuse.analytic_*]. *)
-let gated ~machine ~accept ~reject f p =
-  let p' = f p in
-  if p' == p then p'
-  else if analytic_traffic ~machine p' <= 1.05 *. analytic_traffic ~machine p
-  then begin
-    Bw_obs.Metrics.incr accept;
-    p'
-  end
-  else begin
-    Bw_obs.Metrics.incr reject;
-    p
-  end
-
-let gated_greedy ~machine p =
-  gated ~machine ~accept:fuse_accept ~reject:fuse_reject Fuse.greedy p
-
-let run_guarded ?(options = all_on) ?(guard = Guard.default_config)
+let run_guarded ?(stages = default) ?(guard = Guard.default_config)
     ?(machine = Bw_machine.Machine.origin2000) ?fuse_search
     (p : Bw_ir.Ast.program) =
   Bw_obs.Trace.with_span ~cat:"optimizer"
@@ -110,79 +132,23 @@ let run_guarded ?(options = all_on) ?(guard = Guard.default_config)
      any transform gets to run.  A program that fails here flows through
      untouched: every later stage would roll back against it anyway. *)
   let p, () = Guard.stage g ~name:"input" ~default:() (fun p -> (p, ())) p in
-  let before = List.length p.Bw_ir.Ast.body in
-  let p =
-    (* A search engine, when supplied, subsumes the greedy adjacent
-       sweep: it runs in its own guarded stage (fault site
-       guard.fuse_search) behind the same 5% analytic gate. *)
-    match fuse_search with
-    | Some search ->
-      fst
-        (Guard.stage g ~name:"fuse_search" ~default:()
-           (pass "fuse_search" (fun p ->
-                ( gated ~machine ~accept:search_accept ~reject:search_reject
-                    search p,
-                  () )))
-           p)
-    | None ->
-      if options.fuse then
-        fst
-          (Guard.stage g ~name:"fuse" ~default:()
-             (pass "fuse" (fun p -> (gated_greedy ~machine p, ())))
-             p)
-      else p
+  let p, r =
+    List.fold_left
+      (fun (p, r) stage ->
+        let name, f = step ~machine ~fuse_search stage in
+        let p, add = Guard.stage g ~name ~default:Fun.id (pass name f) p in
+        (p, add r))
+      (p, empty_report) stages
   in
-  let fused_loops = before - List.length p.Bw_ir.Ast.body in
-  let p, contracted =
-    if options.contract then
-      Guard.stage g ~name:"contract" ~default:[]
-        (pass "contract" Contract.contract_arrays)
-        p
-    else (p, [])
-  in
-  let p, shrink_plans =
-    if options.shrink then
-      Guard.stage g ~name:"shrink" ~default:[] (pass "shrink" Shrink.shrink_all) p
-    else (p, [])
-  in
-  let p, forwarded =
-    if options.store_elim then
-      Guard.stage g ~name:"forward" ~default:0
-        (pass "forward" Scalar_replace.forward_stores)
-        p
-    else (p, 0)
-  in
-  let p, stores_eliminated =
-    if options.store_elim then
-      Guard.stage g ~name:"store-elim" ~default:[]
-        (pass "store-elim" Store_elim.eliminate_dead_stores)
-        p
-    else (p, [])
-  in
-  (* The pipeline may leave a forwarding temp whose store was the only
-     consumer; one more contraction pass tidies that up. *)
-  let p, contracted2 =
-    if options.contract then
-      Guard.stage g ~name:"contract-tidy" ~default:[]
-        (pass "contract-tidy" Contract.contract_arrays)
-        p
-    else (p, [])
-  in
-  count "pass.fuse.loops_fused" fused_loops;
-  count "pass.contract.arrays" (List.length contracted + List.length contracted2);
-  count "pass.shrink.plans" (List.length shrink_plans);
-  count "pass.forward.sites" forwarded;
-  count "pass.store-elim.stores" (List.length stores_eliminated);
-  ( p,
-    { fused_loops;
-      contracted = contracted @ contracted2;
-      shrink_plans;
-      stores_eliminated;
-      forwarded },
-    Guard.events g )
+  count "pass.fuse.loops_fused" r.fused_loops;
+  count "pass.contract.arrays" (List.length r.contracted);
+  count "pass.shrink.plans" (List.length r.shrink_plans);
+  count "pass.forward.sites" r.forwarded;
+  count "pass.store-elim.stores" (List.length r.stores_eliminated);
+  (p, r, Guard.events g)
 
-let run ?options ?machine ?fuse_search p =
-  let p', report, _events = run_guarded ?options ?machine ?fuse_search p in
+let run ?stages ?machine ?fuse_search p =
+  let p', report, _events = run_guarded ?stages ?machine ?fuse_search p in
   (p', report)
 
 let pp_report ppf r =

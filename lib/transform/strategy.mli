@@ -1,15 +1,40 @@
 (** The paper's end-to-end compiler strategy: fuse loops globally, then
     reduce storage (contract, shrink, peel), then eliminate the remaining
-    write-backs.  Each stage is optional so the ablation benchmarks can
-    switch pieces off.
+    write-backs — and, on request, rewrite the data layout.  The pipeline
+    is a list of {!stage}s run in order: {!default} is the paper's
+    strategy, [bwc optimize --layout] appends {!Layout}, and the ablation
+    benchmarks run shorter lists.
 
-    Every stage runs inside a {!Guard} transaction: its output is
-    re-checked, its exceptions are confined, and (under a validating
-    {!Guard.config}) its semantics are differentially validated on both
-    execution engines — a failing stage is rolled back and the pipeline
-    continues from the stage's input.  {!run} therefore never raises on
-    a misbehaving pass and never returns a program that failed its
-    checks; the worst case is returning the input unchanged. *)
+    Every stage of the list runs inside one {!Guard}, as one transaction:
+    its output is re-checked, its exceptions are confined, the guard's
+    fuel budget bounds it, and (under a validating {!Guard.config}) its
+    semantics are differentially validated on both execution engines — a
+    failing stage is rolled back and the pipeline continues from the
+    stage's input.  {!run} therefore never raises on a misbehaving pass
+    and never returns a program that failed its checks; the worst case
+    is returning the input unchanged. *)
+
+type stage =
+  | Fuse  (** greedy adjacent loop fusion ({!Fuse.greedy}) *)
+  | Contract  (** array contraction ({!Contract.contract_arrays}) *)
+  | Shrink  (** storage shrinking and peeling ({!Shrink.shrink_all}) *)
+  | Forward  (** store-to-load forwarding ({!Scalar_replace}) *)
+  | Store_elim  (** dead-store elimination ({!Store_elim}) *)
+  | Contract_tidy
+      (** a second contraction, for forwarding temps whose store was the
+          only consumer *)
+  | Layout  (** data-layout rewrites priced on the machine ({!Layout.run}) *)
+
+(** [[Fuse; Contract; Shrink; Forward; Store_elim; Contract_tidy]]: the
+    paper's strategy, and what {!run} does unless told otherwise. *)
+val default : stage list
+
+(** The stage's guard name, e.g. ["store-elim"]; its fault-injection
+    site is [guard.<name>].  Besides the stages, the guard runs the
+    ["input"] pseudo-stage first, and a [fuse_search] closure runs
+    under ["fuse_search"] in place of {!Fuse}; all of these sites are
+    declared when this module initialises. *)
+val stage_name : stage -> string
 
 type stage_report = {
   fused_loops : int;  (** top-level statements removed by fusion *)
@@ -17,65 +42,50 @@ type stage_report = {
   shrink_plans : Shrink.plan list;
   stores_eliminated : string list;
   forwarded : int;  (** store sites whose uses were forwarded *)
+  layout : Layout.action list;  (** rewrites the {!Layout} stage applied *)
 }
 
-type options = {
-  fuse : bool;
-  contract : bool;
-  shrink : bool;
-  store_elim : bool;
-}
-
-val all_on : options
-val fusion_only : options
-
-(** The guarded stages in pipeline order (["input"] first); each has a
-    fault-injection site named [guard.<stage>]. *)
-val stage_names : string list
-
-(** [run ?options ?machine p] applies the pipeline, returning the
-    transformed program and a report of what each stage did.  Runs under
+(** [run ?stages ?machine ?fuse_search p] applies [stages] (default
+    {!default}) in order, returning the transformed program and a report
+    of what each committed stage did.  Runs under
     {!Guard.default_config}: no differential validation (and so no
     execution overhead), but per-stage checking and rollback — a result
     always type-checks provided [p] does, and a raising or
     check-breaking stage contributes nothing rather than aborting the
     run.
 
-    The fusion stage scores its candidate with the analytic tier of the
-    tiered evaluator ({!Bw_exec.Evaluate} at [Microseconds] budget) on
-    [machine] (default {!Bw_machine.Machine.origin2000}) and keeps the
-    fused program only if the model predicts no memory-traffic
-    regression beyond 5%; decisions are counted in {!Bw_obs.Metrics}
-    under [pass.fuse.analytic_accept] / [pass.fuse.analytic_reject].
+    [machine] (default {!Bw_machine.Machine.origin2000}) prices the
+    {!Layout} stage's candidates.  No other stage reads it, so the
+    output of a list without {!Layout} does not depend on the machine.
 
     [fuse_search], when given, replaces the greedy adjacent-fusion
-    sweep with a search-based fusion engine (typically
+    sweep of {!Fuse} with a search-based fusion engine (typically
     [Bw_fusion.Search.stage], injected as a closure so this library
-    stays independent of [bw_fusion]).  It runs in its own guarded
-    stage ["fuse_search"] (fault site [guard.fuse_search]) behind the
-    same 5% analytic gate; decisions are counted under
-    [pass.fuse_search.analytic_accept] /
-    [pass.fuse_search.analytic_reject].  The closure must be total —
-    return its argument to decline. *)
+    stays independent of [bw_fusion]).  It runs in the guarded stage
+    ["fuse_search"] (fault site [guard.fuse_search]).  The closure must
+    be total — return its argument to decline. *)
 val run :
-  ?options:options ->
+  ?stages:stage list ->
   ?machine:Bw_machine.Machine.t ->
   ?fuse_search:(Bw_ir.Ast.program -> Bw_ir.Ast.program) ->
   Bw_ir.Ast.program ->
   Bw_ir.Ast.program * stage_report
 
-(** [run_guarded ?options ?guard ?machine p] additionally returns the
-    guard's per-stage events (commits and rollbacks, in pipeline order)
-    and honours a custom {!Guard.config} — differential validation
-    trials, float tolerance, a fuel budget, and fail-fast mode.
+(** [run_guarded ?stages ?guard ?machine ?fuse_search p] additionally
+    returns the guard's per-stage events (commits and rollbacks, in
+    pipeline order, ["input"] first) and honours a custom
+    {!Guard.config} — differential validation trials, float tolerance,
+    a fuel budget shared by every stage, and fail-fast mode.
     @raise Guard.Guard_failed on the first stage failure when
     [guard.rollback] is [false]. *)
 val run_guarded :
-  ?options:options ->
+  ?stages:stage list ->
   ?guard:Guard.config ->
   ?machine:Bw_machine.Machine.t ->
   ?fuse_search:(Bw_ir.Ast.program -> Bw_ir.Ast.program) ->
   Bw_ir.Ast.program ->
   Bw_ir.Ast.program * stage_report * Guard.event list
 
+(** The loop stages' report; [layout] is left to the caller, which
+    prints the layout actions itself. *)
 val pp_report : Format.formatter -> stage_report -> unit

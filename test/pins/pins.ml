@@ -2,7 +2,7 @@
 
    The corpus goldens print predictions rounded to six digits, so a
    last-bit change in [Predict] — which can flip the 2% layout gate or
-   the 5% fusion gate — passes them.  These pins print every float with
+   the fusion search's no-worse-than-input test — passes them.  These pins print every float with
    [%h] (exact hex) and every optimizer result as a structural digest
    plus the decisions that produced it.  [gen.exe] writes the committed
    [*.pins] files; the test suite recomputes the lines and compares. *)

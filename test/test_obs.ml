@@ -354,15 +354,15 @@ let test_fault_sites_declared () =
   (* Forcing the libraries that declare sites at module init must make
      them visible to `bwc faults` via Fault.sites — the guard stages and
      the harness sites in particular. *)
-  ignore Bw_transform.Strategy.stage_names;
+  ignore Bw_transform.Strategy.default;
   Bw_core.Harness.declare_fault_sites ();
   let names = List.map fst (Fault.sites ()) in
   List.iter
     (fun site ->
       check bool (site ^ " declared") true (List.mem site names))
-    [ "guard.input"; "guard.fuse"; "guard.contract"; "guard.shrink";
-      "guard.forward"; "guard.store-elim"; "guard.contract-tidy";
-      "harness.worker" ]
+    [ "guard.input"; "guard.fuse"; "guard.fuse_search"; "guard.contract";
+      "guard.shrink"; "guard.forward"; "guard.store-elim";
+      "guard.contract-tidy"; "guard.layout"; "harness.worker" ]
 
 (* --- Loader (CLI robustness) ------------------------------------------------ *)
 

@@ -159,20 +159,44 @@ let test_evaluate_capture () =
     (Bw_exec.Run.seconds (Bw_exec.Run.replay ~machine c))
     x.Bw_exec.Evaluate.seconds
 
-(* --- strategy gate neutrality ----------------------------------------------- *)
+(* --- optimizer machine independence ------------------------------------------ *)
 
-let test_fuse_gate_neutral () =
-  (* The analytic gate on the fuse stage must never change what greedy
-     fusion chooses on real programs: rejects stay at zero across the
-     whole registry. *)
-  let reject = Bw_obs.Metrics.counter "pass.fuse.analytic_reject" in
-  let before = Bw_obs.Metrics.counter_value reject in
+(* The six machines `bwc --machine` accepts; the random-page variants are
+   built as bwc builds them. *)
+let cli_machines =
+  let rp (m : Machine.t) =
+    { m with
+      Machine.name = m.Machine.name ^ "-rp";
+      paging = Machine.Random_pages { page_bytes = 4096; seed = 1 } }
+  in
+  [ Machine.origin2000; Machine.exemplar; Bw_core.Accuracy.origin_scaled;
+    Machine.unconstrained; rp Machine.origin2000; rp Machine.exemplar ]
+
+(* No stage of the default pipeline reads the machine, so `bwc optimize`
+   and serve return the same program whatever machine they name.  A
+   machine-priced fusion gate broke this on 21 of these (program,
+   machine) pairs, nas_sp@2 on origin-scaled among them. *)
+let test_strategy_machine_independent () =
+  let digest ?machine p =
+    let q, _, _ = Bw_transform.Strategy.run_guarded ?machine p in
+    Bw_ir.Digest.program q
+  in
   List.iter
-    (fun (e : Bw_workloads.Registry.entry) ->
-      ignore (Bw_transform.Strategy.run (e.Bw_workloads.Registry.build ~scale:1)))
-    Bw_workloads.Registry.all;
-  Alcotest.(check int) "no analytic-gate rejections on the registry" before
-    (Bw_obs.Metrics.counter_value reject)
+    (fun (name, p) ->
+      let reference = digest p in
+      List.iter
+        (fun (m : Machine.t) ->
+          if digest ~machine:m p <> reference then
+            Alcotest.failf "%s: the optimizer's output on %s differs from \
+                            origin2000's" name m.Machine.name)
+        cli_machines)
+    (Pins.corpus_programs ~corpus:"../corpus"
+    @ Pins.registry_programs ~scale:1
+    @ Pins.registry_programs ~scale:2
+    @ Pins.dag_programs ()
+    @ List.init 2000 (fun i ->
+          let seed = i + 1 in
+          (Printf.sprintf "gen%d" seed, Bw_qa.Gen.generate ~seed ~size:6)))
 
 let test_cost_predicted_traffic () =
   let e = Option.get (Bw_workloads.Registry.find "fig4") in
@@ -249,8 +273,8 @@ let suites =
     ( "predict.evaluate",
       [ Alcotest.test_case "tier tags and counters" `Quick test_evaluate_tiers;
         Alcotest.test_case "capture tiers" `Quick test_evaluate_capture;
-        Alcotest.test_case "fuse gate neutral on registry" `Quick
-          test_fuse_gate_neutral;
+        Alcotest.test_case "optimizer output machine-independent" `Quick
+          test_strategy_machine_independent;
         Alcotest.test_case "Cost.predicted_traffic" `Quick
           test_cost_predicted_traffic ] );
     ( "predict.satellites",

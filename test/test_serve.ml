@@ -123,7 +123,9 @@ let test_protocol_rejects_garbage () =
   expect_error "{\"v\":1,\"op\":\"frobnicate\"}";
   expect_error "{\"v\":99,\"op\":\"ping\"}";
   expect_error "{\"v\":1,\"op\":\"analyze\",\"scale\":7,\"program\":\"x\"}";
-  expect_error "{\"v\":1,\"op\":\"fuzz\",\"count\":0}"
+  expect_error "{\"v\":1,\"op\":\"fuzz\",\"count\":0}";
+  expect_error
+    "{\"v\":1,\"op\":\"optimize\",\"program\":\"fig7\",\"pipeline\":{\"fuel\":-1}}"
 
 let test_protocol_roundtrip () =
   let req =
@@ -374,6 +376,31 @@ let test_server_optimize_all_work_deleted () =
             (Json.member "seconds_after" result = Some (Json.Float 0.0));
           check bool "speedup is null" true
             (Json.member "speedup" result = Some Json.Null)))
+
+(* Serve answers what `bwc optimize` answers.  nas_sp at scale 2 on
+   origin-scaled is the pair where a fusion gate priced on the request's
+   machine made serve keep 9.29 MB of traffic instead of 3.44 MB. *)
+let test_handle_optimize_matches_cli () =
+  let req =
+    { (Protocol.default_request Protocol.Optimize) with
+      Protocol.program = Some "nas_sp";
+      scale = 2;
+      machines = [ "origin-scaled" ] }
+  in
+  match (Protocol.load_program req, Protocol.resolve_machines req) with
+  | Error msg, _ | _, Error msg -> Alcotest.fail msg
+  | Ok p, Ok machines ->
+    let result = Bw_serve.Handle.optimize req ~machines p in
+    let cli, _, _ =
+      Bw_transform.Strategy.run_guarded ~stages:Bw_transform.Strategy.default
+        ~guard:Bw_transform.Guard.default_config ~machine:(List.hd machines) p
+    in
+    (match Json.member "memory_mb_after" result with
+    | Some (Json.Float mb) -> check (Alcotest.float 1e-9) "MB after" 3.439104 mb
+    | _ -> Alcotest.fail "no memory_mb_after");
+    check bool "optimized program is the CLI's" true
+      (Json.member "optimized" result
+      = Some (Json.String (Bw_ir.Pretty.program_to_string cli)))
 
 let test_server_metrics_endpoint () =
   with_server (fun addr ->
@@ -874,6 +901,9 @@ let suites =
           test_cache_keys_never_collide;
         Alcotest.test_case "key is content-addressed" `Quick
           test_cache_key_is_content_addressed ] );
+    ( "serve.handle",
+      [ Alcotest.test_case "optimize answers what bwc optimize does" `Quick
+          test_handle_optimize_matches_cli ] );
     ( "serve.batch",
       [ Alcotest.test_case "groups concurrent simulate requests" `Quick
           test_batch_groups_concurrent_requests;

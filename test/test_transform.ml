@@ -573,6 +573,10 @@ let with_fault site action policy f =
 
 let validating trials = { Guard.default_config with Guard.validate = trials }
 
+(* The default pipeline with the data-layout stage appended, as
+   `bwc optimize --layout` runs it. *)
+let all_stages = Strategy.(default @ [ Layout ])
+
 (* An injected raise in any stage must be confined: the pipeline
    completes, semantics are preserved, and exactly that stage records
    one exception rollback. *)
@@ -580,9 +584,12 @@ let test_guard_fault_confined_per_stage () =
   let p = Bw_workloads.Fig7.original ~n:400 in
   List.iter
     (fun stage ->
+      let stage = Strategy.stage_name stage in
       let site = "guard." ^ stage in
       with_fault site Bw_obs.Fault.Raise (Bw_obs.Fault.Nth 1) @@ fun () ->
-      let p', _report, events = Strategy.run_guarded ~guard:(validating 1) p in
+      let p', _report, events =
+        Strategy.run_guarded ~stages:all_stages ~guard:(validating 1) p
+      in
       same_semantics ("faulted " ^ stage) p p';
       (match
          List.filter (fun e -> e.Guard.verdict <> Guard.Committed) events
@@ -592,14 +599,14 @@ let test_guard_fault_confined_per_stage () =
         check Alcotest.string "rolled-back stage" stage s
       | _ -> Alcotest.failf "expected exactly one exception rollback in %s" stage);
       check int "fault fired once" 1 (Bw_obs.Fault.fires site))
-    [ "fuse"; "contract"; "shrink"; "forward"; "store-elim"; "contract-tidy" ]
+    all_stages
 
 (* Rolling a stage back must reproduce the stage's input exactly, so a
    faulted fuse equals the fuse-disabled pipeline program-for-program. *)
 let test_guard_rollback_equals_disabled_stage () =
   let p = Bw_workloads.Fig7.original ~n:300 in
   let disabled, _ =
-    Strategy.run ~options:{ Strategy.all_on with Strategy.fuse = false } p
+    Strategy.run ~stages:(List.filter (( <> ) Strategy.Fuse) Strategy.default) p
   in
   with_fault "guard.fuse" Bw_obs.Fault.Raise (Bw_obs.Fault.Nth 1) @@ fun () ->
   let faulted, _, _ = Strategy.run_guarded p in
@@ -669,17 +676,20 @@ let test_guard_fail_fast () =
     | _ -> Alcotest.fail "last event should be the contract failure")
 
 (* An exhausted fuel budget rolls every stage back without running it:
-   the program comes back untouched, each stage Budget_exhausted. *)
+   the program comes back untouched, each stage Budget_exhausted — the
+   layout stage included, since it draws on the same budget. *)
 let test_guard_fuel_budget () =
   Bw_obs.Fault.reset ();
   let p = Bw_workloads.Fig7.original ~n:100 in
   let p', _, events =
-    Strategy.run_guarded
+    Strategy.run_guarded ~stages:all_stages
       ~guard:{ Guard.default_config with Guard.fuel = Some 0 }
       p
   in
   check bool "program unchanged" true (Ast.equal_program p p');
-  check bool "has events" true (events <> []);
+  check (Alcotest.list Alcotest.string) "one event per stage"
+    ("input" :: List.map Strategy.stage_name all_stages)
+    (List.map (fun ev -> ev.Guard.stage) events);
   List.iter
     (fun ev ->
       match ev.Guard.verdict with
@@ -688,14 +698,21 @@ let test_guard_fuel_budget () =
     events
 
 (* With no faults armed, the guarded pipeline commits every stage on
-   every registry workload — validation included — with zero rollbacks. *)
+   every registry workload — validation included — with zero rollbacks.
+   The guard re-checks each stage's output with Check.check, so this
+   also keeps the IR well-formed after every pass, layout included. *)
 let test_guard_zero_rollbacks_on_registry () =
   Bw_obs.Fault.reset ();
   List.iter
     (fun (e : Bw_workloads.Registry.entry) ->
       let p = e.Bw_workloads.Registry.build ~scale:1 in
-      let p', _, events = Strategy.run_guarded ~guard:(validating 1) p in
+      let p', _, events =
+        Strategy.run_guarded ~stages:all_stages ~guard:(validating 1) p
+      in
       same_semantics e.Bw_workloads.Registry.name p p';
+      check (Alcotest.list Alcotest.string) "every stage ran"
+        ("input" :: List.map Strategy.stage_name all_stages)
+        (List.map (fun ev -> ev.Guard.stage) events);
       List.iter
         (fun ev ->
           match ev.Guard.verdict with
@@ -704,35 +721,6 @@ let test_guard_zero_rollbacks_on_registry () =
             Alcotest.failf "%s: stage %s rolled back: %a"
               e.Bw_workloads.Registry.name ev.Guard.stage Guard.pp_failure f)
         events)
-    Bw_workloads.Registry.all
-
-(* Satellite: every individual pass, applied in pipeline order to every
-   registry workload, must keep the IR well-formed under Check.check. *)
-let test_individual_passes_keep_ir_wellformed () =
-  let checked workload name q =
-    match Bw_ir.Check.check q with
-    | Ok () -> ()
-    | Error errs ->
-      Alcotest.failf "%s after %s: %a" workload name
-        (Format.pp_print_list Bw_ir.Check.pp_error)
-        errs
-  in
-  List.iter
-    (fun (e : Bw_workloads.Registry.entry) ->
-      let w = e.Bw_workloads.Registry.name in
-      let p = e.Bw_workloads.Registry.build ~scale:1 in
-      let fused = Fuse.greedy p in
-      checked w "fuse" fused;
-      let contracted, _ = Contract.contract_arrays fused in
-      checked w "contract" contracted;
-      let shrunk, _ = Shrink.shrink_all contracted in
-      checked w "shrink" shrunk;
-      let forwarded, _ = Scalar_replace.forward_stores shrunk in
-      checked w "forward" forwarded;
-      let eliminated, _ = Store_elim.eliminate_dead_stores forwarded in
-      checked w "store-elim" eliminated;
-      let tidied, _ = Contract.contract_arrays eliminated in
-      checked w "contract-tidy" tidied)
     Bw_workloads.Registry.all
 
 let suites =
@@ -798,7 +786,5 @@ let suites =
         Alcotest.test_case "fuel budget exhausts" `Quick
           test_guard_fuel_budget;
         Alcotest.test_case "zero rollbacks on registry" `Slow
-          test_guard_zero_rollbacks_on_registry;
-        Alcotest.test_case "individual passes keep IR well-formed" `Slow
-          test_individual_passes_keep_ir_wellformed ] )
+          test_guard_zero_rollbacks_on_registry ] )
   ]
