@@ -723,6 +723,39 @@ let test_guard_zero_rollbacks_on_registry () =
         events)
     Bw_workloads.Registry.all
 
+(* Every individual pass, applied unguarded in pipeline order to every
+   registry workload, must keep the IR well-formed under Check.check.
+   The guard would roll a check-breaking pass back; this catches such a
+   pass directly instead of relying on the rollback. *)
+let test_individual_passes_keep_ir_wellformed () =
+  let checked workload name q =
+    match Bw_ir.Check.check q with
+    | Ok () -> ()
+    | Error errs ->
+      Alcotest.failf "%s after %s: %a" workload name
+        (Format.pp_print_list Bw_ir.Check.pp_error)
+        errs
+  in
+  List.iter
+    (fun (e : Bw_workloads.Registry.entry) ->
+      let w = e.Bw_workloads.Registry.name in
+      let p = e.Bw_workloads.Registry.build ~scale:1 in
+      let fused = Fuse.greedy p in
+      checked w "fuse" fused;
+      let contracted, _ = Contract.contract_arrays fused in
+      checked w "contract" contracted;
+      let shrunk, _ = Shrink.shrink_all contracted in
+      checked w "shrink" shrunk;
+      let forwarded, _ = Scalar_replace.forward_stores shrunk in
+      checked w "forward" forwarded;
+      let eliminated, _ = Store_elim.eliminate_dead_stores forwarded in
+      checked w "store-elim" eliminated;
+      let tidied, _ = Contract.contract_arrays eliminated in
+      checked w "contract-tidy" tidied;
+      let laid_out, _ = Layout.run tidied in
+      checked w "layout" laid_out)
+    Bw_workloads.Registry.all
+
 let suites =
   [ ( "transform.toplevel",
       [ Alcotest.test_case "dep graph" `Quick test_dep_graph;
@@ -786,5 +819,7 @@ let suites =
         Alcotest.test_case "fuel budget exhausts" `Quick
           test_guard_fuel_budget;
         Alcotest.test_case "zero rollbacks on registry" `Slow
-          test_guard_zero_rollbacks_on_registry ] )
+          test_guard_zero_rollbacks_on_registry;
+        Alcotest.test_case "individual passes keep IR well-formed" `Slow
+          test_individual_passes_keep_ir_wellformed ] )
   ]
