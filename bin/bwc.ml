@@ -35,7 +35,6 @@
                                    the exact simulator with per-cell error
                                    (--machines a,b; --check gates on the
                                    documented error envelope, exit 2)
-     bwc experiments               regenerate the paper's tables
      bwc fuzz                      differentially fuzz the optimizer pipeline
                                    (--seed/--count/--size drive Qa.Gen;
                                    --minimize delta-debugs the first failure
@@ -98,12 +97,6 @@ let machine_arg =
            unconstrained, or the random-page-placement variants origin-rp \
            and exemplar-rp.")
 
-let scale_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "s"; "scale" ] ~docv:"SCALE"
-        ~doc:"Workload size: 1 quick, 2 full, 3 stress.")
-
 let trace_arg =
   Arg.(
     value
@@ -129,6 +122,16 @@ let or_die = function
   | Error msg ->
     Format.eprintf "bwc: %s@." msg;
     exit 1
+
+(* Checked before any command runs: the builders would otherwise build
+   the stress size for every scale but 1 and 2. *)
+let scale_arg =
+  Term.(
+    const (fun s -> or_die (Bw_workloads.Registry.check_scale s))
+    $ Arg.(
+        value & opt int 1
+        & info [ "s"; "scale" ] ~docv:"SCALE"
+            ~doc:"Workload size: 1 quick, 2 full, 3 stress."))
 
 (* --- list ----------------------------------------------------------------- *)
 
@@ -1145,34 +1148,6 @@ let predict_cmd =
       const run $ program_opt_arg $ registry_flag $ scale_arg $ machines_arg
       $ check_flag)
 
-(* --- experiments -------------------------------------------------------------- *)
-
-let experiments_cmd =
-  let run scale only =
-    (match only with
-    | Some w when not (List.mem_assoc w Bw_core.Experiments.all) ->
-      Format.eprintf "bwc: no experiment named '%s' (known: %s)@." w
-        (String.concat ", " (List.map fst Bw_core.Experiments.all));
-      exit 1
-    | _ -> ());
-    List.iter
-      (fun (id, f) ->
-        match only with
-        | Some w when w <> id -> ()
-        | _ -> Format.printf "%a@." Bw_core.Table.render (f ?scale:(Some scale) ()))
-      Bw_core.Experiments.all
-  in
-  let only =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "t"; "table" ] ~docv:"ID"
-          ~doc:"Only this table (e1, fig1..fig8, sp, ablation-*).")
-  in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures")
-    Term.(const run $ scale_arg $ only)
-
 (* --- serve / client ---------------------------------------------------------- *)
 
 let socket_arg =
@@ -1298,7 +1273,7 @@ let serve_cmd =
          "Run the bandwidth-advisor service: a long-running daemon answering \
           analyze/predict/optimize/simulate/fuzz requests as JSON lines over \
           a Unix or TCP socket, with a content-addressed result cache, \
-          batched simulation, and a /metrics endpoint.  Per-request \
+          shared simulate captures, and a /metrics endpoint.  Per-request \
           deadlines, admission control with tier-degrading load shed, and \
           worker-domain supervision keep it answering under overload and \
           injected faults.  SIGTERM drains and exits 0.")
@@ -1576,7 +1551,7 @@ let () =
     Cmd.group ~default info
       [ list_cmd; show_cmd; parse_cmd; fmt_cmd; corpus_cmd; analyze_cmd;
         optimize_cmd; profile_cmd; fuse_cmd;
-        advise_cmd; reuse_cmd; simulate_cmd; predict_cmd; experiments_cmd;
+        advise_cmd; reuse_cmd; simulate_cmd; predict_cmd;
         fuzz_cmd; lint_cmd; faults_cmd; validate_json_cmd; serve_cmd;
         client_cmd ]
   in

@@ -118,13 +118,12 @@ let run ?jobs ?(scale = 1) experiments =
     |> Array.to_list
   end
 
-let json_of_results ?trace ?serve ~scale ~jobs ~micro outcomes =
+let json_of_results ?trace ~scale ~jobs outcomes =
   let base =
     [
-      (* v5: the "serve" block gained per-outcome counts
-         (ok/degraded/rejected/shed/failed/retried) and an "outcomes"
-         object of per-class latency percentiles *)
-      ("schema_version", Json.Int 5);
+      (* v6: the "micro" and "serve" blocks are gone; perfbench/ times
+         the program's paths and `bwc client --load` reports serve load *)
+      ("schema_version", Json.Int 6);
       ("scale", Json.Int scale);
       ("jobs", Json.Int jobs);
       ( "tables",
@@ -149,16 +148,6 @@ let json_of_results ?trace ?serve ~scale ~jobs ~micro outcomes =
                in
                Json.Obj (fields @ error_field))
              outcomes) );
-      ( "micro",
-        Json.List
-          (List.map
-             (fun (name, ns) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("ns_per_run", Json.Float ns);
-                 ])
-             micro) );
     ]
   in
   let trace_field =
@@ -166,7 +155,4 @@ let json_of_results ?trace ?serve ~scale ~jobs ~micro outcomes =
     | None | Some [] -> []
     | Some spans -> [ ("trace", Trace_export.json_of_spans spans) ]
   in
-  let serve_field =
-    match serve with None -> [] | Some j -> [ ("serve", j) ]
-  in
-  Json.Obj (base @ serve_field @ trace_field)
+  Json.Obj (base @ trace_field)

@@ -50,23 +50,17 @@ val default_jobs : unit -> int
     [harness.worker]) to be registered, for [bwc faults]. *)
 val declare_fault_sites : unit -> unit
 
-(** [json_of_results ~scale ~jobs ~micro outcomes] builds the
-    [BENCH_results.json] document (schema version 4): run parameters;
-    each table's id, title, full rendered body, wall-clock seconds, a
-    [status] field (["ok"] or ["error"]) and — for failed tables — an
-    [error] message; and micro-benchmark estimates as
-    [(name, ns_per_run)] pairs (empty when the micro suite was not
-    run).  [?serve] embeds the service load-bench statistics under a
-    ["serve"] key (omitted when the serve bench was not run).
-    [?trace] embeds the harness's collected spans under a ["trace"]
-    key as a Chrome trace document (omitted when absent or empty), so
-    one artifact carries both the numbers and the timeline that
-    produced them. *)
+(** [json_of_results ~scale ~jobs outcomes] builds the
+    [BENCH_results.json] document (schema version 6): run parameters,
+    and each table's id, title, full rendered body, wall-clock seconds,
+    a [status] field (["ok"] or ["error"]) and — for failed tables — an
+    [error] message.  [?trace] embeds the harness's collected spans
+    under a ["trace"] key as a Chrome trace document (omitted when
+    absent or empty), so one artifact carries both the tables and the
+    timeline that produced them. *)
 val json_of_results :
   ?trace:Bw_obs.Trace.span list ->
-  ?serve:Json.t ->
   scale:int ->
   jobs:int ->
-  micro:(string * float) list ->
   outcome list ->
   Json.t

@@ -14,8 +14,8 @@ let engine_name = function
 
 (* Metrics publication happens once per run, after the engines and the
    simulator have finished — the per-access hot paths (Cache.read/write,
-   Trace_buffer.record) carry no metrics calls, which is what keeps the
-   disabled-observability overhead at zero on the micro-benchmarks. *)
+   Trace_buffer.record) carry no metrics calls, so observability costs
+   nothing per simulated access. *)
 let publish_engine_raw ~engine ~flushes ~elements ~flops =
   let pfx = "engine." ^ engine_name engine ^ "." in
   let c name = Bw_obs.Metrics.counter (pfx ^ name) in

@@ -150,11 +150,10 @@ let optimize ?deadline (req : Protocol.request) ~machines p =
 
 (* --- simulate -------------------------------------------------------------- *)
 
-(* The server passes [replay]: a function that turns the machine list
-   into per-machine results — normally the batcher, which shares one
-   capture and one [Run.replay_many] fan-out across concurrent
-   requests.  The fallback used by direct callers is a plain
-   capture-and-replay. *)
+(* The server passes [capture]: the program's capture from its
+   single-flight capture cache, shared across requests.  Direct callers
+   take a private capture.  Either way the request's machines are
+   replayed from it. *)
 
 let simulate_payload p results =
   Json.Obj
@@ -177,16 +176,14 @@ let simulate_payload p results =
                    ) ])
              results) ) ]
 
-let simulate ?deadline ?replay (req : Protocol.request) ~machines p =
+let simulate ?deadline ?capture (req : Protocol.request) ~machines p =
   check_deadline deadline;
-  let results =
-    match replay with
-    | Some f -> f machines
-    | None ->
-      Bw_exec.Run.replay_many ~machines
-        (Bw_exec.Run.capture ~engine:req.Protocol.engine p)
+  let c =
+    match capture with
+    | Some f -> f ()
+    | None -> Bw_exec.Run.capture ~engine:req.Protocol.engine p
   in
-  simulate_payload p results
+  simulate_payload p (Bw_exec.Run.replay_many ~machines c)
 
 (* --- fuzz ------------------------------------------------------------------ *)
 
@@ -220,17 +217,17 @@ let fuzz ?deadline (req : Protocol.request) =
 
 (* --- dispatch -------------------------------------------------------------- *)
 
-(* Compute the result payload for one request.  [replay] lets the
-   server thread simulate requests through its batcher; everything else
-   is self-contained.  Ping/Metrics/Shutdown are server concerns and
-   never reach this function. *)
-let compute ?deadline ?replay (req : Protocol.request) ~machines
+(* Compute the result payload for one request.  [capture] lets the
+   server share simulate captures across requests; everything else is
+   self-contained.  Ping/Metrics/Shutdown are server concerns and never
+   reach this function. *)
+let compute ?deadline ?capture (req : Protocol.request) ~machines
     (program : Bw_ir.Ast.program option) =
   match (req.Protocol.op, program) with
   | Protocol.Analyze, Some p -> analyze ?deadline req ~machines p
   | Protocol.Predict, Some p -> predict ?deadline req ~machines p
   | Protocol.Optimize, Some p -> optimize ?deadline req ~machines p
-  | Protocol.Simulate, Some p -> simulate ?deadline ?replay req ~machines p
+  | Protocol.Simulate, Some p -> simulate ?deadline ?capture req ~machines p
   | Protocol.Fuzz, _ -> fuzz ?deadline req
   | (Protocol.Ping | Protocol.Metrics | Protocol.Shutdown), _
   | _, None ->

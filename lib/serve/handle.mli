@@ -45,12 +45,13 @@ val optimize :
   Bw_ir.Ast.program ->
   Json.t
 
-(** [replay] maps the machine list to per-machine results; the server
-    passes its capture-sharing batcher here.  Without it, a private
-    capture is taken and replayed. *)
+(** Replays the program's capture on each requested machine.
+    [capture] supplies that capture; the server passes one from its
+    single-flight capture cache.  Without it, a private capture is
+    taken.  The answer is the same either way. *)
 val simulate :
   ?deadline:float ->
-  ?replay:(Bw_machine.Machine.t list -> Bw_exec.Run.result list) ->
+  ?capture:(unit -> Bw_exec.Run.capture) ->
   Protocol.request ->
   machines:Bw_machine.Machine.t list ->
   Bw_ir.Ast.program ->
@@ -62,7 +63,7 @@ val fuzz : ?deadline:float -> Protocol.request -> Json.t
     concerns and raise [Invalid_argument] here. *)
 val compute :
   ?deadline:float ->
-  ?replay:(Bw_machine.Machine.t list -> Bw_exec.Run.result list) ->
+  ?capture:(unit -> Bw_exec.Run.capture) ->
   Protocol.request ->
   machines:Bw_machine.Machine.t list ->
   Bw_ir.Ast.program option ->

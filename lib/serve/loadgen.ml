@@ -1,7 +1,7 @@
-(* Load generator for the serve bench, the CI smoke, and the chaos
-   harness: N client domains hammer a running server with a seeded
-   mixed request stream and we report latency percentiles, throughput,
-   per-outcome counts, and the observed cache hit rate.
+(* Load generator behind `bwc client --load`, the CI smoke and the
+   chaos harness: N client domains hammer a running server with a
+   seeded mixed request stream and we report latency percentiles,
+   throughput, per-outcome counts, and the observed cache hit rate.
 
    In [chaos] mode each domain drives a resilient retrying client
    (timeouts, backoff, retry budget) and the stream is tilted to

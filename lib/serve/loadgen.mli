@@ -1,9 +1,8 @@
 (** Load generator: client domains driving a seeded mixed request
     stream against a running server, reporting latency percentiles,
     throughput, per-outcome counts, and the observed cache hit rate.
-    Backs the serve bench ([bench/main.ml --serve]), [bwc client
-    --load], and — in [chaos] mode — the chaos harness behind
-    [bwc client --load --chaos].
+    Backs [bwc client --load] and — in [chaos] mode — the chaos harness
+    behind [bwc client --load --chaos].
 
     In chaos mode each client domain is a {!Client.resilient} retrying
     client and the stream is tilted at the resilience machinery (a

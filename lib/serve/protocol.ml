@@ -197,6 +197,7 @@ let request_of_json json =
           let* program = field_string "program" json in
           let* source = field_string "source" json in
           let* scale = field_int "scale" ~default:d.scale json in
+          let* scale = Bw_workloads.Registry.check_scale scale in
           let* machines = field_string_list "machines" ~default:d.machines json in
           let* engine_s = field_string "engine" json in
           let* engine =
@@ -221,8 +222,7 @@ let request_of_json json =
               else Error "field 'deadline_ms' must be > 0"
             | Some _ -> Error "field 'deadline_ms' must be an integer"
           in
-          if scale < 1 || scale > 3 then Error "field 'scale' must be 1..3"
-          else if count < 1 then Error "field 'count' must be >= 1"
+          if count < 1 then Error "field 'count' must be >= 1"
           else if size < 1 then Error "field 'size' must be >= 1"
           else
             Ok

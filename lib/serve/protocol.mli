@@ -52,7 +52,7 @@ type op =
   | Analyze  (** simulate on each machine: balance, counters, timing *)
   | Predict  (** tiered evaluation at the requested budget *)
   | Optimize  (** guarded pipeline + before/after simulation *)
-  | Simulate  (** capture once, replay per machine (batched server-side) *)
+  | Simulate  (** capture once (shared server-side), replay per machine *)
   | Fuzz  (** differential fuzzing over seeded programs *)
   | Shutdown  (** begin graceful drain *)
 
@@ -72,7 +72,7 @@ type request = {
   op : op;
   program : string option;  (** registry name or [.bw] path (server-side) *)
   source : string option;  (** inline [.bw] source, alternative to [program] *)
-  scale : int;  (** 1..3, as everywhere else *)
+  scale : int;  (** 1..3, checked by {!Bw_workloads.Registry.check_scale} *)
   machines : string list;
   engine : [ `Compiled | `Interpreted ];
   budget : [ `Analytic | `Reuse | `Exact ];  (** predict tier *)

@@ -1,6 +1,7 @@
 (* The bwc serve daemon: accept loop, per-connection threads, compute
    on the persistent domain pool, content-addressed result cache,
-   capture-sharing simulate batcher, graceful drain.  See server.mli. *)
+   single-flight capture cache for simulate, graceful drain.  See
+   server.mli. *)
 
 module Json = Bw_core.Json
 
@@ -48,7 +49,6 @@ type t = {
   pool : Bw_exec.Pool.t;
   results : Json.t Cache.t;
   captures : Bw_exec.Run.capture Cache.t;
-  batcher : Batch.t;
   drain_requested : bool Atomic.t;
   stopping : bool Atomic.t;
   cm : Mutex.t;
@@ -93,7 +93,8 @@ let () =
     socket_stall_site;
   Bw_obs.Fault.declare
     ~doc:"Drop the connection after writing half a reply" socket_close_site;
-  Bw_obs.Fault.declare ~doc:"Fail obtaining a capture for a simulate group"
+  Bw_obs.Fault.declare
+    ~doc:"Fail a simulate capture inside the capture cache (nothing cached)"
     capture_site
 
 (* --- request processing ----------------------------------------------------- *)
@@ -119,20 +120,18 @@ let ping_payload t =
             ("single_flight_joins", Json.Int stats.Cache.single_flight_joins)
           ] ) ]
 
-(* Capture the program once per (digest, engine), shared across
-   requests through the capture cache and the batcher.  The deadline is
-   re-checked before (re)obtaining a capture so an expired request does
-   not lead a batch it cannot wait for. *)
-let replay_fn t req ~deadline program machines =
-  let ckey = Protocol.capture_key req ~program in
-  Batch.simulate t.batcher ~key:ckey
-    ~capture:(fun () ->
-      Handle.check_deadline deadline;
-      Bw_obs.Fault.cut capture_site;
-      fst
-        (Cache.find_or_compute t.captures ~key:ckey (fun () ->
-             Bw_exec.Run.capture ~engine:req.Protocol.engine program)))
-    machines
+(* The program's capture, taken once per (digest, engine) and shared
+   across requests through the single-flight capture cache.  The
+   deadline check and the fault site sit inside the cache's compute: an
+   expired request does not start a capture it cannot wait for, and a
+   failed capture caches nothing, so one waiter retries it. *)
+let shared_capture t req ~deadline program () =
+  fst
+    (Cache.find_or_compute t.captures ~key:(Protocol.capture_key req ~program)
+       (fun () ->
+         Handle.check_deadline deadline;
+         Bw_obs.Fault.cut capture_site;
+         Bw_exec.Run.capture ~engine:req.Protocol.engine program))
 
 (* One-line error message from an arbitrary handler exception. *)
 let one_line e =
@@ -216,13 +215,13 @@ let compute_op t (req : Protocol.request) ~degrade =
               | Some (Bw_obs.Fault.Raise | Bw_obs.Fault.Corrupt) ->
                 Bw_obs.Fault.sleep_ms 250
               | None -> ());
-              let replay =
+              let capture =
                 match program with
                 | Some p when req.Protocol.op = Protocol.Simulate ->
-                  Some (replay_fn t req ~deadline p)
+                  Some (shared_capture t req ~deadline p)
                 | _ -> None
               in
-              Handle.compute ?deadline ?replay req ~machines program)
+              Handle.compute ?deadline ?capture req ~machines program)
         in
         match
           match Protocol.cache_key req ~program with
@@ -555,7 +554,6 @@ let start config =
       captures =
         Cache.create ~metric_prefix:"serve.capture_cache."
           ~capacity:config.capture_capacity ();
-      batcher = Batch.create ();
       drain_requested = Atomic.make false;
       stopping = Atomic.make false;
       cm = Mutex.create ();

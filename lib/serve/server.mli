@@ -5,9 +5,10 @@
     threads do the blocking I/O; handler compute runs on a persistent
     work-stealing domain pool ({!Bw_exec.Pool}).  Cacheable responses
     are memoised in a content-addressed result cache keyed on IR digest
-    × machine set × pipeline config ({!Protocol.cache_key}); concurrent
-    simulate requests sharing a capture are batched onto
-    {!Bw_exec.Run.replay_many} ({!Batch}).
+    × machine set × pipeline config ({!Protocol.cache_key}); simulate
+    requests for the same program × engine share one capture through a
+    second, single-flight cache ({!Protocol.capture_key}) and each
+    replays its own machines with {!Bw_exec.Run.replay_many}.
 
     Raw lines beginning with ["GET "] are answered with a minimal
     HTTP/1.0 response carrying the {!Expose.render} metrics text, so
@@ -43,9 +44,9 @@
     [pool.worker.crash] (kill a worker domain at task pickup),
     [serve.compute.delay] (straggler compute), [serve.socket.stall]
     (half-written reply, sleep, rest), [serve.socket.close] (drop the
-    connection mid-reply), [serve.capture] (fail a simulate group's
-    capture).  The HTTP metrics scrape is exempt from socket chaos so
-    observability survives the storm it is watching.
+    connection mid-reply), [serve.capture] (fail a simulate capture,
+    which caches nothing).  The HTTP metrics scrape is exempt from
+    socket chaos so observability survives the storm it is watching.
 
     Metrics: [serve.queue.depth] (gauge), [serve.queue.shed],
     [serve.queue.degraded], [serve.deadline.expired],

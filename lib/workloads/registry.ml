@@ -4,6 +4,10 @@ type entry = {
   build : scale:int -> Bw_ir.Ast.program;
 }
 
+let check_scale scale =
+  if scale >= 1 && scale <= 3 then Ok scale
+  else Error (Printf.sprintf "scale must be 1, 2 or 3 (got %d)" scale)
+
 let pick ~scale a b c = match scale with 1 -> a | 2 -> b | _ -> c
 
 let all =

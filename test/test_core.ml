@@ -328,16 +328,16 @@ let test_bench_json_roundtrip () =
         })
       Bw_core.Experiments.all
   in
-  let doc =
-    Bw_core.Harness.json_of_results ~scale:2 ~jobs:3
-      ~micro:[ ("micro cache: stream 64k accesses", 123456.7) ]
-      outcomes
-  in
+  let doc = Bw_core.Harness.json_of_results ~scale:2 ~jobs:3 outcomes in
   let parsed = J.parse (J.to_string doc) in
-  check (Alcotest.option Alcotest.int) "schema_version" (Some 5)
+  check (Alcotest.option Alcotest.int) "schema_version" (Some 6)
     (Option.bind (J.member "schema_version" parsed) (function
       | J.Int i -> Some i
       | _ -> None));
+  (* the tables are the whole document: timings live in perfbench/ and
+     serve load in `bwc client --load` *)
+  check bool "no micro key" true (J.member "micro" parsed = None);
+  check bool "no serve key" true (J.member "serve" parsed = None);
   (match Option.bind (J.member "tables" parsed) J.to_list with
   | None -> Alcotest.fail "tables is not a list"
   | Some tables ->
@@ -370,13 +370,7 @@ let test_bench_json_roundtrip () =
   in
   check (Alcotest.option (Alcotest.list (Alcotest.float 1e-9))) "seconds"
     (Some (List.map (fun _ -> 0.25) outcomes))
-    seconds;
-  match Option.bind (J.member "micro" parsed) J.to_list with
-  | Some [ m ] ->
-    check (Alcotest.option Alcotest.string) "micro name"
-      (Some "micro cache: stream 64k accesses")
-      (Option.bind (J.member "name" m) J.to_str)
-  | _ -> Alcotest.fail "micro is not a one-element list"
+    seconds
 
 (* The harness must return results in input order even when racing
    domains, and jobs=1 must behave identically. *)
@@ -477,7 +471,7 @@ let test_bench_json_error_outcomes () =
         seconds = 0.0;
         status = Bw_core.Harness.Error "Failure(\"kaboom\")" } ]
   in
-  let doc = Bw_core.Harness.json_of_results ~scale:1 ~jobs:2 ~micro:[] outcomes in
+  let doc = Bw_core.Harness.json_of_results ~scale:1 ~jobs:2 outcomes in
   let parsed = J.parse (J.to_string doc) in
   match Option.bind (J.member "tables" parsed) J.to_list with
   | Some [ good; bad ] ->
@@ -532,7 +526,7 @@ let prop_bench_json_string_roundtrip =
   QCheck.Test.make ~count:200 ~name:"bench json round-trips nasty strings" arb
     (fun (id, title, body) ->
       let doc =
-        Bw_core.Harness.json_of_results ~scale:1 ~jobs:1 ~micro:[]
+        Bw_core.Harness.json_of_results ~scale:1 ~jobs:1
           [ { Bw_core.Harness.id;
               title;
               body;

@@ -1,14 +1,14 @@
 (* The serve subsystem: the single-flight LRU result cache, the wire
-   protocol's validation and cache keying, the simulate batcher, and a
-   real in-process daemon exercised over TCP — byte-identical cache
-   hits, zero engine work on repeats, malformed requests that never
-   kill the connection, graceful drain, and the load generator.
+   protocol's validation and cache keying, and a real in-process daemon
+   exercised over TCP — byte-identical cache hits, zero engine work on
+   repeats, malformed requests that never kill the connection, graceful
+   drain, and the load generator.
 
    The resilience layer is tested with armed faults: worker-domain
    crashes heal, deadlines expire into structured errors, overload
-   degrades then sheds, the watchdog reaps idle connections, a crashing
-   batch leader never strands its followers, a drain under load still
-   answers everything admitted, and the chaos load run ends with zero
+   degrades then sheds, the watchdog reaps idle connections, a failed
+   simulate capture caches nothing, a drain under load still answers
+   everything admitted, and the chaos load run ends with zero
    unanswered requests. *)
 
 let check = Alcotest.check
@@ -125,7 +125,24 @@ let test_protocol_rejects_garbage () =
   expect_error "{\"v\":1,\"op\":\"analyze\",\"scale\":7,\"program\":\"x\"}";
   expect_error "{\"v\":1,\"op\":\"fuzz\",\"count\":0}";
   expect_error
-    "{\"v\":1,\"op\":\"optimize\",\"program\":\"fig7\",\"pipeline\":{\"fuel\":-1}}"
+    "{\"v\":1,\"op\":\"optimize\",\"program\":\"fig7\",\"pipeline\":{\"fuel\":-1}}";
+  (* serve refuses a scale with the CLI's message: both call
+     Registry.check_scale, since the builders would otherwise build the
+     stress size for it *)
+  List.iter
+    (fun scale ->
+      let msg = Printf.sprintf "scale must be 1, 2 or 3 (got %d)" scale in
+      check (Alcotest.result int string) "the check's message" (Error msg)
+        (Bw_workloads.Registry.check_scale scale);
+      match
+        Protocol.request_of_string
+          (Printf.sprintf
+             "{\"v\":1,\"op\":\"analyze\",\"scale\":%d,\"program\":\"fig7\"}"
+             scale)
+      with
+      | Ok _ -> Alcotest.failf "serve accepted scale %d" scale
+      | Error e -> check string "serve's message" msg e)
+    [ 0; 4 ]
 
 let test_protocol_roundtrip () =
   let req =
@@ -215,51 +232,6 @@ let test_cache_key_is_content_addressed () =
   check bool "identical keys" true
     (Protocol.cache_key by_name ~program:(load by_name)
     = Protocol.cache_key by_source ~program:(load by_source))
-
-(* --- batcher ----------------------------------------------------------------- *)
-
-let test_batch_groups_concurrent_requests () =
-  let batcher = Bw_serve.Batch.create ~jobs:1 () in
-  let p = Bw_workloads.Simple_example.read_loop ~n:500 in
-  let capture_count = ref 0 in
-  let arrived = Atomic.make 0 in
-  let o2000 = Bw_machine.Machine.origin2000 in
-  let exemplar = Bw_machine.Machine.exemplar in
-  let capture () =
-    incr capture_count;
-    (* wait until every thread is at least registering, so the drain
-       waves see them all and replay once or twice, never four times *)
-    while Atomic.get arrived < 4 do
-      Thread.delay 0.01
-    done;
-    Thread.delay 0.2;
-    Bw_exec.Run.capture p
-  in
-  let wants = [| [ o2000 ]; [ exemplar ]; [ o2000; exemplar ]; [ exemplar ] |] in
-  let results = Array.make 4 [] in
-  let threads =
-    Array.init 4 (fun i ->
-        Thread.create
-          (fun () ->
-            Atomic.incr arrived;
-            results.(i) <-
-              Bw_serve.Batch.simulate batcher ~key:"k" ~capture wants.(i))
-          ())
-  in
-  Array.iter Thread.join threads;
-  check int "capture ran once" 1 !capture_count;
-  (* every thread got results for exactly its machines, bit-identical
-     to a direct simulation *)
-  Array.iteri
-    (fun i machines ->
-      check int "result per machine" (List.length machines)
-        (List.length results.(i));
-      List.iter2
-        (fun machine r ->
-          check bool "replay = direct" true
-            (Bw_exec.Run.equal_result r (Bw_exec.Run.simulate ~machine p)))
-        machines results.(i))
-    wants
 
 (* --- the daemon, over TCP ---------------------------------------------------- *)
 
@@ -717,61 +689,41 @@ let test_server_watchdog_reaps_idle_connections () =
               check bool "fresh connections served" true
                 (Result.is_ok (Protocol.response_result r2)))))
 
-let test_batch_orphans_survive_leader_crash () =
-  with_faults
-    (fun () -> Fault.arm "serve.capture" Fault.Raise (Fault.Nth 1))
-    (fun () ->
-      let orphaned_before = counter "serve.batch.orphaned" in
-      let batcher = Bw_serve.Batch.create ~jobs:1 () in
-      let p = Bw_workloads.Simple_example.read_loop ~n:200 in
-      let machine = Bw_machine.Machine.origin2000 in
-      let arrived = Atomic.make 0 in
-      let attempts = Atomic.make 0 in
-      let capture () =
-        Atomic.incr attempts;
-        (* hold the group open until every thread has joined, so the
-           leader's crash strands the maximum number of followers *)
-        while Atomic.get arrived < 4 do
-          Thread.delay 0.01
-        done;
-        Bw_obs.Fault.cut "serve.capture";
-        Bw_exec.Run.capture p
-      in
-      let outcomes = Array.make 4 `Pending in
-      let threads =
-        Array.init 4 (fun i ->
-            Thread.create
-              (fun () ->
-                Atomic.incr arrived;
-                match
-                  Bw_serve.Batch.simulate batcher ~key:"k" ~capture [ machine ]
-                with
-                | results -> outcomes.(i) <- `Ok results
-                | exception e -> outcomes.(i) <- `Failed e)
-              ())
-      in
-      Array.iter Thread.join threads;
-      let failed =
-        Array.fold_left
-          (fun acc o -> match o with `Failed _ -> acc + 1 | _ -> acc)
-          0 outcomes
-      in
-      check int "exactly the leader failed" 1 failed;
-      Array.iter
-        (function
-          | `Ok [ r ] ->
-            check bool "follower result = direct simulation" true
-              (Bw_exec.Run.equal_result r (Bw_exec.Run.simulate ~machine p))
-          | `Ok _ -> Alcotest.fail "one machine, one result"
-          | `Failed e ->
-            check bool "leader saw the injected fault" true
-              (match e with Fault.Injected _ -> true | _ -> false)
-          | `Pending -> Alcotest.fail "a follower never returned")
-        outcomes;
-      check bool "followers re-ran the capture" true
-        (Atomic.get attempts >= 2);
-      check bool "orphans counted" true
-        (counter "serve.batch.orphaned" > orphaned_before))
+(* A capture that fails inside the server's capture cache fails only
+   the request that started it, with a one-line error, and caches
+   nothing in either cache: the same request then computes afresh and
+   answers exactly what a direct simulation answers. *)
+let test_server_capture_fault_caches_nothing () =
+  let req =
+    { (Protocol.default_request Protocol.Simulate) with
+      Protocol.program = Some "read_loop";
+      machines = [ "origin2000"; "exemplar" ] }
+  in
+  with_server (fun addr ->
+      with_faults
+        (fun () -> Fault.arm "serve.capture" Fault.Raise (Fault.Nth 1))
+        (fun () ->
+          let misses0 = counter "serve.capture_cache.miss" in
+          let r1 = Result.get_ok (Client.one_shot addr req) in
+          (match Protocol.response_result r1 with
+          | Ok _ -> Alcotest.fail "the armed capture did not fail"
+          | Error msg ->
+            check bool "one-line error" false (String.contains msg '\n'));
+          let r2 = Result.get_ok (Client.one_shot addr req) in
+          check bool "the failed attempt was not cached" false
+            (Protocol.response_cached r2);
+          check int "the retry took the capture afresh" 2
+            (counter "serve.capture_cache.miss" - misses0);
+          let direct =
+            match (Protocol.load_program req, Protocol.resolve_machines req) with
+            | Ok p, Ok machines -> Bw_serve.Handle.simulate req ~machines p
+            | Error msg, _ | _, Error msg -> Alcotest.fail msg
+          in
+          match Protocol.response_result r2 with
+          | Ok payload ->
+            check string "retry = direct simulation" (Json.to_string direct)
+              (Json.to_string payload)
+          | Error msg -> Alcotest.fail msg))
 
 let test_server_shutdown_under_load () =
   with_faults
@@ -904,11 +856,6 @@ let suites =
     ( "serve.handle",
       [ Alcotest.test_case "optimize answers what bwc optimize does" `Quick
           test_handle_optimize_matches_cli ] );
-    ( "serve.batch",
-      [ Alcotest.test_case "groups concurrent simulate requests" `Quick
-          test_batch_groups_concurrent_requests;
-        Alcotest.test_case "a crashing leader never strands followers" `Quick
-          test_batch_orphans_survive_leader_crash ] );
     ( "serve.daemon",
       [ Alcotest.test_case "cache hit is byte-identical" `Quick
           test_server_hit_is_byte_identical;
@@ -937,6 +884,8 @@ let suites =
           test_server_rejects_oversized_requests;
         Alcotest.test_case "watchdog reaps idle connections" `Quick
           test_server_watchdog_reaps_idle_connections;
+        Alcotest.test_case "a failed capture caches nothing" `Quick
+          test_server_capture_fault_caches_nothing;
         Alcotest.test_case "shutdown under load answers everything" `Quick
           test_server_shutdown_under_load;
         Alcotest.test_case "resilient client survives dropped replies" `Quick
