@@ -5,12 +5,15 @@ type t = { const : int; terms : (string * int) list }
 let normalise terms =
   terms
   |> List.filter (fun (_, c) -> c <> 0)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let const c = { const = c; terms = [] }
 let var v = { const = 0; terms = [ (v, 1) ] }
 
-let equal a b = a.const = b.const && a.terms = b.terms
+let equal_terms =
+  List.equal (fun (v1, c1) (v2, c2) -> String.equal v1 v2 && c1 = c2)
+
+let equal a b = a.const = b.const && equal_terms a.terms b.terms
 
 let merge f a b =
   let rec go xs ys =
@@ -18,8 +21,9 @@ let merge f a b =
     | [], rest -> List.map (fun (v, c) -> (v, f 0 c)) rest
     | rest, [] -> List.map (fun (v, c) -> (v, f c 0)) rest
     | (vx, cx) :: xs', (vy, cy) :: ys' ->
-      if vx = vy then (vx, f cx cy) :: go xs' ys'
-      else if vx < vy then (vx, f cx 0) :: go xs' ys
+      let order = String.compare vx vy in
+      if order = 0 then (vx, f cx cy) :: go xs' ys'
+      else if order < 0 then (vx, f cx 0) :: go xs' ys
       else (vy, f 0 cy) :: go xs ys'
   in
   normalise (go a.terms b.terms)
@@ -52,7 +56,7 @@ and combine f a b =
   | Some fa, Some fb -> Some (f fa fb)
   | _ -> None
 
-and is_const_form t = t.terms = []
+and is_const_form t = match t.terms with [] -> true | _ :: _ -> false
 
 let to_expr t =
   let term (v, c) =
@@ -68,18 +72,26 @@ let to_expr t =
     else if t.const > 0 then Binary (Add, sum, Int_lit t.const)
     else Binary (Sub, sum, Int_lit (-t.const))
 
-let coeff t v = match List.assoc_opt v t.terms with Some c -> c | None -> 0
-let is_const t = t.terms = []
+let rec coeff_of v = function
+  | [] -> 0
+  | (name, c) :: rest -> if String.equal name v then c else coeff_of v rest
+
+let coeff t v = coeff_of v t.terms
+
+let is_const = is_const_form
 let vars t = List.map fst t.terms
 
 let eval t lookup =
   List.fold_left (fun acc (v, c) -> acc + (c * lookup v)) t.const t.terms
 
 let drop_var t v =
-  { t with terms = List.filter (fun (name, _) -> name <> v) t.terms }
+  if coeff t v = 0 then t
+  else
+    { t with
+      terms = List.filter (fun (name, _) -> not (String.equal name v)) t.terms }
 
 let pp ppf t =
-  if t.terms = [] then Format.pp_print_int ppf t.const
+  if is_const t then Format.pp_print_int ppf t.const
   else begin
     List.iteri
       (fun i (v, c) ->

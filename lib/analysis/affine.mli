@@ -14,6 +14,9 @@ type t = {
 val const : int -> t
 val var : string -> t
 val equal : t -> t -> bool
+
+(** Equality of two [terms] lists, with [String.equal] on the names. *)
+val equal_terms : (string * int) list -> (string * int) list -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : int -> t -> t

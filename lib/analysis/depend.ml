@@ -1,5 +1,9 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
+module Names = Bw_ir.Ast_util.Names
+
 type answer = Independent | Dependent of int option | Unknown
 
 let pp_answer ppf = function
@@ -138,7 +142,7 @@ let scalar_private body s =
         | Lelement (_, idxs) ->
           List.concat_map Bw_ir.Ast_util.expr_reads idxs
       in
-      if (List.mem s reads || List.mem s lv_reads) && not written then
+      if (mem_name s reads || mem_name s lv_reads) && not written then
         (false, written)
       else
         let written = written || lvalue_name lv = s in
@@ -150,10 +154,10 @@ let scalar_private body s =
         | Lelement (_, idxs) ->
           List.concat_map Bw_ir.Ast_util.expr_reads idxs
       in
-      if List.mem s lv_reads && not written then (false, written)
+      if mem_name s lv_reads && not written then (false, written)
       else (true, written || lvalue_name lv = s)
     | Print e ->
-      if List.mem s (Bw_ir.Ast_util.expr_reads e) && not written then
+      if mem_name s (Bw_ir.Ast_util.expr_reads e) && not written then
         (false, written)
       else (true, written)
     | If (c, t, e) ->
@@ -166,7 +170,7 @@ let scalar_private body s =
         in
         go c
       in
-      if List.mem s cond_reads && not written then (false, written)
+      if mem_name s cond_reads && not written then (false, written)
       else begin
         let safe_t, written_t = seq written t in
         let safe_e, written_e = seq written e in
@@ -176,9 +180,9 @@ let scalar_private body s =
       (* a nested loop body executes many times; require the property
          recursively with the outer "written" state, and treat the loop
          as writing only if its body always writes *)
-      if List.exists
-           (fun e' -> List.mem s (Bw_ir.Ast_util.expr_reads e'))
-           [ l.lo; l.hi; l.step ]
+      if (mem_name s (Bw_ir.Ast_util.expr_reads l.lo)
+          || mem_name s (Bw_ir.Ast_util.expr_reads l.hi)
+          || mem_name s (Bw_ir.Ast_util.expr_reads l.step))
          && not written
       then (false, written)
       else begin
@@ -192,16 +196,10 @@ let scalar_private body s =
   let safe, _ = seq false body in
   safe
 
-let scalars_of_stmts stmts ~arrays =
-  let reads =
-    Bw_ir.Ast_util.vars_read stmts
-    |> List.filter (fun v -> not (List.mem v arrays))
-  in
-  let writes =
-    Bw_ir.Ast_util.vars_written stmts
-    |> List.filter (fun v -> not (List.mem v arrays))
-  in
-  (reads, writes)
+let scalars_of_stmts stmts ~non_scalar =
+  let scalar v = not (Names.mem non_scalar v) in
+  ( List.filter scalar (Bw_ir.Ast_util.vars_read stmts),
+    List.filter scalar (Bw_ir.Ast_util.vars_written stmts) )
 
 let consumes_input stmts =
   Bw_ir.Ast_util.fold_stmts
@@ -231,14 +229,23 @@ let fusable (l1 : loop) (l2 : loop) =
   in
   let refs1 = Refs.collect l1.body in
   let refs2 = Refs.collect body2 in
-  (* array dependences *)
+  (* array dependences: each reference of the first loop against the
+     same-array references of the second, in their textual order, so the
+     first offending pair is the one a walk of every pair would meet *)
+  let by_array = Names.create 16 in
+  List.iter
+    (fun (r2 : Refs.t) ->
+      let bucket =
+        Option.value ~default:[] (Names.find_opt by_array r2.Refs.array)
+      in
+      Names.replace by_array r2.Refs.array (r2 :: bucket))
+    (List.rev refs2);
   let bad =
     List.find_map
       (fun (r1 : Refs.t) ->
         List.find_map
           (fun (r2 : Refs.t) ->
-            if r1.Refs.array <> r2.Refs.array then None
-            else if r1.Refs.access = Refs.Read && r2.Refs.access = Refs.Read
+            if r1.Refs.access = Refs.Read && r2.Refs.access = Refs.Read
             then None
             else
               match pair_test ~index:l1.index r1 r2 with
@@ -257,30 +264,30 @@ let fusable (l1 : loop) (l2 : loop) =
                 Some
                   (Printf.sprintf "array '%s': dependence unknown"
                      r1.Refs.array))
-          refs2)
+          (Option.value ~default:[] (Names.find_opt by_array r1.Refs.array)))
       refs1
   in
   let* () = match bad with None -> Ok () | Some reason -> Error reason in
   (* scalar dependences *)
-  let arrays1 = List.map (fun (r : Refs.t) -> r.Refs.array) refs1 in
-  let arrays2 = List.map (fun (r : Refs.t) -> r.Refs.array) refs2 in
-  let indices =
-    l1.index :: Bw_ir.Ast_util.loop_indices l1.body
-    @ Bw_ir.Ast_util.loop_indices body2
-  in
-  let non_scalar = arrays1 @ arrays2 @ indices in
-  let reads1, writes1 = scalars_of_stmts l1.body ~arrays:non_scalar in
-  let reads2, writes2 = scalars_of_stmts body2 ~arrays:non_scalar in
+  let non_scalar = Names.create 16 in
+  let add v = Names.replace non_scalar v () in
+  List.iter (fun (r : Refs.t) -> add r.Refs.array) refs1;
+  Names.iter (fun a _ -> add a) by_array;
+  add l1.index;
+  List.iter add (Bw_ir.Ast_util.loop_indices l1.body);
+  List.iter add (Bw_ir.Ast_util.loop_indices body2);
+  let reads1, writes1 = scalars_of_stmts l1.body ~non_scalar in
+  let reads2, writes2 = scalars_of_stmts body2 ~non_scalar in
   let offending =
     List.find_opt
       (fun s ->
-        let flow = List.mem s writes1 && List.mem s reads2 in
-        let anti = List.mem s reads1 && List.mem s writes2 in
-        let output = List.mem s writes1 && List.mem s writes2 in
+        let flow = mem_name s writes1 && mem_name s reads2 in
+        let anti = mem_name s reads1 && mem_name s writes2 in
+        let output = mem_name s writes1 && mem_name s writes2 in
         if flow || output then not (scalar_private body2 s)
         else if anti then not (scalar_private body2 s)
         else false)
-      (List.sort_uniq compare (reads1 @ writes1 @ reads2 @ writes2))
+      (List.sort_uniq String.compare (reads1 @ writes1 @ reads2 @ writes2))
   in
   match offending with
   | None -> Ok ()

@@ -64,7 +64,10 @@ val consumes_input : Bw_ir.Ast.stmt list -> bool
     - no scalar carried between the loops unless the scalar is private
       (written before read) in the loop that reads it.
 
-    Returns [Error reason] naming the offending variable. *)
+    Returns [Error reason] naming the offending variable: of several
+    offending arrays, the one of the first offending pair in ([l1]
+    reference, [l2] reference) textual order; of several carried
+    scalars, the first by name. *)
 val fusable : Bw_ir.Ast.loop -> Bw_ir.Ast.loop -> (unit, string) result
 
 (** [scalar_private body s] holds when every read of scalar [s] in [body]

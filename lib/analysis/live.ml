@@ -60,7 +60,7 @@ let analyse (p : program) =
                last = List.fold_left max min_int all;
                read_positions;
                write_positions;
-               live_out = List.mem d.var_name p.live_out })
+               live_out = Bw_ir.Ast_util.mem_name d.var_name p.live_out })
 
 let range_of ranges name = List.find_opt (fun r -> r.array = name) ranges
 

@@ -41,7 +41,7 @@ let rec interval env (e : Ast.expr) : (int * int) option =
     | Some a ->
       List.fold_left
         (fun acc (v, c) ->
-          match (acc, List.assoc_opt v env) with
+          match (acc, Ast_util.assoc_name v env) with
           | Some (lo, hi), Some (vlo, vhi) ->
             if c >= 0 then Some (lo + (c * vlo), hi + (c * vhi))
             else Some (lo + (c * vhi), hi + (c * vlo))
@@ -59,7 +59,7 @@ and lift2 f env a b =
 let affine_mid env (a : Affine.t) =
   List.fold_left
     (fun acc (v, c) ->
-      match (acc, List.assoc_opt v env) with
+      match (acc, Ast_util.assoc_name v env) with
       | Some m, Some (vlo, vhi) ->
         Some (m +. (float_of_int c *. (float_of_int (vlo + vhi) /. 2.0)))
       | _ -> None)
@@ -145,6 +145,9 @@ and group = {
   g_writes : int;
   g_subs : Ast.expr list;
   g_affine : Affine.t option list;
+  g_shape : (string * int) list list option;
+      (** every subscript's affine terms, when all are affine: the key
+          {!same_shape} compares, kept in step with [g_affine] *)
   g_dimprod : int list;  (** per-dim element multiplier (column-major) *)
   g_loops : rloop list;  (** outermost first *)
   g_sealed : bool;  (** wrapped by a loop; merging across scopes is off *)
@@ -163,32 +166,52 @@ and scope = {
 
 let scope_of groups = { s_groups = groups; s_fp_lines = [] }
 
-let make_group decls array subs ~write =
-  let decl = Hashtbl.find_opt decls array in
-  let decl_bytes =
-    match decl with
-    | Some d -> float_of_int (Ast.decl_bytes d)
-    | None -> infinity
-  in
-  let dimprod =
-    match decl with
-    | Some d ->
+(* What the walk needs of a declaration, computed once per prediction
+   and passed down (never kept in the module: predictions run
+   concurrently on serve's pool domains). *)
+type decl_facts = {
+  f_bytes : float;
+  f_dimprod : int list;  (** per-dim element multiplier (column-major) *)
+  f_float : bool;
+}
+
+let decl_facts (p : Ast.program) =
+  let facts = Ast_util.Names.create 16 in
+  List.iter
+    (fun (d : Ast.decl) ->
       let _, rev =
         List.fold_left
           (fun (acc, out) extent -> (acc * extent, acc :: out))
           (1, []) d.Ast.dims
       in
-      List.rev rev
-    | None -> List.map (fun _ -> 1) subs
-  in
+      Ast_util.Names.replace facts d.Ast.var_name
+        { f_bytes = float_of_int (Ast.decl_bytes d);
+          f_dimprod = List.rev rev;
+          f_float = d.Ast.dtype = Ast.F64 })
+    p.Ast.decls;
+  facts
+
+let shape_of affine =
+  if List.for_all Option.is_some affine then
+    Some (List.map (fun a -> (Option.get a).Affine.terms) affine)
+  else None
+
+let make_group facts array subs ~write =
+  let fact = Ast_util.Names.find_opt facts array in
+  let affine = List.map Affine.of_expr subs in
   { g_array = array;
-    g_decl_bytes = decl_bytes;
+    g_decl_bytes =
+      (match fact with Some f -> f.f_bytes | None -> infinity);
     g_write = write;
     g_reads = (if write then 0 else 1);
     g_writes = (if write then 1 else 0);
     g_subs = subs;
-    g_affine = List.map Affine.of_expr subs;
-    g_dimprod = dimprod;
+    g_affine = affine;
+    g_shape = shape_of affine;
+    g_dimprod =
+      (match fact with
+      | Some f -> f.f_dimprod
+      | None -> List.map (fun _ -> 1) subs);
     g_loops = [];
     g_sealed = false;
     g_dedup_body = None }
@@ -196,16 +219,11 @@ let make_group decls array subs ~write =
 (* Two groups address the same data when they name the same array with
    the same affine shape (constants may differ: a[i] and a[i-1] share
    lines).  Non-affine subscripts match only when syntactically equal. *)
-let shape_key g =
-  if List.for_all Option.is_some g.g_affine then
-    Some (List.map (fun a -> (Option.get a).Affine.terms) g.g_affine)
-  else None
-
 let same_shape g1 g2 =
-  g1.g_array = g2.g_array
+  String.equal g1.g_array g2.g_array
   &&
-  match (shape_key g1, shape_key g2) with
-  | Some k1, Some k2 -> k1 = k2
+  match (g1.g_shape, g2.g_shape) with
+  | Some k1, Some k2 -> List.equal Affine.equal_terms k1 k2
   | None, None -> (
     try List.for_all2 Ast.equal_expr g1.g_subs g2.g_subs
     with Invalid_argument _ -> false)
@@ -238,34 +256,47 @@ let spatial_fraction ~line stride =
    the declaration clamp catches run overlap either way. *)
 let covered_lines g ~line =
   let decl_lines = Float.max 1.0 (g.g_decl_bytes /. line) in
-  let lines, _ =
-    List.fold_left
-      (fun (cov, innermost) l ->
-        if not l.l_contrib then (cov, innermost)
-        else
-          let f = if innermost then spatial_fraction ~line l.l_stride else 1.0 in
-          (Float.min (cov *. l.l_trips *. f) decl_lines, false))
-      (1.0, true)
-      (List.rev g.g_loops)
+  let cov = ref 1.0 and innermost = ref true in
+  (* innermost loop first: recurse before visiting *)
+  let rec walk = function
+    | [] -> ()
+    | l :: inner ->
+      walk inner;
+      if l.l_contrib then begin
+        let f =
+          if !innermost then spatial_fraction ~line l.l_stride else 1.0
+        in
+        cov := Float.min (!cov *. l.l_trips *. f) decl_lines;
+        innermost := false
+      end
   in
-  Float.max 1.0 (Float.min lines decl_lines)
+  walk g.g_loops;
+  Float.max 1.0 (Float.min !cov decl_lines)
 
 (* Scope footprint at line granularity: per array the max over its
    groups (they overlap the same storage), summed across arrays. *)
 let scope_fp_lines groups ~line =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Ast_util.Names.create 16 in
   List.iter
     (fun g ->
-      let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl g.g_array) in
-      Hashtbl.replace tbl g.g_array (Float.max cur (covered_lines g ~line)))
+      let cur =
+        Option.value ~default:0.0 (Ast_util.Names.find_opt tbl g.g_array)
+      in
+      Ast_util.Names.replace tbl g.g_array
+        (Float.max cur (covered_lines g ~line)))
     groups;
-  Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0.0
+  Ast_util.Names.fold (fun _ v acc -> acc +. v) tbl 0.0
 
 let scope_fp_bytes groups ~line = scope_fp_lines groups ~line *. line
 
+let rec find_lines line = function
+  | [] -> None
+  | (l, lines) :: rest ->
+    if Float.equal l line then Some lines else find_lines line rest
+
 let scope_fits scope ~capacity ~line =
   let lines =
-    match List.assoc_opt line scope.s_fp_lines with
+    match find_lines line scope.s_fp_lines with
     | Some lines -> lines
     | None ->
       let lines = scope_fp_lines scope.s_groups ~line in
@@ -276,33 +307,36 @@ let scope_fits scope ~capacity ~line =
 
 (* Element-dense footprint, for reporting. *)
 let fp_of_groups groups =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Ast_util.Names.create 16 in
   List.iter
     (fun g ->
-      let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl g.g_array) in
-      Hashtbl.replace tbl g.g_array (Float.max cur (group_unique_bytes g)))
+      let cur =
+        Option.value ~default:0.0 (Ast_util.Names.find_opt tbl g.g_array)
+      in
+      Ast_util.Names.replace tbl g.g_array
+        (Float.max cur (group_unique_bytes g)))
     groups;
-  Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0.0
+  Ast_util.Names.fold (fun _ v acc -> acc +. v) tbl 0.0
 
+(* Merge the unsealed groups of one scope by shape.  The result lists
+   the merged families last-first, then the sealed groups in order:
+   later sums run over this order, so it must not change. *)
 let merge_unsealed groups =
-  List.fold_left
-    (fun acc g ->
-      if g.g_sealed then g :: acc
-      else begin
-        let rec insert = function
-          | [] -> [ g ]
-          | h :: t when (not h.g_sealed) && same_shape h g ->
-            { h with
-              g_write = h.g_write || g.g_write;
-              g_reads = h.g_reads + g.g_reads;
-              g_writes = h.g_writes + g.g_writes }
-            :: t
-          | h :: t -> h :: insert t
-        in
-        insert acc
-      end)
-    [] groups
-  |> List.rev
+  let families = ref [] and sealed = ref [] in
+  List.iter
+    (fun g ->
+      if g.g_sealed then sealed := g :: !sealed
+      else
+        match List.find_opt (fun h -> same_shape !h g) !families with
+        | Some h ->
+          h :=
+            { !h with
+              g_write = !h.g_write || g.g_write;
+              g_reads = !h.g_reads + g.g_reads;
+              g_writes = !h.g_writes + g.g_writes }
+        | None -> families := ref g :: !families)
+    groups;
+  List.map ( ! ) !families @ List.rev !sealed
 
 (* Same-scope groups covering the same data — an initialising store next
    to the accumulation loop that rereads it — would be double-charged.
@@ -313,7 +347,7 @@ let dedup_scope groups =
   let arr = Array.of_list groups in
   let n = Array.length arr in
   let shadowed = Array.make n false in
-  let eligible i = (not shadowed.(i)) && arr.(i).g_dedup_body = None in
+  let eligible i = (not shadowed.(i)) && Option.is_none arr.(i).g_dedup_body in
   let score g = (contrib_elems g, total_iters g) in
   for i = 0 to n - 1 do
     if eligible i then begin
@@ -349,37 +383,44 @@ let stride_of g index =
   let rec go affs subs prods acc irregular =
     match (affs, subs) with
     | [], _ | _, [] -> if irregular then None else Some acc
-    | a :: affs', s :: subs' ->
-      let p, prods' =
-        match prods with p :: rest -> (p, rest) | [] -> (1, [])
-      in
-      let acc, irregular =
-        match a with
-        | Some f -> (acc + (Affine.coeff f index * p), irregular)
-        | None -> (acc, irregular || List.mem index (Ast_util.expr_reads s))
-      in
-      go affs' subs' prods' acc irregular
+    | a :: affs', s :: subs' -> (
+      let p = match prods with p :: _ -> p | [] -> 1 in
+      let prods' = match prods with _ :: rest -> rest | [] -> [] in
+      match a with
+      | Some f ->
+        go affs' subs' prods' (acc + (Affine.coeff f index * p)) irregular
+      | None ->
+        go affs' subs' prods' acc
+          (irregular || Ast_util.mem_name index (Ast_util.expr_reads s)))
   in
   go g.g_affine g.g_subs g.g_dimprod 0 false
 
 (* Substituting the wrapped index by its lower bound's affine form is
    what makes tile loops contribute: the element loop's subscript [i]
    never mentions the tile origin [ii], but [i] starts at [ii], so after
-   the inner wrap the subscript's coefficients transfer to [ii]. *)
+   the inner wrap the subscript's coefficients transfer to [ii].
+   Returns [affs] itself when no subscript mentions [index]. *)
 let subst_index index lo_affine affs =
-  List.map
-    (fun a ->
-      Option.map
-        (fun f ->
-          let c = Affine.coeff f index in
-          if c = 0 then f
-          else
-            let dropped = Affine.drop_var f index in
-            match lo_affine with
-            | Some lo -> Affine.add dropped (Affine.scale c lo)
-            | None -> dropped)
-        a)
-    affs
+  let rec mentions = function
+    | [] -> false
+    | Some f :: rest -> Affine.coeff f index <> 0 || mentions rest
+    | None :: rest -> mentions rest
+  in
+  if not (mentions affs) then affs
+  else
+    List.map
+      (fun a ->
+        Option.map
+          (fun f ->
+            let c = Affine.coeff f index in
+            if c = 0 then f
+            else
+              let dropped = Affine.drop_var f index in
+              match lo_affine with
+              | Some lo -> Affine.add dropped (Affine.scale c lo)
+              | None -> dropped)
+          a)
+      affs
 
 (* An affine subscript through a scalar the loop body itself mutates
    (FFT's [ib], [ip]) moves unpredictably within the loop: irregular. *)
@@ -388,11 +429,15 @@ let mentions_mutated mutated affs =
   && List.exists
        (fun a ->
          match a with
-         | Some f -> List.exists (fun v -> List.mem v mutated) (Affine.vars f)
+         | Some f ->
+           List.exists
+             (fun (v, _) -> Ast_util.mem_name v mutated)
+             f.Affine.terms
          | None -> false)
        affs
 
-let wrap_loop (l : Ast.loop) tcount body_groups =
+(* Prepends the wrapped [body_groups] to [acc], last first. *)
+let wrap_loop (l : Ast.loop) tcount body_groups acc =
   let body = scope_of body_groups in
   let index = l.Ast.index in
   let step = abs (Option.value ~default:1 (const_int l.Ast.step)) in
@@ -400,11 +445,11 @@ let wrap_loop (l : Ast.loop) tcount body_groups =
   let inner_indices = Ast_util.loop_indices l.Ast.body in
   let mutated =
     List.filter
-      (fun v -> (not (List.mem v inner_indices)) && v <> index)
+      (fun v -> (not (Ast_util.mem_name v inner_indices)) && v <> index)
       (Ast_util.vars_written l.Ast.body)
   in
-  List.map
-    (fun g ->
+  List.fold_left
+    (fun acc g ->
       let l_contrib, l_stride =
         if mentions_mutated mutated g.g_affine then (true, None)
         else
@@ -414,57 +459,68 @@ let wrap_loop (l : Ast.loop) tcount body_groups =
           | Some s ->
             (true, Some (Float.abs (float_of_int (s * step)) *. elem_bytes))
       in
+      let affine = subst_index index lo_affine g.g_affine in
       { g with
-        g_affine = subst_index index lo_affine g.g_affine;
+        g_affine = affine;
+        g_shape =
+          (if affine == g.g_affine then g.g_shape else shape_of affine);
         g_loops =
           { l_trips = tcount; l_contrib; l_stride; l_body = body }
           :: g.g_loops;
-        g_sealed = true })
-    body_groups
+        g_sealed = true }
+      :: acc)
+    acc body_groups
 
 (* ------------------------------------------------------------------ *)
 (* Collecting groups from the program                                  *)
 (* ------------------------------------------------------------------ *)
 
-let rec expr_groups decls (e : Ast.expr) =
+(* The collectors prepend a construct's groups to [acc] in reverse
+   program order; [walk_stmts] turns each scope's list around. *)
+let rec expr_groups facts acc (e : Ast.expr) =
   match e with
-  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Scalar _ -> []
+  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Scalar _ -> acc
   | Ast.Element (a, subs) ->
-    make_group decls a subs ~write:false
-    :: List.concat_map (expr_groups decls) subs
-  | Ast.Unary (_, a) -> expr_groups decls a
-  | Ast.Binary (_, a, b) -> expr_groups decls a @ expr_groups decls b
-  | Ast.Call (_, args) -> List.concat_map (expr_groups decls) args
+    List.fold_left (expr_groups facts)
+      (make_group facts a subs ~write:false :: acc)
+      subs
+  | Ast.Unary (_, a) -> expr_groups facts acc a
+  | Ast.Binary (_, a, b) -> expr_groups facts (expr_groups facts acc a) b
+  | Ast.Call (_, args) -> List.fold_left (expr_groups facts) acc args
 
-let rec cond_groups decls (c : Ast.cond) =
+let rec cond_groups facts acc (c : Ast.cond) =
   match c with
-  | Ast.Cmp (_, a, b) -> expr_groups decls a @ expr_groups decls b
-  | Ast.And (a, b) | Ast.Or (a, b) -> cond_groups decls a @ cond_groups decls b
-  | Ast.Not a -> cond_groups decls a
+  | Ast.Cmp (_, a, b) -> expr_groups facts (expr_groups facts acc a) b
+  | Ast.And (a, b) | Ast.Or (a, b) ->
+    cond_groups facts (cond_groups facts acc a) b
+  | Ast.Not a -> cond_groups facts acc a
 
-let lvalue_groups decls (lv : Ast.lvalue) =
+let lvalue_groups facts acc (lv : Ast.lvalue) =
   match lv with
-  | Ast.Lscalar _ -> []
+  | Ast.Lscalar _ -> acc
   | Ast.Lelement (a, subs) ->
-    make_group decls a subs ~write:true
-    :: List.concat_map (expr_groups decls) subs
+    List.fold_left (expr_groups facts)
+      (make_group facts a subs ~write:true :: acc)
+      subs
 
-let rec walk_stmts decls env stmts =
-  List.concat_map (walk_stmt decls env) stmts
+let rec walk_stmts facts env stmts =
+  List.rev (List.fold_left (walk_stmt facts env) [] stmts)
   |> merge_unsealed |> dedup_scope
 
-and walk_stmt decls env (s : Ast.stmt) =
+and walk_stmt facts env acc (s : Ast.stmt) =
   match s with
-  | Ast.Assign (lv, e) -> expr_groups decls e @ lvalue_groups decls lv
-  | Ast.Read_input lv -> lvalue_groups decls lv
-  | Ast.Print e -> expr_groups decls e
+  | Ast.Assign (lv, e) -> lvalue_groups facts (expr_groups facts acc e) lv
+  | Ast.Read_input lv -> lvalue_groups facts acc lv
+  | Ast.Print e -> expr_groups facts acc e
   | Ast.If (c, t, e) ->
     (* both arms charged: the model has no branch probabilities *)
-    cond_groups decls c @ walk_stmts decls env t @ walk_stmts decls env e
+    let acc = cond_groups facts acc c in
+    let acc = List.rev_append (walk_stmts facts env t) acc in
+    List.rev_append (walk_stmts facts env e) acc
   | Ast.For l ->
     let env' = bind_loop env l in
-    let inner = walk_stmts decls env' l.Ast.body in
-    wrap_loop l (trips env l) inner
+    let inner = walk_stmts facts env' l.Ast.body in
+    wrap_loop l (trips env l) inner acc
 
 (* ------------------------------------------------------------------ *)
 (* Miss model                                                          *)
@@ -486,108 +542,108 @@ let group_misses g ~capacity ~line =
   | Some scope when fits scope -> 0.0
   | _ ->
     let decl_lines = Float.max 1.0 (g.g_decl_bytes /. line) in
-    let m, _, _ =
-      List.fold_left
-        (fun (m, cov, innermost) l ->
-          if not l.l_contrib then
-            if fits l.l_body then (m, cov, innermost)
-            else (m *. l.l_trips, cov, innermost)
-          else begin
-            let f =
-              if innermost then spatial_fraction ~line l.l_stride else 1.0
+    let m = ref 1.0 and cov = ref 1.0 and innermost = ref true in
+    (* innermost loop first: recurse before visiting *)
+    let rec walk = function
+      | [] -> ()
+      | l :: inner ->
+        walk inner;
+        if not l.l_contrib then begin
+          if not (fits l.l_body) then m := !m *. l.l_trips
+        end
+        else begin
+          let f =
+            if !innermost then spatial_fraction ~line l.l_stride else 1.0
+          in
+          let fresh = !cov *. l.l_trips *. f in
+          let cov' = Float.min fresh decl_lines in
+          m := !m *. l.l_trips *. f;
+          if fresh > decl_lines then begin
+            let revisits_hit =
+              fits l.l_body
+              &&
+              match l.l_stride with
+              | Some _ -> true
+              | None -> cov' *. line <= capacity
             in
-            let fresh = cov *. l.l_trips *. f in
-            let cov' = Float.min fresh decl_lines in
-            let m = m *. l.l_trips *. f in
-            let m =
-              if fresh > decl_lines then begin
-                let revisits_hit =
-                  fits l.l_body
-                  &&
-                  match l.l_stride with
-                  | Some _ -> true
-                  | None -> cov' *. line <= capacity
-                in
-                if revisits_hit then m *. (decl_lines /. fresh) else m
-              end
-              else m
-            in
-            (m, cov', false)
-          end)
-        (1.0, 1.0, true)
-        (List.rev g.g_loops)
+            if revisits_hit then m := !m *. (decl_lines /. fresh)
+          end;
+          cov := cov';
+          innermost := false
+        end
     in
-    Float.max 1.0 m
+    walk g.g_loops;
+    Float.max 1.0 !m
 
 (* ------------------------------------------------------------------ *)
 (* Typed operation counts                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec is_float decls (e : Ast.expr) =
+let rec is_float facts (e : Ast.expr) =
   match e with
   | Ast.Float_lit _ -> true
   | Ast.Int_lit _ -> false
   | Ast.Scalar s -> (
-    match Hashtbl.find_opt decls s with
-    | Some d -> d.Ast.dtype = Ast.F64
+    match Ast_util.Names.find_opt facts s with
+    | Some f -> f.f_float
     | None -> false (* loop index *))
   | Ast.Element (a, _) -> (
-    match Hashtbl.find_opt decls a with
-    | Some d -> d.Ast.dtype = Ast.F64
+    match Ast_util.Names.find_opt facts a with
+    | Some f -> f.f_float
     | None -> true)
   | Ast.Unary (Ast.Int_to_float, _) -> true
-  | Ast.Unary (_, a) -> is_float decls a
-  | Ast.Binary (_, a, b) -> is_float decls a || is_float decls b
+  | Ast.Unary (_, a) -> is_float facts a
+  | Ast.Binary (_, a, b) -> is_float facts a || is_float facts b
   | Ast.Call _ -> true
 
 (* Mirrors Interp's sink: only float arithmetic and intrinsic calls are
    flops; integer subscript arithmetic and Int_to_float are not. *)
-let rec expr_flops decls (e : Ast.expr) =
+let rec expr_flops facts (e : Ast.expr) =
   match e with
   | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Scalar _ -> 0.0
   | Ast.Element (_, subs) ->
-    List.fold_left (fun acc s -> acc +. expr_flops decls s) 0.0 subs
-  | Ast.Unary (Ast.Int_to_float, a) -> expr_flops decls a
+    List.fold_left (fun acc s -> acc +. expr_flops facts s) 0.0 subs
+  | Ast.Unary (Ast.Int_to_float, a) -> expr_flops facts a
   | Ast.Unary (_, a) ->
-    expr_flops decls a +. (if is_float decls a then 1.0 else 0.0)
+    expr_flops facts a +. (if is_float facts a then 1.0 else 0.0)
   | Ast.Binary (_, a, b) ->
-    expr_flops decls a +. expr_flops decls b
-    +. (if is_float decls a || is_float decls b then 1.0 else 0.0)
+    expr_flops facts a +. expr_flops facts b
+    +. (if is_float facts a || is_float facts b then 1.0 else 0.0)
   | Ast.Call (_, args) ->
-    List.fold_left (fun acc a -> acc +. expr_flops decls a) 1.0 args
+    List.fold_left (fun acc a -> acc +. expr_flops facts a) 1.0 args
 
-let rec cond_flops decls (c : Ast.cond) =
+let rec cond_flops facts (c : Ast.cond) =
   match c with
-  | Ast.Cmp (_, a, b) -> expr_flops decls a +. expr_flops decls b
-  | Ast.And (a, b) | Ast.Or (a, b) -> cond_flops decls a +. cond_flops decls b
-  | Ast.Not a -> cond_flops decls a
+  | Ast.Cmp (_, a, b) -> expr_flops facts a +. expr_flops facts b
+  | Ast.And (a, b) | Ast.Or (a, b) -> cond_flops facts a +. cond_flops facts b
+  | Ast.Not a -> cond_flops facts a
 
-let lvalue_flops decls (lv : Ast.lvalue) =
+let lvalue_flops facts (lv : Ast.lvalue) =
   match lv with
   | Ast.Lscalar _ -> 0.0
   | Ast.Lelement (_, subs) ->
-    List.fold_left (fun acc s -> acc +. expr_flops decls s) 0.0 subs
+    List.fold_left (fun acc s -> acc +. expr_flops facts s) 0.0 subs
 
-let rec stmts_flops decls env mult stmts =
-  List.fold_left (fun acc s -> acc +. stmt_flops decls env mult s) 0.0 stmts
+let rec stmts_flops facts env mult stmts =
+  List.fold_left (fun acc s -> acc +. stmt_flops facts env mult s) 0.0 stmts
 
-and stmt_flops decls env mult (s : Ast.stmt) =
+and stmt_flops facts env mult (s : Ast.stmt) =
   match s with
-  | Ast.Assign (lv, e) -> mult *. (expr_flops decls e +. lvalue_flops decls lv)
-  | Ast.Read_input lv -> mult *. lvalue_flops decls lv
-  | Ast.Print e -> mult *. expr_flops decls e
+  | Ast.Assign (lv, e) -> mult *. (expr_flops facts e +. lvalue_flops facts lv)
+  | Ast.Read_input lv -> mult *. lvalue_flops facts lv
+  | Ast.Print e -> mult *. expr_flops facts e
   | Ast.If (c, t, e) ->
-    (mult *. cond_flops decls c)
-    +. stmts_flops decls env mult t
-    +. stmts_flops decls env mult e
+    (mult *. cond_flops facts c)
+    +. stmts_flops facts env mult t
+    +. stmts_flops facts env mult e
   | Ast.For l ->
     let env' = bind_loop env l in
     let t = trips env l in
     (mult
-    *. (expr_flops decls l.Ast.lo
-       +. expr_flops decls l.Ast.hi
-       +. expr_flops decls l.Ast.step))
-    +. stmts_flops decls env' (mult *. t) l.Ast.body
+    *. (expr_flops facts l.Ast.lo
+       +. expr_flops facts l.Ast.hi
+       +. expr_flops facts l.Ast.step))
+    +. stmts_flops facts env' (mult *. t) l.Ast.body
 
 (* ------------------------------------------------------------------ *)
 (* Prediction                                                          *)
@@ -632,18 +688,19 @@ let level_traffic groups ~write_policy ~capacity ~line =
     (* everything fits: compulsory misses only — one fetch per distinct
        line of each accessed array, one writeback per written line *)
     let per_array pred =
-      let tbl = Hashtbl.create 16 in
+      let tbl = Ast_util.Names.create 16 in
       List.iter
         (fun g ->
           if pred g then begin
             let cur =
-              Option.value ~default:0.0 (Hashtbl.find_opt tbl g.g_array)
+              Option.value ~default:0.0
+                (Ast_util.Names.find_opt tbl g.g_array)
             in
-            Hashtbl.replace tbl g.g_array
+            Ast_util.Names.replace tbl g.g_array
               (Float.max cur (covered_lines g ~line:linef))
           end)
         groups;
-      Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0.0
+      Ast_util.Names.fold (fun _ v acc -> acc +. v) tbl 0.0
     in
     let lines_in =
       per_array (fun g -> g.g_reads > 0 || (g.g_write && write_allocate))
@@ -675,9 +732,8 @@ let level_traffic groups ~write_policy ~capacity ~line =
   end
 
 let predict ~(machine : Bw_machine.Machine.t) (p : Ast.program) =
-  let decls = Hashtbl.create 16 in
-  List.iter (fun d -> Hashtbl.replace decls d.Ast.var_name d) p.Ast.decls;
-  let groups = walk_stmts decls empty_env p.Ast.body in
+  let facts = decl_facts p in
+  let groups = walk_stmts facts empty_env p.Ast.body in
   let loads =
     List.fold_left
       (fun acc g -> acc +. (float_of_int g.g_reads *. total_iters g))
@@ -688,7 +744,7 @@ let predict ~(machine : Bw_machine.Machine.t) (p : Ast.program) =
       (fun acc g -> acc +. (float_of_int g.g_writes *. total_iters g))
       0.0 groups
   in
-  let flops = stmts_flops decls empty_env 1.0 p.Ast.body in
+  let flops = stmts_flops facts empty_env 1.0 p.Ast.body in
   let footprint_bytes = fp_of_groups groups in
   let levels =
     List.map

@@ -66,7 +66,9 @@ let lint ~(before : Ast.program) ~(after : Ast.program) =
     List.concat_map
       (fun v ->
         if Ast.find_decl after v = None then [ Live_out_decl_dropped v ]
-        else if List.mem v written_before && not (List.mem v written_after)
+        else if
+          Ast_util.mem_name v written_before
+          && not (Ast_util.mem_name v written_after)
         then [ Live_out_store_dropped v ]
         else [])
       before.Ast.live_out

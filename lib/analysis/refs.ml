@@ -76,7 +76,7 @@ let collect stmts =
   List.iter (scan_stmt st []) stmts;
   List.rev st.acc
 
-let of_array name refs = List.filter (fun r -> r.array = name) refs
+let of_array name refs = List.filter (fun r -> String.equal r.array name) refs
 let reads refs = List.filter (fun r -> r.access = Read) refs
 let writes refs = List.filter (fun r -> r.access = Write) refs
 
@@ -89,7 +89,9 @@ let revisit_free r ~under =
   let subscript_vars =
     List.concat_map Bw_ir.Ast_util.expr_reads r.subscripts
   in
-  List.for_all (fun idx -> List.mem idx subscript_vars) inner_indices
+  List.for_all
+    (fun idx -> Bw_ir.Ast_util.mem_name idx subscript_vars)
+    inner_indices
 
 let subscript_wrt r ~index =
   let rec go dim = function
@@ -100,7 +102,8 @@ let subscript_wrt r ~index =
     | None :: rest ->
       (* a non-affine dimension might mention the index: check textually *)
       let subscript = List.nth r.subscripts dim in
-      if List.mem index (Bw_ir.Ast_util.expr_reads subscript) then None
+      if Bw_ir.Ast_util.mem_name index (Bw_ir.Ast_util.expr_reads subscript)
+      then None
       else go (dim + 1) rest
   in
   go 0 r.affine

@@ -1,5 +1,15 @@
 open Ast
 
+module Names = Hashtbl.Make (String)
+
+let rec mem_name x = function
+  | [] -> false
+  | y :: rest -> String.equal x y || mem_name x rest
+
+let rec assoc_name x = function
+  | [] -> None
+  | (y, v) :: rest -> if String.equal x y then Some v else assoc_name x rest
+
 let rec subexprs e =
   e
   ::
@@ -202,10 +212,10 @@ let rec rewrite_stmts f stmts =
 let stmt_count stmts = fold_stmts (fun acc _ -> acc + 1) 0 stmts
 
 let fresh_name ~taken base =
-  if not (List.mem base taken) then base
+  if not (mem_name base taken) then base
   else
     let rec go i =
       let candidate = Printf.sprintf "%s%d" base i in
-      if List.mem candidate taken then go (i + 1) else candidate
+      if mem_name candidate taken then go (i + 1) else candidate
     in
     go 1

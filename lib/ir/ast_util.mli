@@ -2,6 +2,21 @@
 
 open Ast
 
+(** Tables keyed by variable name, compared with [String.equal].
+    [String.hash] is [Hashtbl.hash] on strings, so a [Names] table
+    iterates in the order a generic [Hashtbl] with the same bindings
+    would. *)
+module Names : Hashtbl.S with type key = string
+
+(** [mem_name x names]: is [x] one of [names]?  [List.mem] with
+    [String.equal] instead of the generic comparison, for the name sets
+    the analyses and transforms test on every reference. *)
+val mem_name : string -> string list -> bool
+
+(** [assoc_name x pairs]: the value [x] is bound to in [pairs], as
+    [List.assoc_opt] with [String.equal]. *)
+val assoc_name : string -> (string * 'a) list -> 'a option
+
 (** Every sub-expression of an expression, including itself (pre-order). *)
 val subexprs : expr -> expr list
 

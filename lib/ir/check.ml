@@ -16,7 +16,7 @@ let add_error env message =
   env.errors <- { context = Lazy.force env.context; message } :: env.errors
 
 let lookup_dtype env name =
-  if List.mem name env.loop_stack then Some I64
+  if Ast_util.mem_name name env.loop_stack then Some I64
   else
     match Hashtbl.find_opt env.decls name with
     | Some d when d.dims = [] -> Some d.dtype
@@ -161,7 +161,7 @@ let rec check_cond env = function
 let check_lvalue env lv : dtype option =
   match lv with
   | Lscalar s -> (
-    if List.mem s env.loop_stack then begin
+    if Ast_util.mem_name s env.loop_stack then begin
       add_error env (Printf.sprintf "assignment to loop index '%s'" s);
       None
     end
@@ -207,7 +207,7 @@ let rec check_stmt env s =
     if Hashtbl.mem env.decls index then
       add_error env
         (Printf.sprintf "loop index '%s' shadows a declaration" index);
-    if List.mem index env.loop_stack then
+    if Ast_util.mem_name index env.loop_stack then
       add_error env
         (Printf.sprintf "loop index '%s' shadows an enclosing loop" index);
     expect_int env "loop lower bound" lo;

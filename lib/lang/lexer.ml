@@ -28,13 +28,16 @@ type t = { token : token; pos : pos }
 
 exception Lex_error of string * pos
 
-let keywords =
-  [ "program"; "end"; "for"; "endfor"; "if"; "endif"; "else"; "read";
-    "print"; "real"; "integer"; "live_out"; "and"; "or"; "not"; "zero";
-    "linear"; "hash"; "lanes"; "init" ]
+let is_keyword = function
+  | "program" | "end" | "for" | "endfor" | "if" | "endif" | "else" | "read"
+  | "print" | "real" | "integer" | "live_out" | "and" | "or" | "not" | "zero"
+  | "linear" | "hash" | "lanes" | "init" ->
+    true
+  | _ -> false
 
 let is_digit c = c >= '0' && c <= '9'
-let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_upper c = c >= 'A' && c <= 'Z'
+let is_alpha c = (c >= 'a' && c <= 'z') || is_upper c || c = '_'
 let is_alnum c = is_digit c || is_alpha c
 
 let tokenize src =
@@ -99,30 +102,27 @@ let tokenize src =
         advance ()
       done;
       let text = String.sub src start (!pos - start) in
-      let lower = String.lowercase_ascii text in
-      if List.mem lower keywords then emit_at start_pos (KW lower)
+      (* keywords are case-insensitive; most identifiers are lower case
+         already and skip the copy *)
+      let lower =
+        if String.exists is_upper text then String.lowercase_ascii text
+        else text
+      in
+      if is_keyword lower then emit_at start_pos (KW lower)
       else emit_at start_pos (IDENT text)
     end
     else begin
       let start_pos = here () in
-      let two = if !pos + 1 < n then Some (String.sub src !pos 2) else None in
-      match two with
-      | Some "==" ->
-        emit_at start_pos EQ;
+      let two tok =
+        emit_at start_pos tok;
         advance ();
         advance ()
-      | Some ("<>" | "!=") ->
-        emit_at start_pos NE;
-        advance ();
-        advance ()
-      | Some "<=" ->
-        emit_at start_pos LE;
-        advance ();
-        advance ()
-      | Some ">=" ->
-        emit_at start_pos GE;
-        advance ();
-        advance ()
+      in
+      match (c, if !pos + 1 < n then src.[!pos + 1] else '\000') with
+      | '=', '=' -> two EQ
+      | '<', '>' | '!', '=' -> two NE
+      | '<', '=' -> two LE
+      | '>', '=' -> two GE
       | _ -> (
         advance ();
         match c with

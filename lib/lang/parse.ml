@@ -79,7 +79,7 @@ let builtin_unops = [ ("abs", Abs); ("sqrt", Sqrt); ("float", Int_to_float) ]
 (* --- scope checks ------------------------------------------------------- *)
 
 let check_scalar_ref st name pos =
-  if not (List.mem name st.indices) then
+  if not (Bw_ir.Ast_util.mem_name name st.indices) then
     match Hashtbl.find_opt st.decl_dims name with
     | Some 0 -> ()
     | Some _ -> fail_at pos "array '%s' used without subscripts" name
@@ -148,7 +148,7 @@ and parse_factor st =
       advance st;
       let args = parse_expr_list st Lexer.RPAREN in
       let lower = String.lowercase_ascii name in
-      (match (List.assoc_opt lower builtin_unops, args) with
+      (match (Bw_ir.Ast_util.assoc_name lower builtin_unops, args) with
       | Some op, [ a ] -> Unary (op, a)
       | Some _, _ ->
         fail_at t.Lexer.pos "builtin '%s' expects exactly one argument" name
@@ -252,7 +252,7 @@ let rec parse_stmts st ~stop =
   let rec loop acc =
     let t = peek st in
     match t.Lexer.token with
-    | Lexer.KW k when List.mem k stop -> List.rev acc
+    | Lexer.KW k when Bw_ir.Ast_util.mem_name k stop -> List.rev acc
     | Lexer.EOF -> fail_at t.Lexer.pos "unexpected end of input inside a block"
     | _ -> loop (parse_stmt st :: acc)
   in
@@ -325,7 +325,7 @@ and parse_lvalue st =
     Lelement (name, idxs)
   end
   else begin
-    if List.mem name st.indices then
+    if Bw_ir.Ast_util.mem_name name st.indices then
       fail_at pos "loop index '%s' cannot be assigned" name;
     check_scalar_ref st name pos;
     Lscalar name

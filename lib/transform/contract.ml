@@ -5,7 +5,7 @@ open Bw_ir.Ast
    Depend.scalar_private but for array element accesses. *)
 let array_write_first body a =
   let reads_a e =
-    List.mem a (Bw_ir.Ast_util.expr_array_reads e)
+    Bw_ir.Ast_util.mem_name a (Bw_ir.Ast_util.expr_array_reads e)
   in
   let rec seq written stmts =
     List.fold_left

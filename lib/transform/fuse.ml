@@ -1,5 +1,7 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
 let guard_body ~index ~lo ~hi ~(hull_lo : int) ~(hull_hi : int) body =
   match Bw_analysis.Depend.constant_bounds { index; lo; hi; step = Int_lit 1; body } with
   | Some (l, h, _) when l = hull_lo && h = hull_hi -> body
@@ -14,9 +16,9 @@ let fuse_adjacent (l1 : loop) (l2 : loop) =
   | Error reason -> Error reason
   | Ok ()
     when l2.index <> l1.index
-         && (List.mem l1.index (Bw_ir.Ast_util.loop_indices l2.body)
-            || List.mem l1.index (Bw_ir.Ast_util.vars_read l2.body)
-            || List.mem l1.index (Bw_ir.Ast_util.vars_written l2.body)) ->
+         && (mem_name l1.index (Bw_ir.Ast_util.loop_indices l2.body)
+            || mem_name l1.index (Bw_ir.Ast_util.vars_read l2.body)
+            || mem_name l1.index (Bw_ir.Ast_util.vars_written l2.body)) ->
     (* renaming l2's index would capture this occurrence: a nested loop
        over l1.index, or a use of a scalar spelled like it *)
     Error "loop index rename would capture a name in the second body"

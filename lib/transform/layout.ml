@@ -1,5 +1,7 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
 type action =
   | Pad of { array : string; extra : int }
   | Interleave of { first : string; second : string }
@@ -142,7 +144,7 @@ let pad (p : program) array extra =
     | None -> Error (Printf.sprintf "no array '%s'" array)
     | Some d when not (is_array d) ->
       Error (Printf.sprintf "'%s' is a scalar" array)
-    | Some _ when List.mem array p.live_out ->
+    | Some _ when mem_name array p.live_out ->
       Error (Printf.sprintf "'%s' is live-out" array)
     | Some d ->
       (* column-major: the last dimension is the slowest, so extending it
@@ -180,7 +182,7 @@ let split (p : program) array lanes =
   | Some d -> (
     match d.dims with
     | f :: (_ :: _ as rest) when f = lanes && f >= 2 && f <= 8 ->
-      if List.mem array p.live_out then
+      if mem_name array p.live_out then
         Error (Printf.sprintf "'%s' is live-out" array)
       else begin
         let refs =
@@ -198,7 +200,7 @@ let split (p : program) array lanes =
         else begin
           let taken = taken_names p in
           let lane_names = List.init f (fun i -> lane_name array (i + 1)) in
-          if List.exists (fun n -> List.mem n taken) lane_names then
+          if List.exists (fun n -> mem_name n taken) lane_names then
             Error "lane names would clash with existing declarations"
           else begin
             let inits =
@@ -249,7 +251,7 @@ let transpose (p : program) array =
   | Some d -> (
     match d.dims with
     | [ d0; d1 ] ->
-      if List.mem array (written_arrays p.body) then
+      if mem_name array (written_arrays p.body) then
         Error (Printf.sprintf "'%s' is written, transposed copy would go stale"
                  array)
       else begin
@@ -315,7 +317,7 @@ let transpose_candidates (p : program) =
   let two_d =
     List.filter
       (fun d ->
-        List.length d.dims = 2 && not (List.mem d.var_name written))
+        List.length d.dims = 2 && not (mem_name d.var_name written))
       p.decls
   in
   if two_d = [] then []
@@ -362,7 +364,7 @@ let split_candidates (p : program) =
   List.filter_map
     (fun d ->
       match d.dims with
-      | f :: _ :: _ when f >= 2 && f <= 8 && not (List.mem d.var_name p.live_out)
+      | f :: _ :: _ when f >= 2 && f <= 8 && not (mem_name d.var_name p.live_out)
         ->
         let mine = List.filter (fun (a, _) -> a = d.var_name) refs in
         let constant = function
@@ -395,12 +397,17 @@ let analytic_traffic ~machine p =
     (Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds ~machine
        p)
 
-let run ?(machine = Bw_machine.Machine.origin2000) ?(threshold = 0.02) p =
+(* A candidate must cut predicted memory traffic by more than this share
+   of the round's base to be committed. *)
+let threshold = 0.02
+
+let run ?(machine = Bw_machine.Machine.origin2000) p =
   let max_rounds = 8 in
-  let rec go p applied round =
+  (* [base] is [p]'s price: the committed winner's price is the next
+     round's base, so each program is priced once *)
+  let rec go p base applied round =
     if round >= max_rounds then (p, List.rev applied)
     else begin
-      let base = analytic_traffic ~machine p in
       let scored =
         List.filter_map
           (fun a ->
@@ -417,11 +424,11 @@ let run ?(machine = Bw_machine.Machine.origin2000) ?(threshold = 0.02) p =
       with
       | (a, p', best) :: _ when best < base *. (1.0 -. threshold) ->
         Bw_obs.Metrics.incr accept_counter;
-        go p' (a :: applied) (round + 1)
+        go p' best (a :: applied) (round + 1)
       | _ :: _ ->
         Bw_obs.Metrics.incr ~by:(List.length scored) reject_counter;
         (p, List.rev applied)
       | [] -> (p, List.rev applied)
     end
   in
-  go p [] 0
+  go p (analytic_traffic ~machine p) [] 0

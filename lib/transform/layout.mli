@@ -51,15 +51,14 @@ val apply :
     pad.  No scoring — {!run} prices them. *)
 val candidates : Bw_ir.Ast.program -> action list
 
-(** [run ?machine ?threshold p] greedily applies candidates: each round
-    scores every remaining candidate with the analytic evaluator on
-    [machine] (default Origin2000) and commits the best one as long as
-    it cuts predicted memory traffic by more than [threshold] (default
-    [0.02], i.e. 2%).  Returns the rewritten program and the actions
-    applied, in order.  Never raises on a misbehaving candidate: one
-    that fails to apply or breaks {!Bw_ir.Check.check} is skipped. *)
+(** [run ?machine p] greedily applies candidates: each round scores
+    every remaining candidate with the analytic evaluator on [machine]
+    (default Origin2000) and commits the best one as long as it cuts
+    predicted memory traffic by more than 2%.  Returns the rewritten
+    program and the actions applied, in order.  Never raises on a
+    misbehaving candidate: one that fails to apply or breaks
+    {!Bw_ir.Check.check} is skipped. *)
 val run :
   ?machine:Bw_machine.Machine.t ->
-  ?threshold:float ->
   Bw_ir.Ast.program ->
   Bw_ir.Ast.program * action list

@@ -1,5 +1,7 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
 type spec = { index_arrays : string list; data_arrays : string list }
 
 let ( let* ) = Result.bind
@@ -21,7 +23,7 @@ let insert_position (p : program) spec =
     let refs = Bw_analysis.Refs.collect [ stmt ] in
     List.exists
       (fun (r : Bw_analysis.Refs.t) ->
-        List.mem r.Bw_analysis.Refs.array spec.data_arrays)
+        mem_name r.Bw_analysis.Refs.array spec.data_arrays)
       refs
   in
   let rec go i = function
@@ -40,7 +42,7 @@ let validate_after (p : program) spec position =
       List.find_opt
         (fun (r : Bw_analysis.Refs.t) ->
           r.Bw_analysis.Refs.access = Bw_analysis.Refs.Write
-          && List.mem r.Bw_analysis.Refs.array spec.index_arrays)
+          && mem_name r.Bw_analysis.Refs.array spec.index_arrays)
         refs
     with
     | Some r ->
@@ -53,13 +55,13 @@ let validate_after (p : program) spec position =
      array *)
   let indirect (r : Bw_analysis.Refs.t) =
     match r.Bw_analysis.Refs.subscripts with
-    | [ Element (ia, _) ] -> List.mem ia spec.index_arrays
+    | [ Element (ia, _) ] -> mem_name ia spec.index_arrays
     | _ -> false
   in
   match
     List.find_opt
       (fun (r : Bw_analysis.Refs.t) ->
-        List.mem r.Bw_analysis.Refs.array spec.data_arrays
+        mem_name r.Bw_analysis.Refs.array spec.data_arrays
         && not (indirect r))
       refs
   with
@@ -71,7 +73,9 @@ let validate_after (p : program) spec position =
 
 let rename_arrays names_map stmts =
   let rename name =
-    match List.assoc_opt name names_map with Some n -> n | None -> name
+    match Bw_ir.Ast_util.assoc_name name names_map with
+    | Some n -> n
+    | None -> name
   in
   let rec rn_expr = function
     | Element (a, idxs) -> Element (rename a, List.map rn_expr idxs)
@@ -199,7 +203,7 @@ let pack (p : program) spec =
   let unpack =
     List.filter_map
       (fun (a, pa) ->
-        if List.mem a p.live_out then
+        if mem_name a p.live_out then
           Some
             (for_ i (int 1) (int n)
                [ (a $. [ v i ]) <-- (pa $ [ perm $ [ v i ] ]) ])
@@ -223,7 +227,7 @@ let pack (p : program) spec =
 let group (p : program) spec ~by =
   let open Bw_ir.Builder in
   let* () =
-    if List.mem by spec.index_arrays then Ok ()
+    if mem_name by spec.index_arrays then Ok ()
     else Error ("'" ^ by ^ "' is not one of the index arrays")
   in
   let* data0 =

@@ -1,5 +1,7 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
 (* One top-level statement's references: per array, its subscript
    lists, sorted so that two arrays used through the same multiset of
    subscripts compare equal. *)
@@ -18,7 +20,7 @@ let subscripts_by_array stmt =
 let candidates (p : program) =
   let arrays = List.filter is_array p.decls in
   let eligible d =
-    not (List.mem d.var_name p.live_out)
+    not (mem_name d.var_name p.live_out)
   in
   (* built on the first same-shape pair: most programs have none *)
   let stmts = lazy (List.map subscripts_by_array p.body) in
@@ -95,7 +97,7 @@ let regroup_pair (p : program) a b =
   | Some da, Some db when is_array da && is_array db ->
     if da.dims <> db.dims || da.dtype <> db.dtype then
       Error "arrays have different shapes"
-    else if List.mem a p.live_out || List.mem b p.live_out then
+    else if mem_name a p.live_out || mem_name b p.live_out then
       Error "a grouped array is live-out"
     else begin
       let taken =

@@ -1,11 +1,12 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
 (* Does [stmt] write array [a] or any variable read by [subscripts]? *)
 let blocks a subscripts stmt =
   let written = Bw_ir.Ast_util.vars_written [ stmt ] in
   let subscript_vars = List.concat_map Bw_ir.Ast_util.expr_reads subscripts in
-  List.mem a written
-  || List.exists (fun v -> List.mem v written) subscript_vars
+  mem_name a written || List.exists (fun v -> mem_name v written) subscript_vars
 
 (* Replace reads [Element (a, subs)] by [Scalar temp] in an expression. *)
 let rec replace_expr a subs temp e =

@@ -1,5 +1,9 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
+module Names = Bw_ir.Ast_util.Names
+
 type plan = {
   array : string;
   loop_position : int;
@@ -45,16 +49,34 @@ let classify_ref ~x ~dim (r : Bw_analysis.Refs.t) =
 let other_dims_free ~x ~dim (r : Bw_analysis.Refs.t) =
   List.for_all
     (fun (d, sub) ->
-      d = dim || not (List.mem x (Bw_ir.Ast_util.expr_reads sub)))
+      d = dim || not (mem_name x (Bw_ir.Ast_util.expr_reads sub)))
     (List.mapi (fun d sub -> (d, sub)) r.Bw_analysis.Refs.subscripts)
 
-(* Each top-level statement's references.  Planning reads one array's
-   references from these, so planning every array collects them once —
-   and not at all when every array fails the checks before. *)
-let stmt_refs (p : program) =
-  lazy (List.map (fun stmt -> Bw_analysis.Refs.collect [ stmt ]) p.body)
+(* Every array's references, each tagged with the top-level statement
+   it lives in, in program order; positions count from each top-level
+   statement.  Planning reads one array's references from this index,
+   so planning every array collects them once — and not at all when
+   every array fails the checks before. *)
+let refs_index (p : program) =
+  lazy
+    (let index = Names.create 16 in
+     List.iteri
+       (fun top stmt ->
+         List.iter
+           (fun (r : Bw_analysis.Refs.t) ->
+             let a = r.Bw_analysis.Refs.array in
+             let prev = Option.value ~default:[] (Names.find_opt index a) in
+             Names.replace index a ((top, r) :: prev))
+           (Bw_analysis.Refs.collect [ stmt ]))
+       p.body;
+     index)
 
-let plan_with ~refs (p : program) array =
+let tagged_refs index array =
+  match Names.find_opt (Lazy.force index) array with
+  | Some rev_tagged -> List.rev rev_tagged
+  | None -> []
+
+let plan_with ~index (p : program) array =
   let* decl =
     match find_decl p array with
     | Some d when is_array d -> Ok d
@@ -62,16 +84,10 @@ let plan_with ~refs (p : program) array =
     | None -> Error "no such array"
   in
   let* () =
-    if List.mem array p.live_out then Error "array is live-out" else Ok ()
+    if mem_name array p.live_out then Error "array is live-out" else Ok ()
   in
   (* refs tagged with the top-level statement position they live in *)
-  let tagged =
-    List.concat
-      (List.mapi
-         (fun top in_stmt ->
-           Bw_analysis.Refs.of_array array in_stmt |> List.map (fun r -> (top, r)))
-         (Lazy.force refs))
-  in
+  let tagged = tagged_refs index array in
   let mine = List.map snd tagged in
   let top_of (r : Bw_analysis.Refs.t) =
     fst (List.find (fun (_, r') -> r' == r) tagged)
@@ -90,7 +106,7 @@ let plan_with ~refs (p : program) array =
           List.exists
             (fun (r : Bw_analysis.Refs.t) ->
               List.exists
-                (fun sub -> List.mem l.index (Bw_ir.Ast_util.expr_reads sub))
+                (fun sub -> mem_name l.index (Bw_ir.Ast_util.expr_reads sub))
                 r.Bw_analysis.Refs.subscripts)
             mine
         in
@@ -127,7 +143,7 @@ let plan_with ~refs (p : program) array =
         (fun (r : Bw_analysis.Refs.t) ->
           List.mapi (fun d sub -> (d, sub)) r.Bw_analysis.Refs.subscripts
           |> List.filter_map (fun (d, sub) ->
-                 if List.mem x (Bw_ir.Ast_util.expr_reads sub) then Some d
+                 if mem_name x (Bw_ir.Ast_util.expr_reads sub) then Some d
                  else None))
         mine
       |> List.sort_uniq compare
@@ -329,7 +345,7 @@ let plan_with ~refs (p : program) array =
   in
   try_candidates [] candidates
 
-let plan p array = plan_with ~refs:(stmt_refs p) p array
+let plan p array = plan_with ~index:(refs_index p) p array
 
 (* ------------------------------------------------------------------ *)
 (* Rewriting *)
@@ -441,8 +457,8 @@ let rec modular_stmt ~array ~dim ~base ~depth s =
   | For l ->
     For { l with body = List.map (modular_stmt ~array ~dim ~base ~depth) l.body }
 
-let apply_with ~refs (p : program) array =
-  let* pl = plan_with ~refs p array in
+let apply_with ~index (p : program) array =
+  let* pl = plan_with ~index p array in
   let decl = Option.get (find_decl p array) in
   let l =
     match List.nth p.body pl.loop_position with
@@ -521,21 +537,85 @@ let apply_with ~refs (p : program) array =
   in
   Ok ({ p with decls; body = Simplify.simplify_stmts body }, pl)
 
-let apply p array = apply_with ~refs:(stmt_refs p) p array
+let apply p array = apply_with ~index:(refs_index p) p array
 
+(* The top-level loop headers planning reads: position, index, bounds
+   and step (never the body). *)
+let loop_headers (p : program) =
+  List.concat
+    (List.mapi
+       (fun i s ->
+         match s with For l -> [ (i, { l with body = [] }) ] | _ -> [])
+       p.body)
+
+let same_header (i, (l : loop)) (i', (l' : loop)) = i = i' && equal_loop l l'
+
+(* Every field of a tagged reference but its affine forms, which are a
+   function of its subscripts. *)
+let same_ref (top, (r : Bw_analysis.Refs.t)) (top', (r' : Bw_analysis.Refs.t)) =
+  let open Bw_analysis.Refs in
+  let same_context c c' =
+    String.equal c.index c'.index
+    && equal_expr c.lo c'.lo && equal_expr c.hi c'.hi
+    && equal_expr c.step c'.step
+  in
+  top = top' && r.position = r'.position && r.access = r'.access
+  && String.equal r.array r'.array
+  && List.equal equal_expr r.subscripts r'.subscripts
+  && List.equal same_context r.loops r'.loops
+
+(* What a failed plan read of the program besides the live-out list. *)
+type failure = {
+  decl : decl;
+  headers : (int * loop) list;
+  tagged : (int * Bw_analysis.Refs.t) list;
+}
+
+(* Shrink the first array, in declaration order, that plans; repeat on
+   the result until none does.  A live-out array never plans.  Planning
+   any other array reads only its declaration, the top-level loop
+   headers and the array's tagged references, so an array whose plan
+   failed is not planned again while all three stay the same: on a
+   large program most arrays fail the same way round after round.  The
+   headers are kept physically while they stay equal, and committing a
+   plan leaves the other declarations physically alone, so those two
+   compare with [==]. *)
 let shrink_all (p : program) =
-  let rec go p plans =
-    let arrays = List.filter_map (fun d -> if is_array d then Some d.var_name else None) p.decls in
-    let refs = stmt_refs p in
+  let failed = Names.create 16 in
+  let rec go p plans ~headers =
+    let headers =
+      let now = loop_headers p in
+      if List.equal same_header headers now then headers else now
+    in
+    let index = refs_index p in
+    let fails_again d =
+      match Names.find_opt failed d.var_name with
+      | Some f ->
+        f.decl == d && f.headers == headers
+        && List.equal same_ref f.tagged (tagged_refs index d.var_name)
+      | None -> false
+    in
     let attempt =
       List.find_map
-        (fun a ->
-          if List.exists (fun (pl : plan) -> pl.array = a) plans then None
-          else match apply_with ~refs p a with Ok r -> Some r | Error _ -> None)
-        arrays
+        (fun d ->
+          let a = d.var_name in
+          if
+            (not (is_array d))
+            || mem_name a p.live_out
+            || List.exists (fun (pl : plan) -> String.equal pl.array a) plans
+            || fails_again d
+          then None
+          else
+            match apply_with ~index p a with
+            | Ok r -> Some r
+            | Error _ ->
+              Names.replace failed a
+                { decl = d; headers; tagged = tagged_refs index a };
+              None)
+        p.decls
     in
     match attempt with
-    | Some (p', pl) -> go p' (plans @ [ pl ])
+    | Some (p', pl) -> go p' (plans @ [ pl ]) ~headers
     | None -> (p, plans)
   in
-  go p []
+  go p [] ~headers:[]

@@ -37,7 +37,9 @@ val plan : Bw_ir.Ast.program -> string -> (plan, string) result
     suite's interpreter comparisons). *)
 val apply : Bw_ir.Ast.program -> string -> (Bw_ir.Ast.program * plan, string) result
 
-(** Shrink every array the analysis accepts; returns the plans applied. *)
+(** Shrink every array the analysis accepts; returns the plans applied,
+    in order.  Each round applies the first array, in declaration order
+    and not shrunk yet, that plans, until none does. *)
 val shrink_all : Bw_ir.Ast.program -> Bw_ir.Ast.program * plan list
 
 (** Total declared data bytes of a program — the storage metric Figure 6

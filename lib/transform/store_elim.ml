@@ -59,7 +59,7 @@ let eliminate_dead_stores (p : program) =
           let arrays_written =
             Bw_analysis.Refs.writes refs
             |> List.map (fun (r : Bw_analysis.Refs.t) -> r.Bw_analysis.Refs.array)
-            |> List.sort_uniq compare
+            |> List.sort_uniq String.compare
             |> List.filter (fun a ->
                    match find_decl p a with
                    | Some d -> is_array d
@@ -84,7 +84,7 @@ let eliminate_dead_stores (p : program) =
         | Assign _ | Read_input _ | Print _ | If _ -> stmt)
       p.body
   in
-  ({ p with body }, List.sort_uniq compare !eliminated)
+  ({ p with body }, List.sort_uniq String.compare !eliminated)
 
 let run p =
   let p, _ = Scalar_replace.forward_stores p in

@@ -49,10 +49,15 @@ let () =
 
 (* Run one pass under observability: a "pass:<name>" span carrying the
    program's static statistics before and after (statement counts,
-   distinct arrays, predicted balance — see Ir_stats), plus a
+   distinct arrays, predicted balance — see Ir_stats) and the words the
+   pass allocated on the minor heap (alloc.minor_words), plus a
    pass.<name>.runs counter.  The statistics are only computed when
    tracing is enabled, so the untraced pipeline pays one atomic load and
    a counter bump per pass. *)
+let alloc_since words =
+  ( "alloc.minor_words",
+    Bw_obs.Trace.Int (int_of_float (Gc.minor_words () -. words)) )
+
 let pass name f p =
   Bw_obs.Metrics.incr (Bw_obs.Metrics.counter ("pass." ^ name ^ ".runs"));
   if not (Bw_obs.Trace.enabled ()) then f p
@@ -64,15 +69,20 @@ let pass name f p =
           :: Ir_stats.span_attrs ~prefix:"before." (Ir_stats.of_program p))
         ("pass:" ^ name)
     in
+    let words = Gc.minor_words () in
     match f p with
     | (p', _aux) as result ->
+      let alloc = alloc_since words in
       Bw_obs.Trace.finish
-        ~attrs:(Ir_stats.span_attrs ~prefix:"after." (Ir_stats.of_program p'))
+        ~attrs:
+          (alloc
+          :: Ir_stats.span_attrs ~prefix:"after." (Ir_stats.of_program p'))
         h;
       result
     | exception e ->
+      let alloc = alloc_since words in
       Bw_obs.Trace.finish
-        ~attrs:[ ("error", Bw_obs.Trace.Str (Printexc.to_string e)) ]
+        ~attrs:[ alloc; ("error", Bw_obs.Trace.Str (Printexc.to_string e)) ]
         h;
       raise e
   end

@@ -1,5 +1,7 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
 (* Collect a perfect nest: loops whose body is exactly one inner loop. *)
 let rec collect_nest (l : loop) =
   match l.body with
@@ -28,7 +30,7 @@ let permutable loops innermost_body =
         List.for_all
           (fun e ->
             List.for_all
-              (fun v -> not (List.mem v indices))
+              (fun v -> not (mem_name v indices))
               (Bw_ir.Ast_util.expr_reads e))
           [ l.lo; l.hi; l.step ])
       loops
@@ -63,9 +65,9 @@ let permutable loops innermost_body =
       let scalars =
         Bw_ir.Ast_util.vars_written innermost_body
         |> List.filter (fun v ->
-               (not (List.mem v arrays))
-               && (not (List.mem v indices))
-               && not (List.mem v inner_indices))
+               (not (mem_name v arrays))
+               && (not (mem_name v indices))
+               && not (mem_name v inner_indices))
       in
       let bad_scalar =
         List.find_opt
@@ -110,7 +112,7 @@ let tile_nest (l : loop) ~tiles =
   | Error e -> Error e
   | Ok () ->
     let indices = List.map (fun lp -> lp.index) loops in
-    if List.exists (fun (i, _) -> not (List.mem i indices)) tiles then
+    if List.exists (fun (i, _) -> not (mem_name i indices)) tiles then
       Error "tile_nest: unknown loop index"
     else if List.exists (fun (_, t) -> t <= 0) tiles then
       Error "tile_nest: non-positive tile"
@@ -125,7 +127,7 @@ let tile_nest (l : loop) ~tiles =
             match ok with
             | Error _ as e -> e
             | Ok () -> (
-              match List.assoc_opt lp.index tiles with
+              match Bw_ir.Ast_util.assoc_name lp.index tiles with
               | None ->
                 element_loops := !element_loops @ [ lp ];
                 Ok ()

@@ -1,10 +1,12 @@
 open Bw_ir.Ast
 
+let mem_name = Bw_ir.Ast_util.mem_name
+
 let stmt_vars stmt =
   let reads = Bw_ir.Ast_util.vars_read [ stmt ] in
   let writes = Bw_ir.Ast_util.vars_written [ stmt ] in
   let indices = Bw_ir.Ast_util.loop_indices [ stmt ] in
-  let strip vars = List.filter (fun v -> not (List.mem v indices)) vars in
+  let strip vars = List.filter (fun v -> not (mem_name v indices)) vars in
   (strip reads, strip writes)
 
 let dep_graph (p : program) =
@@ -17,8 +19,8 @@ let dep_graph (p : program) =
       let reads_a, writes_a = accesses.(a) in
       let reads_b, writes_b = accesses.(b) in
       let conflict =
-        List.exists (fun v -> List.mem v reads_b || List.mem v writes_b) writes_a
-        || List.exists (fun v -> List.mem v writes_b) reads_a
+        List.exists (fun v -> mem_name v reads_b || mem_name v writes_b) writes_a
+        || List.exists (fun v -> mem_name v writes_b) reads_a
       in
       if conflict then Bw_graph.Digraph.add_edge g a b
     done

@@ -231,6 +231,31 @@ let test_fusable_scalar_carried () =
   | Ok () -> ()
   | Error reason -> Alcotest.failf "private scalar should fuse: %s" reason
 
+(* The message names the first offending pair in (first loop's
+   reference, second loop's reference) order.  Loop 1 writes z before a;
+   loop 2 reads a before z, and a sorts first too, so a visit array by
+   array — in loop 2's order or by name — would report a instead.  A
+   carried scalar is reported first by name: t is written and read
+   before s, but s is named. *)
+let test_fusable_first_offending_pair () =
+  let mk b =
+    loop_of
+      (Printf.sprintf
+         "program p\n real a[100]\n real z[100]\n real u[100]\n real s\n real t\n live_out a, z, u\n for i = 3, 98\n %s\n end for\nend"
+         b)
+  in
+  let verdict l1 l2 =
+    match Depend.fusable l1 l2 with Ok () -> "fusable" | Error e -> e
+  in
+  let message = Alcotest.string in
+  check message "first pair in reference order"
+    "array 'z': backward dependence (distance -1)"
+    (verdict (mk "z[i] = 1.0\n a[i] = 2.0") (mk "u[i] = a[i+2] + z[i+1]"));
+  check message "first carried scalar by name" "scalar 's' carried between loops"
+    (verdict
+       (mk "t = a[i]\n s = z[i]\n u[i] = t + s")
+       (mk "a[i] = t\n z[i] = s"))
+
 let test_fusable_read_stream () =
   (* two read() loops both consume the sequential input stream; fusing
      them would interleave their stream positions *)
@@ -477,6 +502,8 @@ let suites =
           test_fusable_scalar_carried;
         Alcotest.test_case "input stream blocks fusion" `Quick
           test_fusable_read_stream;
+        Alcotest.test_case "names the first offending pair" `Quick
+          test_fusable_first_offending_pair;
         Alcotest.test_case "multidim distance" `Quick test_pair_test_multidim;
         Alcotest.test_case "gcd independence" `Quick test_gcd_independent;
         Alcotest.test_case "gcd enables fusion" `Quick test_gcd_blocks_fusion;

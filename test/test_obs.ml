@@ -189,7 +189,11 @@ let test_strategy_emits_pass_spans () =
               (find_attr s key <> None))
           [ "before.statements"; "after.statements"; "before.distinct_arrays";
             "after.distinct_arrays"; "before.predicted_balance";
-            "after.predicted_balance" ]
+            "after.predicted_balance" ];
+        check bool (name ^ " allocated a positive number of words") true
+          (match find_attr s "alloc.minor_words" with
+          | Some (Trace.Int w) -> w > 0
+          | _ -> false)
       | l -> Alcotest.failf "%s: expected 1 span, got %d" name (List.length l))
     all_passes;
   (* one committed guard span per stage (input + 6 passes) *)

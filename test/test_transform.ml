@@ -464,6 +464,50 @@ let test_shrink_plain_window () =
     check int "depth 1" 1 plan.Shrink.depth;
     same_semantics "window" p p'
 
+(* [Shrink.shrink_all] does not re-plan an array whose failed plan read
+   the same inputs; the reference plans every round from scratch: apply
+   the first array, in declaration order and not shrunk yet, that
+   plans, and repeat until none does. *)
+let shrink_by_restarting (p : Ast.program) =
+  let rec go (p : Ast.program) plans =
+    let attempt (d : Ast.decl) =
+      if List.exists (fun (pl : Shrink.plan) -> pl.Shrink.array = d.Ast.var_name) plans
+      then None
+      else Result.to_option (Shrink.apply p d.Ast.var_name)
+    in
+    match List.find_map attempt p.Ast.decls with
+    | Some (p', pl) -> go p' (plans @ [ pl ])
+    | None -> (p, plans)
+  in
+  go p []
+
+let test_shrink_all_equals_restarting () =
+  let inputs = ref 0 and several = ref 0 in
+  let same name p =
+    incr inputs;
+    let q, plans = Shrink.shrink_all p in
+    let q', plans' = shrink_by_restarting p in
+    if plans <> plans' || not (Ast.equal_program q q') then
+      Alcotest.failf "%s: shrink_all differs from planning from scratch" name;
+    if List.length plans >= 2 then incr several
+  in
+  let both (name, p) =
+    same name p;
+    same (name ^ " fused") (fst (Contract.contract_arrays (Fuse.greedy p)))
+  in
+  List.iter both
+    (Pins.corpus_programs ~corpus:"../corpus" @ Pins.registry_programs ~scale:1);
+  List.iter
+    (fun size ->
+      for seed = 1 to 2000 do
+        both
+          ( Printf.sprintf "gen seed %d size %d" seed size,
+            Bw_qa.Gen.generate ~seed ~size )
+      done)
+    [ 3; 6; 12 ];
+  check int "inputs" 12080 !inputs;
+  check bool "some inputs take several plans" true (!several > 0)
+
 (* --- Simplify ----------------------------------------------------------------------- *)
 
 let test_simplify_folding () =
@@ -534,6 +578,31 @@ let test_strategy_fig7 () =
     (List.mem "res" report.Strategy.stores_eliminated);
   let _, c = Bw_exec.Run.observe p' in
   check int "no stores" 0 c.Bw_machine.Counters.stores
+
+(* One optimize of the corpus's largest program, as the compile
+   benchmark runs it: parse, the guarded pipeline, layout.  Its
+   minor-heap allocation repeats exactly from run to run; the budget is
+   10% above the 1,377,525 words counted when it was set. *)
+let test_nas_sp_allocation_budget () =
+  Bw_obs.Fault.reset ();
+  let src =
+    In_channel.with_open_bin "../corpus/nas_sp.bw" In_channel.input_all
+  in
+  let op () =
+    match Bw_lang.Parse.parse_program src with
+    | Error e -> Alcotest.failf "%a" Bw_lang.Parse.pp_error e
+    | Ok p ->
+      let q, _, _ = Strategy.run_guarded p in
+      Layout.run q
+  in
+  ignore (op ());
+  let words = Gc.minor_words () in
+  ignore (Sys.opaque_identity (op ()));
+  let used = Gc.minor_words () -. words in
+  let budget = 1_515_278.0 in
+  if used > budget then
+    Alcotest.failf "one nas_sp optimize allocated %.0f minor words, budget %.0f"
+      used budget
 
 let test_strategy_fig6 () =
   let p = Bw_workloads.Fig6.fused ~n:30 in
@@ -793,7 +862,9 @@ let suites =
         Alcotest.test_case "various sizes" `Quick test_shrink_semantics_various_n;
         Alcotest.test_case "rejects live-out" `Quick test_shrink_rejects_live_out;
         Alcotest.test_case "rejects lookahead" `Quick test_shrink_rejects_lookahead;
-        Alcotest.test_case "plain window" `Quick test_shrink_plain_window ] );
+        Alcotest.test_case "plain window" `Quick test_shrink_plain_window;
+        Alcotest.test_case "shrink_all equals planning from scratch" `Quick
+          test_shrink_all_equals_restarting ] );
     ( "transform.simplify",
       [ Alcotest.test_case "folding" `Quick test_simplify_folding;
         Alcotest.test_case "prunes branches" `Quick test_simplify_prunes_branches;
@@ -801,6 +872,8 @@ let suites =
     ( "transform.strategy",
       [ Alcotest.test_case "fig7 pipeline" `Quick test_strategy_fig7;
         Alcotest.test_case "fig6 pipeline" `Quick test_strategy_fig6;
+        Alcotest.test_case "nas_sp allocation budget" `Quick
+          test_nas_sp_allocation_budget;
         Alcotest.test_case "preserves all workloads" `Slow test_strategy_preserves_workloads;
         Alcotest.test_case "preserves random programs" `Slow test_strategy_preserves_random_programs ] );
     ( "transform.guard",
