@@ -55,33 +55,8 @@
 
 open Cmdliner
 
-(* The -rp variants place array pages at pseudo-random physical
-   addresses (a fixed seed keeps them reproducible), defeating the
-   page-colouring assumption behind the contiguous models — the setting
-   where data-layout rewrites earn their keep. *)
-let random_pages (m : Bw_machine.Machine.t) suffix =
-  { m with
-    Bw_machine.Machine.name = m.Bw_machine.Machine.name ^ suffix;
-    paging = Bw_machine.Machine.Random_pages { page_bytes = 4096; seed = 1 } }
-
-let machines =
-  [ ("origin2000", Bw_machine.Machine.origin2000);
-    ("exemplar", Bw_machine.Machine.exemplar);
-    ("origin-scaled", Bw_core.Experiments.origin_scaled);
-    ("unconstrained", Bw_machine.Machine.unconstrained);
-    ("origin-rp", random_pages Bw_machine.Machine.origin2000 "-rp");
-    ("exemplar-rp", random_pages Bw_machine.Machine.exemplar "-rp") ]
-
 let machine_conv =
-  let parse s =
-    match List.assoc_opt s machines with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown machine '%s' (try %s)" s
-             (String.concat ", " (List.map fst machines))))
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Bw_core.Loader.machine s) in
   let print ppf (m : Bw_machine.Machine.t) =
     Format.pp_print_string ppf m.Bw_machine.Machine.name
   in
@@ -403,7 +378,7 @@ let optimize_cmd =
         | Some e -> Some e
         | None ->
           Format.eprintf
-            "bwc: unknown fuse-search engine '%s' (greedy, anneal, exact)@." s;
+            "bwc: unknown fuse-search engine '%s' (anneal, exact)@." s;
           exit 1)
     in
     (* the closure records the last search's stats so they can be
@@ -464,22 +439,17 @@ let optimize_cmd =
     | Some st ->
       let open Bw_fusion.Search in
       Format.printf "%a@." pp_stats st;
-      (match st.engine with
-      | Greedy ->
-        Format.printf "fuse-search: greedy baseline %.2f MB@."
-          (st.greedy_traffic /. 1e6)
-      | engine ->
-        let win =
-          if st.greedy_traffic > 0.0 then
-            100.0 *. (st.greedy_traffic -. st.traffic) /. st.greedy_traffic
-          else 0.0
-        in
-        Format.printf "fuse-search: greedy %.2f MB, %s %.2f MB, %s greedy by %.1f%%@."
-          (st.greedy_traffic /. 1e6)
-          (engine_to_string engine)
-          (st.traffic /. 1e6)
-          (if win >= 0.0 then "beats" else "trails")
-          (Float.abs win));
+      let win =
+        if st.greedy_traffic > 0.0 then
+          100.0 *. (st.greedy_traffic -. st.traffic) /. st.greedy_traffic
+        else 0.0
+      in
+      Format.printf "fuse-search: greedy %.2f MB, %s %.2f MB, %s greedy by %.1f%%@."
+        (st.greedy_traffic /. 1e6)
+        (engine_to_string st.engine)
+        (st.traffic /. 1e6)
+        (if win >= 0.0 then "beats" else "trails")
+        (Float.abs win);
       if not st.accepted then
         Format.printf "fuse-search: declined (no predicted win over the input)@.");
     Format.printf "%a@.@." Bw_transform.Strategy.pp_report report;
@@ -579,13 +549,13 @@ let optimize_cmd =
       & info [ "fuse-search" ] ~docv:"ENGINE"
           ~doc:
             "Replace the greedy adjacent-fusion sweep with the k-way fusion \
-             search: $(docv) is greedy (sequential min-cut), anneal \
-             (seeded randomized-restart annealing, the default when the \
-             flag is given bare) or exact (set-partition DP, small \
-             programs only).  The winning plan runs in its own guarded \
-             stage and is kept only when the analytic predictor prices it \
-             no worse than the input; greedy-vs-search predicted traffic \
-             is reported either way.")
+             search: $(docv) is anneal (seeded randomized-restart \
+             annealing from the sweep's plan, the default when the flag \
+             is given bare) or exact (set-partition DP, small programs \
+             only).  The winning plan runs in its own guarded stage and \
+             is kept only when the analytic predictor prices it no worse \
+             than the input; the predicted traffic of the sweep (greedy) \
+             and of the search is reported either way.")
   in
   let search_seed_arg =
     Arg.(

@@ -57,8 +57,8 @@ val ablation_pipeline : ?scale:int -> unit -> Table.t
 (** Ablation: sensitivity of memory balance to cache capacity. *)
 val ablation_cache : ?scale:int -> unit -> Table.t
 
-(** Fusion search: greedy sequential min-cut vs the annealed k-way
-    engine (and the exact DP where affordable) on the seeded DAG
+(** Fusion search: the default pipeline's greedy sweep vs the annealed
+    k-way engine (and the exact DP where affordable) on the seeded DAG
     family, priced by the analytic predictor ({!Bw_fusion.Search}). *)
 val fuse_search : ?scale:int -> unit -> Table.t
 

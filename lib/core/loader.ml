@@ -43,3 +43,24 @@ let load_program ~scale name =
           (Printf.sprintf
              "'%s' is neither a built-in workload nor a file (try 'bwc list')"
              name))
+
+let random_pages (m : Bw_machine.Machine.t) =
+  { m with
+    Bw_machine.Machine.name = m.Bw_machine.Machine.name ^ "-rp";
+    paging = Bw_machine.Machine.Random_pages { page_bytes = 4096; seed = 1 } }
+
+let machines =
+  [ ("origin2000", Bw_machine.Machine.origin2000);
+    ("exemplar", Bw_machine.Machine.exemplar);
+    ("origin-scaled", Accuracy.origin_scaled);
+    ("unconstrained", Bw_machine.Machine.unconstrained);
+    ("origin-rp", random_pages Bw_machine.Machine.origin2000);
+    ("exemplar-rp", random_pages Bw_machine.Machine.exemplar) ]
+
+let machine name =
+  match List.assoc_opt name machines with
+  | Some m -> Ok m
+  | None ->
+    Error
+      (Printf.sprintf "unknown machine '%s' (known: %s)" name
+         (String.concat ", " (List.map fst machines)))

@@ -1,12 +1,8 @@
-type engine = Greedy | Anneal | Exact
+type engine = Anneal | Exact
 
-let engine_to_string = function
-  | Greedy -> "greedy"
-  | Anneal -> "anneal"
-  | Exact -> "exact"
+let engine_to_string = function Anneal -> "anneal" | Exact -> "exact"
 
 let engine_of_string = function
-  | "greedy" -> Some Greedy
   | "anneal" -> Some Anneal
   | "exact" -> Some Exact
   | _ -> None
@@ -213,190 +209,24 @@ let topo_order ctx blocks =
   | Some order -> Some (List.map (fun bi -> blocks.(bi)) order)
 
 (* ------------------------------------------------------------------ *)
-(* Greedy sequential min-cut                                          *)
+(* The default pipeline's sweep, as a plan                            *)
 
-let footprint ctx members =
-  let arrays =
-    List.concat_map
-      (fun v -> ctx.g.Fusion_graph.nodes.(v).Fusion_graph.arrays)
-      members
-    |> List.sort_uniq compare
+(* {!Bw_transform.Fuse.greedy} written as a plan: contiguous runs in
+   program order, each grown while the next statement is not
+   fusion-preventing with any member and the fold still fuses the run.
+   Runs in program order need no reordering, so the plan is legal as it
+   stands. *)
+let sweep_plan ctx =
+  (* [run] is the open run, last member first *)
+  let rec grow run v plan =
+    if v = ctx.n then List.rev (List.rev run :: plan)
+    else if
+      (not (List.exists (fun u -> ctx.prevent.(u).(v)) run))
+      && Option.is_some (block_cost ctx (List.rev (v :: run)))
+    then grow (v :: run) (v + 1) plan
+    else grow [ v ] (v + 1) (List.rev run :: plan)
   in
-  List.fold_left
-    (fun acc a ->
-      match Bw_ir.Ast.find_decl ctx.p a with
-      | Some d -> acc +. float_of_int (Bw_ir.Ast.decl_bytes d)
-      | None -> acc)
-    0.0 arrays
-
-let preventing_within ctx members =
-  let rec pairs = function
-    | [] -> []
-    | u :: rest ->
-      List.filter_map
-        (fun v -> if ctx.prevent.(u).(v) then Some (u, v) else None)
-        rest
-      @ pairs rest
-  in
-  pairs members
-
-let orient ctx u v =
-  if Bw_graph.Topo.has_path ctx.g.Fusion_graph.deps u v then (v, u) else (u, v)
-
-(* How many preventing pairs each forced bisection tries: the greedy
-   baseline stays fast on 200-loop instances by sampling the heaviest
-   few pairs instead of all of them (multi_partition tries every pair,
-   which is quadratic in the reduction count). *)
-let pair_budget = 4
-
-(* The hyper-graph min-cut is O(E^3) and every dependence edge inside
-   the cluster contributes three enforcement hyper-edges, so it is only
-   affordable on small, sparse clusters; larger ones fall back to the
-   positional split below. *)
-let mincut_edge_budget = 150
-
-let cluster_edges ctx members =
-  let inside = Array.make ctx.n false in
-  List.iter (fun v -> inside.(v) <- true) members;
-  let deps =
-    List.fold_left
-      (fun acc u ->
-        acc + List.length (List.filter (fun w -> inside.(w)) ctx.succ_of.(u)))
-      0 members
-  in
-  let arrays =
-    List.concat_map
-      (fun v -> ctx.g.Fusion_graph.nodes.(v).Fusion_graph.arrays)
-      members
-    |> List.sort_uniq compare |> List.length
-  in
-  (3 * deps) + arrays
-
-(* Cheap always-legal bisection of a cluster: members are in ascending
-   statement position and top-level dependences flow forward in
-   position, so every positional prefix is dependence-closed.  Pick the
-   prefix boundary that separates at least one preventing pair at the
-   lowest array-count cost (the same objective the min-cut optimises). *)
-let positional_split ctx members pairs =
-  let arr = Array.of_list members in
-  let k = Array.length arr in
-  let idx = Hashtbl.create k in
-  Array.iteri (fun i v -> Hashtbl.add idx v i) arr;
-  let separates = Array.make (max 1 (k - 1)) false in
-  List.iter
-    (fun (u, v) ->
-      let iu = min (Hashtbl.find idx u) (Hashtbl.find idx v)
-      and iv = max (Hashtbl.find idx u) (Hashtbl.find idx v) in
-      for b = iu to iv - 1 do
-        separates.(b) <- true
-      done)
-    pairs;
-  let arrays_of v = ctx.g.Fusion_graph.nodes.(v).Fusion_graph.arrays in
-  let cost_at b =
-    (* arrays touched by prefix [0..b] plus arrays touched by the rest *)
-    let prefix = Hashtbl.create 16 and suffix = Hashtbl.create 16 in
-    Array.iteri
-      (fun i v ->
-        List.iter
-          (fun a -> Hashtbl.replace (if i <= b then prefix else suffix) a ())
-          (arrays_of v))
-      arr;
-    Hashtbl.length prefix + Hashtbl.length suffix
-  in
-  let best = ref None in
-  for b = 0 to k - 2 do
-    if separates.(b) then begin
-      let c = cost_at b in
-      match !best with
-      | Some (bc, _) when bc <= c -> ()
-      | _ -> best := Some (c, b)
-    end
-  done;
-  let _, b = Option.get !best in
-  ( Array.to_list (Array.sub arr 0 (b + 1)),
-    Array.to_list (Array.sub arr (b + 1) (k - b - 1)) )
-
-(* Split a fold-infeasible block at its longest feasible prefix; a
-   single statement always prices, so this terminates. *)
-let rec repair ctx members =
-  if block_cost ctx members <> None then [ members ]
-  else begin
-    let arr = Array.of_list members in
-    let k = Array.length arr in
-    let rec longest j =
-      if j <= 1 then 1
-      else if block_cost ctx (Array.to_list (Array.sub arr 0 j)) <> None then j
-      else longest (j - 1)
-    in
-    let j = longest (k - 1) in
-    Array.to_list (Array.sub arr 0 j)
-    :: repair ctx (Array.to_list (Array.sub arr j (k - j)))
-  end
-
-let greedy_plan ctx =
-  let rec solve clusters done_ =
-    let pending, legal =
-      List.partition (fun c -> preventing_within ctx c <> []) clusters
-    in
-    let done_ = legal @ done_ in
-    match pending with
-    | [] -> done_
-    | _ ->
-      (* heaviest cluster first: largest distinct-array footprint,
-         breaking ties on size then first member (deterministic) *)
-      let weight c = (footprint ctx c, List.length c, -List.hd c) in
-      let heaviest =
-        List.fold_left
-          (fun best c ->
-            if weight c > weight best then c else best)
-          (List.hd pending) (List.tl pending)
-      in
-      let rest = List.filter (fun c -> c != heaviest) pending in
-      let pairs =
-        preventing_within ctx heaviest
-        |> List.sort (fun (u1, v1) (u2, v2) ->
-               compare
-                 (footprint ctx [ u2; v2 ], (u1, v1))
-                 (footprint ctx [ u1; v1 ], (u2, v2)))
-      in
-      let first, second =
-        if cluster_edges ctx heaviest > mincut_edge_budget then
-          positional_split ctx heaviest pairs
-        else begin
-          let pairs = List.filteri (fun i _ -> i < pair_budget) pairs in
-          let best_split =
-            List.fold_left
-              (fun acc (u, v) ->
-                let s, t = orient ctx u v in
-                let split =
-                  Bandwidth_minimal.two_partition ctx.g ~within:heaviest ~s ~t
-                in
-                let cost =
-                  Cost.bandwidth_cost ctx.g
-                    [ split.Bandwidth_minimal.first;
-                      split.Bandwidth_minimal.second ]
-                in
-                match acc with
-                | Some (c, _) when c <= cost -> acc
-                | _ -> Some (cost, split))
-              None pairs
-          in
-          let split = snd (Option.get best_split) in
-          (split.Bandwidth_minimal.first, split.Bandwidth_minimal.second)
-        end
-      in
-      solve (first :: second :: rest) done_
-  in
-  let clusters = solve [ List.init ctx.n (fun i -> i) ] [] in
-  let blocks = List.concat_map (repair ctx) clusters in
-  (* deterministic block ids before contraction *)
-  let blocks = List.sort compare blocks in
-  match topo_order ctx blocks with
-  | Some plan -> plan
-  | None ->
-    (* the min-cut's dependence enforcement makes this unreachable;
-       fall back rather than raise inside a search *)
-    List.init ctx.n (fun i -> [ i ])
+  grow [ 0 ] 1 []
 
 (* ------------------------------------------------------------------ *)
 (* Randomized-restart simulated annealing                             *)
@@ -442,28 +272,108 @@ let cost_of_ids ctx asg ids =
             | Some c -> Some (total +. c))))
     (Some 0.0) (List.sort_uniq compare ids)
 
+(* Is the dependence graph contracted onto the blocks of [asg] acyclic?
+   Kahn's algorithm over arrays.  Block ids are arbitrary ints (fresh
+   blocks keep incrementing), so they are numbered densely first. *)
 let acyclic ctx asg =
-  (* block ids are arbitrary ints (fresh blocks keep incrementing), so
-     densify them before building the contracted graph *)
-  let dense = Hashtbl.create 32 in
-  let id b =
-    match Hashtbl.find_opt dense b with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length dense in
-      Hashtbl.add dense b i;
-      i
-  in
-  let bg = Bw_graph.Digraph.create ~size_hint:ctx.n () in
-  Bw_graph.Digraph.ensure_nodes bg ctx.n;
+  let dense = Array.make (Array.fold_left Int.max 0 asg + 1) (-1) in
+  let k = ref 0 in
+  Array.iter
+    (fun b ->
+      if dense.(b) < 0 then begin
+        dense.(b) <- !k;
+        incr k
+      end)
+    asg;
+  let indegree = Array.make !k 0 and succ = Array.make !k [] in
   for u = 0 to ctx.n - 1 do
+    let bu = dense.(asg.(u)) in
     List.iter
       (fun w ->
-        if asg.(u) <> asg.(w) then
-          Bw_graph.Digraph.add_edge bg (id asg.(u)) (id asg.(w)))
+        let bw = dense.(asg.(w)) in
+        if bu <> bw then begin
+          succ.(bu) <- bw :: succ.(bu);
+          indegree.(bw) <- indegree.(bw) + 1
+        end)
       ctx.succ_of.(u)
   done;
-  Bw_graph.Topo.is_acyclic bg
+  let ready = ref [] in
+  Array.iteri (fun b d -> if d = 0 then ready := b :: !ready) indegree;
+  let removed = ref 0 in
+  while !ready <> [] do
+    let b = List.hd !ready in
+    ready := List.tl !ready;
+    incr removed;
+    List.iter
+      (fun c ->
+        indegree.(c) <- indegree.(c) - 1;
+        if indegree.(c) = 0 then ready := c :: !ready)
+      succ.(b)
+  done;
+  !removed = !k
+
+(* Apply the move [apply], which touches the blocks [ids], when the
+   result is legal (no preventing pair inside a touched block, every
+   touched block fuses, the contraction is acyclic) and [keep] takes the
+   touched blocks' objective before and after it; otherwise leave [asg]
+   as it was.  Every legal move is a priced candidate. *)
+let try_move ctx asg ids apply ~keep =
+  match cost_of_ids ctx asg ids with
+  | None -> None (* current state must be legal; just skip *)
+  | Some before ->
+    let saved = Array.copy asg in
+    apply ();
+    let kept =
+      (* the cheap check first: a cyclic move prices no block *)
+      if not (acyclic ctx asg) then None
+      else
+        match cost_of_ids ctx asg ids with
+        | Some after ->
+          ctx.candidates <- ctx.candidates + 1;
+          if keep before after then Some (before, after) else None
+        | None -> None
+    in
+    if Option.is_none kept then Array.blit saved 0 asg 0 ctx.n;
+    kept
+
+(* One first-improvement pass over the nodes in order: move each to the
+   first of its sharers' blocks, or else to a fresh block, that lowers
+   the objective.  Annealing's best plan is rarely a local optimum:
+   2x1300 steps over 200 nodes propose a targeted move per node only a
+   few times. *)
+let descend ctx plan =
+  let asg = assignment_of_plan plan ctx.n in
+  let next_id = ref (List.length plan) in
+  let improved = ref false in
+  let lowers before after = after < before -. 1e-9 in
+  for v = 0 to ctx.n - 1 do
+    let sharer_blocks =
+      Array.fold_left
+        (fun acc w ->
+          let b = asg.(w) in
+          if b = asg.(v) || List.mem b acc then acc else b :: acc)
+        [] ctx.sharers.(v)
+    in
+    let fresh = !next_id in
+    incr next_id;
+    let rec first = function
+      | [] -> ()
+      | target :: rest -> (
+        match
+          try_move ctx asg [ asg.(v); target ]
+            (fun () -> asg.(v) <- target)
+            ~keep:lowers
+        with
+        | Some _ -> improved := true
+        | None -> first rest)
+    in
+    first (List.rev (fresh :: sharer_blocks))
+  done;
+  if not !improved then plan
+  else
+    match topo_order ctx (blocks_of_assignment asg ctx.n) with
+    | Some plan' -> plan'
+    | None -> plan
 
 let anneal ctx cfg start =
   let best = ref start in
@@ -526,7 +436,7 @@ let anneal ctx cfg start =
           merge_of u w
         | 4 | 5 | 6 | 7 -> (
           (* targeted node move: chase a shared array into its block —
-             the move that escapes greedy's contiguous fragmentation,
+             the move that escapes the sweep's contiguous fragmentation,
              where whole-block merges are vetoed by the preventing
              reductions both blocks contain *)
           let u = Random.State.int rng ctx.n in
@@ -542,44 +452,29 @@ let anneal ctx cfg start =
           end
           else move_to u asg.(Random.State.int rng ctx.n)
       in
-      match touched with
-      | [] -> ()
-      | ids -> (
-        match cost_of_ids ctx asg ids with
-        | None -> () (* current state must be legal; just skip *)
-        | Some before_cost ->
-          let saved = Array.copy asg in
-          apply ();
-          (match cost_of_ids ctx asg ids with
-          | None -> Array.blit saved 0 asg 0 ctx.n
-          | Some after_cost ->
-            if not (acyclic ctx asg) then Array.blit saved 0 asg 0 ctx.n
-            else begin
-              ctx.candidates <- ctx.candidates + 1;
-              let delta = (after_cost -. before_cost) /. scale in
-              let accept =
-                delta <= 0.0
-                || Random.State.float rng 1.0 < exp (-.delta /. temp)
-              in
-              if not accept then Array.blit saved 0 asg 0 ctx.n
-              else begin
-                cur := !cur -. before_cost +. after_cost;
-                if !cur < !best_cost -. 1e-9 then begin
-                  match topo_order ctx (blocks_of_assignment asg ctx.n) with
-                  | Some plan ->
-                    best := plan;
-                    best_cost := !cur
-                  | None -> ()
-                end
-              end
-            end))
+      let keep before after =
+        let delta = (after -. before) /. scale in
+        delta <= 0.0 || Random.State.float rng 1.0 < exp (-.delta /. temp)
+      in
+      if touched <> [] then
+        match try_move ctx asg touched apply ~keep with
+        | None -> ()
+        | Some (before, after) ->
+          cur := !cur -. before +. after;
+          if !cur < !best_cost -. 1e-9 then begin
+            match topo_order ctx (blocks_of_assignment asg ctx.n) with
+            | Some plan ->
+              best := plan;
+              best_cost := !cur
+            | None -> ()
+          end
     done
   in
   let unfused = List.init ctx.n (fun v -> [ v ]) in
   for r = 0 to cfg.restarts - 1 do
     run_restart r (if r mod 2 = 0 then start else unfused)
   done;
-  !best
+  descend ctx !best
 
 (* ------------------------------------------------------------------ *)
 (* Exact set-partition DP (optimality oracle)                         *)
@@ -708,10 +603,9 @@ let plan (cfg : config) (p : Bw_ir.Ast.program) =
             ("cache_hits", Bw_obs.Trace.Int st.cache_hits) ])
       "fusion.search"
     @@ fun () ->
-    let greedy = greedy_plan ctx in
+    let greedy = sweep_plan ctx in
     let chosen =
       match cfg.engine with
-      | Greedy -> Ok greedy
       | Anneal -> Ok (anneal ctx cfg greedy)
       | Exact -> exact ctx cfg
     in

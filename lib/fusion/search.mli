@@ -1,6 +1,7 @@
-(** Search-based k-way fusion: greedy sequential min-cut, seeded
-    simulated annealing with restarts, and an exact set-partition DP as
-    the optimality oracle for small instances.
+(** Search-based k-way fusion: seeded simulated annealing with restarts
+    and a closing descent, and an exact set-partition DP as the
+    optimality oracle for small instances.  Both are measured against
+    the default pipeline's fuse stage, {!Bw_transform.Fuse.greedy}.
 
     The paper proves bandwidth-minimal fusion NP-complete and stops at
     the two-partition min-cut ({!Bandwidth_minimal}); this module
@@ -32,8 +33,9 @@
     processes — same contract as {!Bw_workloads.Random_programs}. *)
 
 type engine =
-  | Greedy  (** repeated 2-partition min-cut of the heaviest cluster *)
-  | Anneal  (** seeded randomized-restart simulated annealing *)
+  | Anneal
+      (** seeded randomized-restart simulated annealing, started from the
+          sweep's plan, then one first-improvement descent pass *)
   | Exact  (** memoized set-partition DP, small instances only *)
 
 val engine_to_string : engine -> string
@@ -42,8 +44,8 @@ val engine_of_string : string -> engine option
 type config = {
   engine : engine;
   machine : Bw_machine.Machine.t;  (** pricing machine model *)
-  seed : int;  (** annealing RNG seed; unused by Greedy/Exact *)
-  restarts : int;  (** annealing restarts (even: from greedy, odd: unfused) *)
+  seed : int;  (** annealing RNG seed; unused by Exact *)
+  restarts : int;  (** annealing restarts (even: from the sweep, odd: unfused) *)
   steps : int;  (** annealing steps per restart *)
   exact_limit : int;  (** node-count cap for {!Exact} (default 12) *)
 }
@@ -56,10 +58,14 @@ val default_config :
 type stats = {
   engine : engine;
   nodes : int;  (** top-level statements = fusion-graph nodes *)
-  candidates : int;  (** candidate partitions priced by this search *)
+  candidates : int;
+      (** legal candidates priced by this search: annealing and descent
+          moves, or the DP's blocks *)
   cache_hits : int;  (** block-memo + plan-memo hits *)
   plan : int list list;  (** the winning plan *)
-  greedy_plan : int list list;  (** the greedy baseline's plan *)
+  greedy_plan : int list list;
+      (** the baseline: {!Bw_transform.Fuse.greedy}'s sweep as a plan,
+          i.e. what the default pipeline's fuse stage does *)
   objective : float;  (** additive block objective of [plan], bytes *)
   greedy_objective : float;  (** same objective on [greedy_plan] *)
   traffic : float;  (** whole-plan predicted traffic of [plan], bytes *)
@@ -70,7 +76,9 @@ type stats = {
 }
 
 (** [plan config p] searches for a fusion plan.  Always also computes
-    the greedy baseline (for [greedy_*] stats).  Runs under a
+    the baseline sweep (for [greedy_*] stats): contiguous runs in
+    program order, each grown while the next statement fuses, so that
+    [Fuse.apply_plan p greedy_plan] is [Fuse.greedy p].  Runs under a
     ["fusion.search"] span; candidate counts and memo hits are
     published as [fusion.search.candidates] / [fusion.search.cache_hit]
     in {!Bw_obs.Metrics}.  Errors on an empty program, an [Exact]

@@ -72,27 +72,11 @@ let default_request op =
 
 (* --- machine resolution ---------------------------------------------------- *)
 
-let machines_table =
-  [ ("origin2000", Bw_machine.Machine.origin2000);
-    ("exemplar", Bw_machine.Machine.exemplar);
-    ("origin-scaled", Bw_core.Experiments.origin_scaled);
-    ("unconstrained", Bw_machine.Machine.unconstrained) ]
-
-let machine_names = List.map fst machines_table
-
-let machine name =
-  match List.assoc_opt name machines_table with
-  | Some m -> Ok m
-  | None ->
-    Error
-      (Printf.sprintf "unknown machine '%s' (known: %s)" name
-         (String.concat ", " machine_names))
-
 let resolve_machines req =
   let rec go = function
     | [] -> Ok []
     | name :: rest ->
-      Result.bind (machine name) (fun m ->
+      Result.bind (Bw_core.Loader.machine name) (fun m ->
           Result.map (fun ms -> m :: ms) (go rest))
   in
   match req.machines with [] -> Error "empty machine list" | ms -> go ms

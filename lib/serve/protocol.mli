@@ -130,9 +130,8 @@ val degradable : op -> bool
 
 (** {2 Machines} *)
 
-val machines_table : (string * Bw_machine.Machine.t) list
-val machine_names : string list
-val machine : string -> (Bw_machine.Machine.t, string) result
+(** Resolve the request's machine names through
+    {!Bw_core.Loader.machine}, the catalogue the CLI uses. *)
 val resolve_machines : request -> (Bw_machine.Machine.t list, string) result
 
 (** {2 Engines, budgets} *)

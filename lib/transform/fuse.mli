@@ -24,6 +24,7 @@ val apply_plan :
   Bw_ir.Ast.program -> int list list -> (Bw_ir.Ast.program, string) result
 
 (** Greedy fusion sweep: repeatedly fuse the first fusable adjacent pair
-    of top-level loops until none remains.  A baseline used by the
-    ablation benchmarks. *)
+    of top-level loops until none remains.  This is the default
+    pipeline's fuse stage, and the baseline every fusion-search result
+    ([Bw_fusion.Search]) is measured against. *)
 val greedy : Bw_ir.Ast.program -> Bw_ir.Ast.program

@@ -4,8 +4,8 @@
    arrays and "small" temporaries, plus scalar reductions onto a handful
    of shared accumulators.  Two reductions onto the same accumulator are
    fusion-preventing (the scalar is carried between the loops), so large
-   instances force many partition boundaries — the regime where greedy
-   min-cut and global search separate. *)
+   instances force many partition boundaries — the regime where the
+   default pipeline's adjacent sweep and global search separate. *)
 
 let big_name k = Printf.sprintf "big%d" k
 let small_name k = Printf.sprintf "s%d" k

@@ -6,11 +6,12 @@
     and small temporaries (extent [n/16]), plus scalar reductions onto a
     handful of shared accumulators.  Reductions sharing an accumulator
     cannot fuse (the scalar is carried between the loops), so large
-    instances force many partition boundaries; because array footprints
-    differ by 16x, the array-count min-cut objective and the
-    predicted-traffic (bytes) objective rank those boundaries
-    differently — the regime where greedy min-cut and global search
-    measurably separate.
+    instances force many partition boundaries, and the default
+    pipeline's adjacent sweep only fuses neighbours between them;
+    because array footprints differ by 16x, the array-count objective of
+    the paper's min-cut and the predicted-traffic (bytes) objective also
+    rank those boundaries differently — the regime where greedy fusion
+    and global search measurably separate.
 
     {b Determinism:} [generate] is a pure function of its arguments.
     The generator draws from a private [Random.State] seeded with

@@ -161,16 +161,8 @@ let test_evaluate_capture () =
 
 (* --- optimizer machine independence ------------------------------------------ *)
 
-(* The six machines `bwc --machine` accepts; the random-page variants are
-   built as bwc builds them. *)
-let cli_machines =
-  let rp (m : Machine.t) =
-    { m with
-      Machine.name = m.Machine.name ^ "-rp";
-      paging = Machine.Random_pages { page_bytes = 4096; seed = 1 } }
-  in
-  [ Machine.origin2000; Machine.exemplar; Bw_core.Accuracy.origin_scaled;
-    Machine.unconstrained; rp Machine.origin2000; rp Machine.exemplar ]
+(* The machines `bwc --machine` and serve accept. *)
+let cli_machines = List.map snd Bw_core.Loader.machines
 
 (* No stage of the default pipeline reads the machine, so `bwc optimize`
    and serve return the same program whatever machine they name.  A

@@ -24,15 +24,14 @@ let small_dag ~seed ~loops =
 (* --- Exact oracle --------------------------------------------------------- *)
 
 (* On every instance small enough for the set-partition DP, annealing
-   must land on the DP's optimum and greedy must stay within a bounded
-   (and logged) factor of it. *)
+   must land on the DP's optimum and the sweep baseline must stay within
+   a bounded (and logged) factor of it. *)
 let test_exact_oracle_agreement () =
   List.iter
     (fun (seed, loops) ->
       let p = small_dag ~seed ~loops in
       let _, exact = plan_exn (cfg ~engine:Search.Exact ()) p in
       let _, anneal = plan_exn (cfg ()) p in
-      let _, greedy = plan_exn (cfg ~engine:Search.Greedy ()) p in
       check bool
         (Printf.sprintf "dag%dx%d: exact within limit" seed loops)
         true
@@ -43,10 +42,10 @@ let test_exact_oracle_agreement () =
       if not matches then
         Alcotest.failf "dag%dx%d: anneal %.0f > exact optimum %.0f" seed
           loops anneal.Search.objective exact.Search.objective;
-      let factor = greedy.Search.objective /. exact.Search.objective in
-      Printf.printf "dag%dx%d: greedy/exact factor %.3f\n" seed loops factor;
+      let factor = anneal.Search.greedy_objective /. exact.Search.objective in
+      Printf.printf "dag%dx%d: sweep/exact factor %.3f\n" seed loops factor;
       check bool
-        (Printf.sprintf "dag%dx%d: greedy within 2x of optimum" seed loops)
+        (Printf.sprintf "dag%dx%d: sweep within 2x of optimum" seed loops)
         true (factor <= 2.0))
     [ (1, 6); (2, 6); (1, 8); (2, 8); (3, 8); (1, 10) ]
 
@@ -56,19 +55,47 @@ let test_exact_refuses_large () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "exact DP must refuse instances past exact_limit"
 
-(* --- Greedy vs anneal separation ------------------------------------------- *)
+(* --- The baseline is the default pipeline's fuse stage --------------------- *)
 
-(* The acceptance bar: annealing beats greedy by >= 10% predicted
-   traffic on at least three benchmark instances. *)
+(* The search's baseline plan, applied, is exactly the program the
+   default pipeline's fuse stage builds, so every reported win is a win
+   over what `bwc optimize` already does. *)
+let test_baseline_is_fuse_stage () =
+  let c = { (cfg ()) with Search.restarts = 0 } in
+  let programs =
+    Pins.corpus_programs ~corpus:"../corpus"
+    @ Pins.registry_programs ~scale:1
+    @ Pins.registry_programs ~scale:2
+    @ Pins.dag_programs ()
+    @ List.concat_map
+        (fun size ->
+          List.init 500 (fun i ->
+              let seed = i + 1 in
+              ( Printf.sprintf "gen%d/%d" seed size,
+                Bw_qa.Gen.generate ~seed ~size )))
+        [ 6; 12 ]
+  in
+  List.iter
+    (fun (name, p) ->
+      let _, st = plan_exn c p in
+      match Bw_transform.Fuse.apply_plan p st.Search.greedy_plan with
+      | Error e -> Alcotest.failf "%s: baseline plan does not apply: %s" name e
+      | Ok q ->
+        if not (Bw_ir.Ast.equal_program q (Bw_transform.Fuse.greedy p)) then
+          Alcotest.failf "%s: baseline plan differs from Fuse.greedy" name)
+    programs
+
+(* --- Sweep vs anneal separation ---------------------------------------------- *)
+
+(* The acceptance bar: annealing beats the default pipeline's sweep by
+   >= 10% predicted traffic on at least three benchmark instances. *)
 let test_anneal_beats_greedy () =
   let machine = Bw_core.Experiments.origin_scaled in
   let wins =
     List.filter
       (fun (_, p) ->
-        let c e = { (cfg ~engine:e ()) with Search.machine } in
-        let _, greedy = plan_exn (c Search.Greedy) p in
-        let _, anneal = plan_exn (c Search.Anneal) p in
-        anneal.Search.traffic <= 0.9 *. greedy.Search.traffic)
+        let _, st = plan_exn { (cfg ()) with Search.machine } p in
+        st.Search.traffic <= 0.9 *. st.Search.greedy_traffic)
       (Bw_workloads.Dag_family.instances ~scale:1)
   in
   check bool "anneal beats greedy by >= 10% on >= 3 instances" true
@@ -125,26 +152,30 @@ let test_signature_and_memo () =
 
 (* --- Properties ---------------------------------------------------------------- *)
 
-(* Both engines, over random QA programs and small DAG instances: the
-   plan is structurally valid, and the committed program type-checks,
-   passes the dependence-preservation lint, and agrees with the input
-   under differential validation. *)
+(* Over random QA programs and small DAG instances: the annealed plan
+   and the sweep baseline are structurally valid, and the committed
+   program type-checks, passes the dependence-preservation lint, and
+   agrees with the input under differential validation. *)
 let qcheck_cases =
   let open QCheck in
   let programs seed =
     if seed mod 2 = 0 then Bw_qa.Gen.generate ~seed ~size:(4 + (seed mod 5))
     else small_dag ~seed ~loops:(6 + (seed mod 7))
   in
-  let legal engine seed =
+  let legal seed =
     let p = programs seed in
-    let c = { (quick_cfg ~seed ()) with Search.engine } in
+    let c = quick_cfg ~seed () in
     match Search.plan c p with
     | Error e -> Test.fail_reportf "plan failed on seed %d: %s" seed e
-    | Ok (plan, _) -> (
+    | Ok (plan, st) -> (
       let g = Fusion_graph.build p in
-      (match Cost.validate g plan with
-      | Ok () -> ()
-      | Error e -> Test.fail_reportf "invalid plan on seed %d: %s" seed e);
+      List.iter
+        (fun (what, plan) ->
+          match Cost.validate g plan with
+          | Ok () -> ()
+          | Error e ->
+            Test.fail_reportf "invalid %s plan on seed %d: %s" what seed e)
+        [ ("annealed", plan); ("sweep", st.Search.greedy_plan) ];
       match Search.run c p with
       | Error e -> Test.fail_reportf "run failed on seed %d: %s" seed e
       | Ok (p', _) -> (
@@ -160,10 +191,8 @@ let qcheck_cases =
         | Error e ->
           Test.fail_reportf "behaviour changed on seed %d: %s" seed e))
   in
-  [ Test.make ~name:"greedy plans are legal and behaviour-preserving"
-      ~count:12 (int_range 1 500) (legal Search.Greedy);
-    Test.make ~name:"annealed plans are legal and behaviour-preserving"
-      ~count:12 (int_range 1 500) (legal Search.Anneal) ]
+  [ Test.make ~name:"annealed plans are legal and behaviour-preserving"
+      ~count:12 (int_range 1 500) legal ]
 
 let suites =
   [ ( "fusion.search",
@@ -171,6 +200,8 @@ let suites =
           test_exact_oracle_agreement;
         Alcotest.test_case "exact refuses large instances" `Quick
           test_exact_refuses_large;
+        Alcotest.test_case "baseline is the fuse stage" `Quick
+          test_baseline_is_fuse_stage;
         Alcotest.test_case "anneal beats greedy" `Slow test_anneal_beats_greedy;
         Alcotest.test_case "determinism" `Quick test_deterministic ] );
     ( "fusion.search.cost",

@@ -164,6 +164,26 @@ let digest_program name =
   | Ok p -> p
   | Error msg -> Alcotest.fail msg
 
+(* Serve accepts every machine the CLI does, from the one catalogue, and
+   refuses an unknown one with the catalogue's message. *)
+let test_protocol_machine_catalogue () =
+  let request machines =
+    { (Protocol.default_request Protocol.Analyze) with Protocol.machines }
+  in
+  List.iter
+    (fun (name, m) ->
+      match Protocol.resolve_machines (request [ name ]) with
+      | Ok [ m' ] -> check bool (name ^ " resolves to its model") true (m = m')
+      | Ok _ -> Alcotest.failf "%s: expected one machine" name
+      | Error e -> Alcotest.failf "%s refused: %s" name e)
+    Bw_core.Loader.machines;
+  match
+    ( Protocol.resolve_machines (request [ "origin2000"; "no-such" ]),
+      Bw_core.Loader.machine "no-such" )
+  with
+  | Error e, Error e' -> check Alcotest.string "the catalogue's error" e' e
+  | _ -> Alcotest.fail "an unknown machine must be refused"
+
 let test_cache_keys_never_collide () =
   let p = Some (digest_program "read_loop") in
   let base = Protocol.default_request Protocol.Analyze in
@@ -849,6 +869,8 @@ let suites =
           test_protocol_roundtrip;
         Alcotest.test_case "resilience envelope round-trips" `Quick
           test_protocol_resilience_envelope;
+        Alcotest.test_case "every catalogue machine resolves" `Quick
+          test_protocol_machine_catalogue;
         Alcotest.test_case "distinct configs never collide" `Quick
           test_cache_keys_never_collide;
         Alcotest.test_case "key is content-addressed" `Quick
