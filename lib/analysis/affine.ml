@@ -2,11 +2,6 @@ open Bw_ir.Ast
 
 type t = { const : int; terms : (string * int) list }
 
-let normalise terms =
-  terms
-  |> List.filter (fun (_, c) -> c <> 0)
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let const c = { const = c; terms = [] }
 let var v = { const = 0; terms = [ (v, 1) ] }
 
@@ -26,14 +21,20 @@ let merge f a b =
       else if order < 0 then (vx, f cx 0) :: go xs' ys
       else (vy, f 0 cy) :: go xs ys'
   in
-  normalise (go a.terms b.terms)
+  (* [go] keeps the operands' name order; only cancelled terms go *)
+  List.filter (fun (_, c) -> c <> 0) (go a.terms b.terms)
 
 let add a b = { const = a.const + b.const; terms = merge ( + ) a b }
 let sub a b = { const = a.const - b.const; terms = merge ( - ) a b }
 
-let scale k a =
-  { const = k * a.const;
-    terms = normalise (List.map (fun (v, c) -> (v, k * c)) a.terms) }
+(* Keeps the name order; drops the products that come out zero *)
+let rec scale_terms k = function
+  | [] -> []
+  | (v, c) :: rest ->
+    let c = k * c in
+    if c = 0 then scale_terms k rest else (v, c) :: scale_terms k rest
+
+let scale k a = { const = k * a.const; terms = scale_terms k a.terms }
 
 let rec of_expr = function
   | Int_lit n -> Some (const n)
