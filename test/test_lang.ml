@@ -289,6 +289,56 @@ let test_layout_refuses_unsafe () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "transposing a written array must be refused"
 
+(* The layout pass's analytic gate may miss a win, but what it commits
+   must not lose on the exact simulator: over the corpus and the
+   registry, on every machine a user can name, the output never moves
+   more memory traffic than the input.  col_sweep's transpose on
+   origin2000 (4.19 -> 24.98 MB) broke this while the predictor priced a
+   scope one line over the L2 as if every revisit missed. *)
+let test_layout_never_raises_traffic () =
+  let programs =
+    Pins.corpus_programs ~corpus:"../corpus" @ Pins.registry_programs ~scale:1
+  in
+  List.iter
+    (fun (mname, machine) ->
+      let traffic p =
+        let r = Bw_exec.Run.simulate ~machine p in
+        Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache
+      in
+      List.iter
+        (fun (name, p) ->
+          match Layout.run ~machine p with
+          | _, [] -> ()
+          | p', actions ->
+            let before = traffic p and after = traffic p' in
+            if after > before then
+              Alcotest.failf "%s on %s: %s raises traffic %d -> %d bytes" name
+                mname
+                (String.concat ", " (List.map Layout.action_to_string actions))
+                before after)
+        programs)
+    Bw_core.Loader.machines
+
+(* Random page placement fills a cache's sets unevenly, so the analytic
+   tier keeps pricing a scope over capacity as all misses there, and the
+   transpose that pays on the simulator (81.78 -> 43.67 MB) still
+   commits. *)
+let test_layout_random_pages_transpose () =
+  let p =
+    match Bw_lang.Parse.parse_file "../corpus/col_sweep.bw" with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let machine =
+    match Bw_core.Loader.machine "origin-rp" with
+    | Ok m -> m
+    | Error msg -> Alcotest.fail msg
+  in
+  let _, actions = Layout.run ~machine p in
+  check (Alcotest.list Alcotest.string) "col_sweep on origin-rp"
+    [ "transpose m" ]
+    (List.map Layout.action_to_string actions)
+
 let test_layout_identity_when_nothing_applies () =
   let p =
     parse_ok
@@ -379,6 +429,10 @@ let suites =
           test_layout_refuses_unsafe;
         Alcotest.test_case "identity when nothing applies" `Quick
           test_layout_identity_when_nothing_applies;
+        Alcotest.test_case "never raises simulated traffic" `Quick
+          test_layout_never_raises_traffic;
+        Alcotest.test_case "random pages still transpose col_sweep" `Quick
+          test_layout_random_pages_transpose;
         Alcotest.test_case "pads never lower predicted traffic" `Quick
           test_pads_never_lower_traffic;
         QCheck_alcotest.to_alcotest ~long:false pads_never_lower_traffic_prop ]

@@ -56,6 +56,63 @@ let test_streams_exact () =
         Alcotest.failf "%s: predicted/simulated memory ratio %.3f" name ratio)
     [ "write_loop"; "read_loop"; "stride_1w1r"; "stride_3w6r"; "dmxpy" ]
 
+(* A scope just over a level's capacity: spread evenly over the sets,
+   only the sets holding one line more than their ways thrash, so the
+   analytic tier's hit share must track the simulator through the whole
+   band from C to C (1 + 1/A).  Priced all-or-nothing, these cells came
+   out 1.3-4x the simulated traffic, and col_sweep 32x. *)
+let sweep_kernel n =
+  Printf.sprintf
+    "program sweep\n\
+    \  real a[%d] = hash(3)\n\
+    \  real acc[1] = zero\n\
+    \  live_out acc\n\
+     for t = 1, 4\n\
+    \  for j = 1, %d\n\
+    \    acc[1] = acc[1] + a[j]\n\
+    \  end for\n\
+     end for\n\
+     end"
+    n n
+
+let test_capacity_transition () =
+  let parse src =
+    match Bw_lang.Parse.parse_program src with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "%a" Bw_lang.Parse.pp_error e
+  in
+  let elems bytes = bytes / 8 in
+  let l2 = 4 * 1024 * 1024 and l2_sets = 4 * 1024 * 1024 / (128 * 2) in
+  let l1 = 1024 * 1024 in
+  let cells =
+    List.map
+      (fun bytes ->
+        (Printf.sprintf "sweep %d B" bytes, Machine.origin2000,
+         parse (sweep_kernel (elems bytes))))
+      [ l2; l2 + (16 * 1024); l2 + (l2_sets / 2 * 128) ]
+    @ List.map
+        (fun bytes ->
+          (Printf.sprintf "sweep %d B" bytes, Machine.exemplar,
+           parse (sweep_kernel (elems bytes))))
+        [ l1; l1 + 4096; l1 * 5 / 4; l1 * 3 / 2 ]
+    @ [ ( "col_sweep", Machine.origin2000,
+          match Bw_lang.Parse.parse_file "../corpus/col_sweep.bw" with
+          | Ok p -> p
+          | Error msg -> Alcotest.fail msg ) ]
+  in
+  List.iter
+    (fun (name, (machine : Machine.t), p) ->
+      let pred =
+        Bw_analysis.Predict.memory_bytes (Bw_analysis.Predict.predict ~machine p)
+      in
+      let r = Bw_exec.Run.simulate ~machine p in
+      let sim = float_of_int (Timing.memory_bytes r.Bw_exec.Run.cache) in
+      let ratio = pred /. sim in
+      if Float.abs (ratio -. 1.0) > 0.01 then
+        Alcotest.failf "%s on %s: predicted/simulated memory ratio %.3f" name
+          machine.Machine.name ratio)
+    cells
+
 (* --- generated programs: totality and monotonicity -------------------------- *)
 
 let qcheck_cases =
@@ -261,7 +318,9 @@ let suites =
       [ Alcotest.test_case "registry envelope on 3 machines" `Quick
           test_registry_envelope;
         Alcotest.test_case "streaming kernels near-exact" `Quick
-          test_streams_exact ] );
+          test_streams_exact;
+        Alcotest.test_case "capacity transition near-exact" `Quick
+          test_capacity_transition ] );
     ( "predict.evaluate",
       [ Alcotest.test_case "tier tags and counters" `Quick test_evaluate_tiers;
         Alcotest.test_case "capture tiers" `Quick test_evaluate_capture;

@@ -114,6 +114,21 @@ let test_deterministic () =
   check Alcotest.int "same candidate count" a.Search.candidates
     b.Search.candidates
 
+(* A node alone in its block moved to a fresh block only relabels the
+   block; the annealer and the descent skip such moves unpriced.  mm_jki
+   is one top-level statement, so every move is a relabel or a no-op and
+   the count is the objective's own calls: the start plan, one per
+   restart, and the plan's and the baseline's final prices (423 when the
+   relabels were priced). *)
+let test_relabel_moves_unpriced () =
+  let p =
+    match Bw_core.Loader.load_program ~scale:1 "mm_jki" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let _, st = plan_exn (cfg ()) p in
+  check Alcotest.int "mm_jki candidates" 5 st.Search.candidates
+
 let test_dag_family_deterministic () =
   let a = small_dag ~seed:9 ~loops:20 in
   let b = small_dag ~seed:9 ~loops:20 in
@@ -203,7 +218,9 @@ let suites =
         Alcotest.test_case "baseline is the fuse stage" `Quick
           test_baseline_is_fuse_stage;
         Alcotest.test_case "anneal beats greedy" `Slow test_anneal_beats_greedy;
-        Alcotest.test_case "determinism" `Quick test_deterministic ] );
+        Alcotest.test_case "determinism" `Quick test_deterministic;
+        Alcotest.test_case "relabel moves unpriced" `Quick
+          test_relabel_moves_unpriced ] );
     ( "fusion.search.cost",
       [ Alcotest.test_case "signature and memo" `Quick test_signature_and_memo ] );
     ( "workloads.dag_family",
