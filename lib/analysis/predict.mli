@@ -16,12 +16,22 @@
     either way fusion searches and capacity sweeps can triage thousands
     of candidates before paying for a single trace replay.
 
-    The model is deliberately simple — fully associative caches, affine
-    reuse only, both branches of every [If] charged — so its answers
-    carry an error envelope, not a guarantee.  The envelope measured
-    against the exact simulator across the workload registry is
-    documented in EXPERIMENTS.md; callers that need exactness use the
-    higher tiers of {!Bw_exec.Evaluate}. *)
+    Capacity is priced per reuse: a reuse whose distance (the loop
+    body's footprint, F lines) fits a level of C lines hits, and one
+    over it hits with the share an LRU cache of A ways keeps when the
+    lines spread evenly over its sets — [1 - (F - C)(A + 1) / F], down
+    to 0 at [F = C (1 + 1/A)], since only the [F - C] sets holding
+    [A + 1] lines thrash.  On machines that place pages at random the
+    sets fill unevenly, and a reuse over capacity is priced as all
+    misses.
+
+    The model is deliberately simple — evenly filled sets, so no
+    conflict misses below capacity; affine reuse only; both branches of
+    every [If] charged — so its answers carry an error envelope, not a
+    guarantee.  The envelope measured against the exact simulator
+    across the workload registry is documented in EXPERIMENTS.md;
+    callers that need exactness use the higher tiers of
+    {!Bw_exec.Evaluate}. *)
 
 (** {1 Trip-count estimation}
 
