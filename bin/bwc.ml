@@ -55,10 +55,20 @@
 
 open Cmdliner
 
+let machine_names = String.concat ", " (List.map fst Bw_core.Loader.machines)
+
+(* Printed by its catalogue key, the name --machine accepts back. *)
 let machine_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Bw_core.Loader.machine s) in
   let print ppf (m : Bw_machine.Machine.t) =
-    Format.pp_print_string ppf m.Bw_machine.Machine.name
+    let name = m.Bw_machine.Machine.name in
+    let key =
+      List.find_map
+        (fun (key, (m' : Bw_machine.Machine.t)) ->
+          if m'.Bw_machine.Machine.name = name then Some key else None)
+        Bw_core.Loader.machines
+    in
+    Format.pp_print_string ppf (Option.value key ~default:name)
   in
   Arg.conv (parse, print)
 
@@ -68,9 +78,16 @@ let machine_arg =
     & opt machine_conv Bw_machine.Machine.origin2000
     & info [ "m"; "machine" ] ~docv:"MACHINE"
         ~doc:
-          "Machine model: origin2000, exemplar, origin-scaled, \
-           unconstrained, or the random-page-placement variants origin-rp \
-           and exemplar-rp.")
+          ("Machine model: " ^ machine_names
+         ^ ".  The -rp variants place array pages at pseudo-random \
+            physical addresses."))
+
+let machines_arg ~default =
+  Arg.(
+    value
+    & opt (list machine_conv) default
+    & info [ "machines" ] ~docv:"M1,M2,..."
+        ~doc:("Comma-separated machine models: " ^ machine_names ^ "."))
 
 let trace_arg =
   Arg.(
@@ -363,8 +380,7 @@ let optimize_cmd =
     let guard =
       or_die
         (Bw_transform.Guard.check_config
-           { Bw_transform.Guard.default_config with
-             Bw_transform.Guard.validate = Option.value validate ~default:0;
+           { Bw_transform.Guard.validate = Option.value validate ~default:0;
              lint;
              rollback = not no_rollback;
              fuel })
@@ -667,18 +683,7 @@ let fuzz_cmd =
       Format.eprintf "bwc: --count must be >= 1@.";
       exit 1
     end;
-    let fuzz () =
-      let failure = ref None in
-      let k = ref 0 in
-      while !failure = None && !k < count do
-        let p = Bw_qa.Gen.generate ~seed:(seed + !k) ~size in
-        (match Bw_qa.Oracle.test p with
-        | Ok () -> ()
-        | Error msg -> failure := Some (seed + !k, p, msg));
-        incr k
-      done;
-      !failure
-    in
+    let fuzz () = snd (Bw_qa.Oracle.fuzz ~before:ignore ~seed ~count ~size) in
     let outcome =
       match trace_out with None -> fuzz () | Some file -> with_trace_file file fuzz
     in
@@ -1004,16 +1009,6 @@ let simulate_cmd =
       value & flag
       & info [ "registry" ] ~doc:"Simulate every workload in the registry.")
   in
-  let machines_arg =
-    Arg.(
-      value
-      & opt (list machine_conv)
-          [ Bw_machine.Machine.origin2000; Bw_machine.Machine.exemplar ]
-      & info [ "machines" ] ~docv:"M1,M2,..."
-          ~doc:
-            "Comma-separated machine models to replay the capture on \
-             (origin2000, exemplar, origin-scaled, unconstrained).")
-  in
   let engine_arg =
     Arg.(
       value
@@ -1053,7 +1048,8 @@ let simulate_cmd =
           bit-identical to per-machine direct simulation (verifiable with \
           --check)")
     Term.(
-      const run $ program_opt_arg $ registry_flag $ scale_arg $ machines_arg
+      const run $ program_opt_arg $ registry_flag $ scale_arg
+      $ machines_arg ~default:Bw_machine.Machine.[ origin2000; exemplar ]
       $ engine_arg $ jobs_arg $ check_flag $ stats_flag)
 
 (* --- predict ----------------------------------------------------------------- *)
@@ -1092,15 +1088,6 @@ let predict_cmd =
       value & flag
       & info [ "registry" ] ~doc:"Predict every workload in the registry.")
   in
-  let machines_arg =
-    Arg.(
-      value
-      & opt (list machine_conv) Bw_core.Accuracy.default_machines
-      & info [ "machines" ] ~docv:"M1,M2,..."
-          ~doc:
-            "Comma-separated machine models to predict and simulate on \
-             (origin2000, exemplar, origin-scaled, unconstrained).")
-  in
   let check_flag =
     Arg.(
       value & flag
@@ -1115,7 +1102,8 @@ let predict_cmd =
          "Closed-form analytic prediction (no execution) next to the exact \
           simulator, with per-cell relative error")
     Term.(
-      const run $ program_opt_arg $ registry_flag $ scale_arg $ machines_arg
+      const run $ program_opt_arg $ registry_flag $ scale_arg
+      $ machines_arg ~default:Bw_core.Accuracy.default_machines
       $ check_flag)
 
 (* --- serve / client ---------------------------------------------------------- *)

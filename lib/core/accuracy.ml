@@ -54,10 +54,7 @@ let measure_program ?(machines = default_machines) ~name p =
   let results = Bw_exec.Run.replay_many ~machines c in
   List.map2
     (fun machine (r : Bw_exec.Run.result) ->
-      let pred =
-        Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds
-          ~machine p
-      in
+      let pred = Bw_exec.Evaluate.of_program ~machine p in
       { workload = name;
         machine = machine.Bw_machine.Machine.name;
         pred_seconds = pred.Bw_exec.Evaluate.seconds;

@@ -1,8 +1,8 @@
 (** Predicted-vs-simulated validation of the analytic tier.
 
     The closed-form predictor ({!Bw_analysis.Predict}, surfaced as the
-    [Microseconds] tier of {!Bw_exec.Evaluate}) is only useful for
-    triage if its error is characterised.  This module measures it:
+    analytic tier of {!Bw_exec.Evaluate}) is only useful for triage if
+    its error is characterised.  This module measures it:
     every registry workload is captured once and replayed on a set of
     machine variants, and each (workload, machine) cell compares the
     analytic prediction against the exact simulator.  The resulting

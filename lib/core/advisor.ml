@@ -161,8 +161,7 @@ let diagnose ~machine (p : Bw_ir.Ast.program) =
     binding_resource = base.Bw_exec.Run.breakdown.Bw_machine.Timing.binding_resource;
     memory_demand_ratio = ratio;
     analytic =
-      Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds
-        ~machine p;
+      Bw_exec.Evaluate.of_program ~machine p;
     suggestions }
 
 let pp_report ppf r =

@@ -390,10 +390,7 @@ let ablation_cache ?(scale = 2) () =
         in
         (* Analytic tier: no execution at all — closed-form traffic from
            the IR and this variant's geometry. *)
-        let analytic =
-          Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds
-            ~machine p
-        in
+        let analytic = Bw_exec.Evaluate.of_program ~machine p in
         let analytic_lines =
           analytic.Bw_exec.Evaluate.memory_bytes_in
           /. float_of_int line_bytes
@@ -415,7 +412,7 @@ let ablation_cache ?(scale = 2) () =
       [ "once the working set fits, traffic collapses to compulsory misses — the same effect blocking achieves at fixed cache size";
         "exact column: lines fetched from memory by the 2-way set-associative simulator, one replay per size from a single capture";
         "fast-path column: one reuse-distance pass over the same capture predicts all capacities at once (fully associative LRU model; all sweep capacities are powers of two, so the histogram is bucket-exact)";
-        "analytic column: closed-form prediction from the IR alone (Evaluate Microseconds tier) — no execution, microseconds per cell; error envelope in EXPERIMENTS.md" ]
+        "analytic column: closed-form prediction from the IR alone (Evaluate's analytic tier) — no execution, microseconds per cell; error envelope in EXPERIMENTS.md" ]
     rows
 
 let extensions ?(scale = 2) () =

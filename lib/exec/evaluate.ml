@@ -5,8 +5,6 @@ let fidelity_name = function
   | Reuse_pass -> "reuse"
   | Exact -> "exact"
 
-type budget = Microseconds | Milliseconds | Unbounded
-
 type t = {
   fidelity : fidelity;
   machine_name : string;
@@ -44,8 +42,8 @@ let of_result (r : Run.result) =
     seconds = r.Run.breakdown.Bw_machine.Timing.total;
     binding_resource = r.Run.breakdown.Bw_machine.Timing.binding_resource }
 
-let of_predicted ~(machine : Bw_machine.Machine.t)
-    (p : Bw_analysis.Predict.t) =
+let of_program ~(machine : Bw_machine.Machine.t) program =
+  let p = Bw_analysis.Predict.predict ~machine program in
   count Analytic;
   { fidelity = Analytic;
     machine_name = machine.Bw_machine.Machine.name;
@@ -149,18 +147,6 @@ let of_reuse ~(machine : Bw_machine.Machine.t) (c : Run.capture) =
     memory_bytes_out;
     seconds;
     binding_resource }
-
-let of_capture ~budget ~machine c =
-  match budget with
-  | Microseconds | Milliseconds -> of_reuse ~machine c
-  | Unbounded -> of_result (Run.replay ~machine c)
-
-let of_program ~budget ~machine p =
-  match budget with
-  | Microseconds ->
-    of_predicted ~machine (Bw_analysis.Predict.predict ~machine p)
-  | Milliseconds -> of_reuse ~machine (Run.capture p)
-  | Unbounded -> of_result (Run.simulate ~machine p)
 
 let pp ppf t =
   Format.fprintf ppf

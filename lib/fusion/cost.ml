@@ -78,8 +78,7 @@ let predicted_traffic ?(machine = Bw_machine.Machine.origin2000)
   | Ok fused ->
     Ok
       (Bw_exec.Evaluate.memory_bytes
-         (Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds
-            ~machine fused))
+         (Bw_exec.Evaluate.of_program ~machine fused))
 
 (* Canonical partition signature: members joined by '.', partitions by
    '|'.  Distinct plans have distinct signatures because members are

@@ -29,9 +29,8 @@ val shared_arrays : Fusion_graph.t -> int -> int -> int
     sequence in {e bytes} rather than array counts: the plan is applied
     with {!Bw_transform.Fuse.apply_plan} and the resulting program is
     scored with the analytic tier of the tiered evaluator
-    ({!Bw_exec.Evaluate} at [Microseconds] budget — closed-form, no
-    execution) on [machine] (default
-    {!Bw_machine.Machine.origin2000}).  Returns the predicted
+    ({!Bw_exec.Evaluate.of_program} — closed-form, no execution) on
+    [machine] (default {!Bw_machine.Machine.origin2000}).  Returns the predicted
     memory-bus traffic of the fused program, or the plan-application
     error.  Unlike {!bandwidth_cost}, this accounts for array sizes,
     cache capacities, line granularity and writebacks, so it can rank

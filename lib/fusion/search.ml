@@ -631,6 +631,10 @@ let plan (cfg : config) (p : Bw_ir.Ast.program) =
       | Error reason -> Error ("search produced an invalid plan: " ^ reason)
       | Ok () ->
         let obj plan' = Option.value (objective ctx plan') ~default:infinity in
+        (* both objectives count as candidates: price them before the
+           counter and the stats read the tally *)
+        let greedy_objective = obj greedy in
+        let objective = obj best in
         let unfused_plan = List.init ctx.n (fun v -> [ v ]) in
         let traffic = full_traffic ctx best in
         let greedy_traffic = full_traffic ctx greedy in
@@ -643,8 +647,8 @@ let plan (cfg : config) (p : Bw_ir.Ast.program) =
             cache_hits = ctx.block_hits + Cost.memo_hits ctx.plan_memo;
             plan = best;
             greedy_plan = greedy;
-            objective = obj best;
-            greedy_objective = obj greedy;
+            objective;
+            greedy_objective;
             traffic;
             greedy_traffic;
             input_traffic;

@@ -20,9 +20,7 @@ let render (p : Bw_ir.Ast.program) =
   add "est bytes: %s\n" (fl s.Bw_transform.Ir_stats.est_bytes);
   add "predicted balance: %s\n" (fl s.Bw_transform.Ir_stats.predicted_balance);
   let machine = Bw_machine.Machine.origin2000 in
-  let e =
-    Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds ~machine p
-  in
+  let e = Bw_exec.Evaluate.of_program ~machine p in
   add "\n== analysis ==\n";
   add "machine: %s\n" machine.Bw_machine.Machine.name;
   add "fidelity: %s\n" (Bw_exec.Evaluate.fidelity_name e.Bw_exec.Evaluate.fidelity);

@@ -55,7 +55,7 @@ let transform (p : Ast.program) =
 let programs_total = Bw_obs.Metrics.counter "qa.fuzz.programs"
 let failures_total = Bw_obs.Metrics.counter "qa.fuzz.failures"
 
-let test ?(trials = 2) ?(tolerance = 1e-9) (p : Ast.program) =
+let test ?(trials = 2) (p : Ast.program) =
   Bw_obs.Metrics.incr programs_total;
   let span =
     Bw_obs.Trace.start ~cat:"qa"
@@ -74,8 +74,7 @@ let test ?(trials = 2) ?(tolerance = 1e-9) (p : Ast.program) =
       | exception e ->
         Error (Printf.sprintf "optimizer raised: %s" (Printexc.to_string e))
       | p' ->
-        Bw_transform.Guard.validate_pair ~trials ~tolerance ~before:p
-          ~after:p' ())
+        Bw_transform.Guard.validate_pair ~trials ~before:p ~after:p' ())
   in
   (match result with Ok () -> () | Error _ -> Bw_obs.Metrics.incr failures_total);
   Bw_obs.Trace.finish
@@ -87,3 +86,16 @@ let test ?(trials = 2) ?(tolerance = 1e-9) (p : Ast.program) =
   result
 
 let fails p = match test p with Ok () -> false | Error _ -> true
+
+let fuzz ~before ~seed ~count ~size =
+  let rec go k =
+    if k >= count then (k, None)
+    else begin
+      before ();
+      let p = Gen.generate ~seed:(seed + k) ~size in
+      match test p with
+      | Ok () -> go (k + 1)
+      | Error msg -> (k + 1, Some (seed + k, p, msg))
+    end
+  in
+  go 0

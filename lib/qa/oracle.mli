@@ -33,15 +33,26 @@ val drop_live_out_stores : Bw_ir.Ast.program -> Bw_ir.Ast.program option
     program. *)
 val transform : Bw_ir.Ast.program -> Bw_ir.Ast.program
 
-(** [test ?trials ?tolerance p] checks [p], transforms it, and
-    differentially validates the pair over [trials] (default 2) input
-    streams.  [Error msg] describes the first failure: a [Check]
-    rejection, an optimizer exception, an engine runtime error, or an
-    observation mismatch. *)
-val test :
-  ?trials:int -> ?tolerance:float -> Bw_ir.Ast.program ->
-  (unit, string) result
+(** [test ?trials p] checks [p], transforms it, and differentially
+    validates the pair over [trials] (default 2) input streams.
+    [Error msg] describes the first failure: a [Check] rejection, an
+    optimizer exception, an engine runtime error, or an observation
+    mismatch. *)
+val test : ?trials:int -> Bw_ir.Ast.program -> (unit, string) result
 
 (** [fails p] — [test p] returned [Error _].  The predicate the
     minimizer preserves. *)
 val fails : Bw_ir.Ast.program -> bool
+
+(** [fuzz ~before ~seed ~count ~size] runs {!test} on the {!Gen}
+    programs of seeds [seed] .. [seed + count - 1] at [size], in seed
+    order, and stops at the first failure.  [before ()] runs before
+    each program is generated (serve checks its deadline there).
+    Returns how many programs were tested and the first
+    counterexample: its seed, the program and {!test}'s message. *)
+val fuzz :
+  before:(unit -> unit) ->
+  seed:int ->
+  count:int ->
+  size:int ->
+  int * (int * Bw_ir.Ast.program * string) option

@@ -105,11 +105,6 @@ let budget_name = function
   | `Reuse -> "reuse"
   | `Exact -> "exact"
 
-let evaluate_budget = function
-  | `Analytic -> Bw_exec.Evaluate.Microseconds
-  | `Reuse -> Bw_exec.Evaluate.Milliseconds
-  | `Exact -> Bw_exec.Evaluate.Unbounded
-
 let ( let* ) = Result.bind
 
 let field_string name json =
@@ -345,9 +340,9 @@ let cache_key req ~program =
          (engine_name req.engine) (budget_name req.budget)
          (pipeline_key req.pipeline))
 
-(* Key of the shared capture (program execution) behind simulate
-   requests: machine-independent, so requests that differ only in
-   machine list share one engine run. *)
+(* Key of the shared capture (program execution) behind every executing
+   op: machine- and op-independent, so requests that differ only in op,
+   machine list or budget share one engine run. *)
 let capture_key req ~program =
   Printf.sprintf "capture|prog=%s|engine=%s" (Bw_ir.Digest.program program)
     (engine_name req.engine)

@@ -52,7 +52,7 @@ type op =
   | Analyze  (** simulate on each machine: balance, counters, timing *)
   | Predict  (** tiered evaluation at the requested budget *)
   | Optimize  (** guarded pipeline + before/after simulation *)
-  | Simulate  (** capture once (shared server-side), replay per machine *)
+  | Simulate  (** replay the program's capture on each machine *)
   | Fuzz  (** differential fuzzing over seeded programs *)
   | Shutdown  (** begin graceful drain *)
 
@@ -140,14 +140,16 @@ val engine_of_name : string -> ([ `Compiled | `Interpreted ], string) result
 val engine_name : [ `Compiled | `Interpreted ] -> string
 val budget_of_name : string -> ([ `Analytic | `Reuse | `Exact ], string) result
 val budget_name : [ `Analytic | `Reuse | `Exact ] -> string
-val evaluate_budget : [ `Analytic | `Reuse | `Exact ] -> Bw_exec.Evaluate.budget
 
 (** {2 Cache keys and program loading} *)
 
 (** [None] for ops whose answers are not cacheable. *)
 val cache_key : request -> program:Bw_ir.Ast.program option -> string option
 
-(** Key of the machine-independent capture shared by simulate requests. *)
+(** Key of a program's machine-independent capture: its digest and the
+    request's engine.  Every executing op (analyze, simulate, predict at
+    the reuse and exact tiers, and optimize's input and output) shares
+    the capture under this key. *)
 val capture_key : request -> program:Bw_ir.Ast.program -> string
 
 val needs_program : request -> bool

@@ -14,13 +14,12 @@ type event = { stage : string; verdict : verdict }
 type config = {
   validate : int;
   lint : bool;
-  tolerance : float;
   rollback : bool;
   fuel : int option;
 }
 
 let default_config =
-  { validate = 0; lint = false; tolerance = 1e-9; rollback = true; fuel = None }
+  { validate = 0; lint = false; rollback = true; fuel = None }
 
 let check_config c =
   if c.validate < 0 then
@@ -115,7 +114,10 @@ let run_observation ~engine ~input_offset p =
   | `Interpreted -> Bw_exec.Interp.run ~input_offset p
   | `Compiled -> Bw_exec.Compile.run ~input_offset p
 
-let validate_programs ~trials ~tolerance ~before ~after ~charge_fuel =
+(* Absolute/relative float tolerance of every observation comparison. *)
+let tolerance = 1e-9
+
+let validate_programs ~trials ~before ~after ~charge_fuel =
   (* Programs without read() see identical inputs every trial, so one
      trial already covers them. *)
   let trials = if uses_input before then max 1 trials else 1 in
@@ -168,9 +170,8 @@ let validate_programs ~trials ~tolerance ~before ~after ~charge_fuel =
   in
   trial 0
 
-let validate_pair ?(trials = 1) ?(tolerance = 1e-9) ~before ~after () =
-  validate_programs ~trials ~tolerance ~before ~after
-    ~charge_fuel:(fun ~trial:_ -> ())
+let validate_pair ?(trials = 1) ~before ~after () =
+  validate_programs ~trials ~before ~after ~charge_fuel:(fun ~trial:_ -> ())
 
 (* --- the transaction -------------------------------------------------- *)
 
@@ -251,8 +252,8 @@ let stage t ~name ~default f p =
               (4 * max 1 stmts)
           in
           match
-            validate_programs ~trials:t.cfg.validate
-              ~tolerance:t.cfg.tolerance ~before:p ~after:p' ~charge_fuel
+            validate_programs ~trials:t.cfg.validate ~before:p ~after:p'
+              ~charge_fuel
           with
           | Ok () -> Ok (p', aux)
           | Error msg -> Error (Validation_failed msg)

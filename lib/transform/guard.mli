@@ -28,7 +28,8 @@
     + when validation is on, the stage's input and output programs both
       execute on the interpreter {e and} the compiled engine over
       deterministic inputs ([input_offset] varies per trial), and every
-      live-out array and print must agree within [tolerance].
+      live-out array and print must agree within an absolute/relative
+      float tolerance of 1e-9.
 
     Outcomes are recorded as {!event}s, as [guard.<stage>.*] metrics
     (rollbacks / validation_failures / exceptions / check_failures /
@@ -57,8 +58,6 @@ type config = {
           (dropped live-out stores, changed print counts, new backward
           dependences) and roll back on any violation; purely static, no
           program execution *)
-  tolerance : float;
-      (** absolute/relative float tolerance for observation comparison *)
   rollback : bool;
       (** [false]: first failure raises {!Guard_failed} instead of
           rolling back (fail-fast mode for CI) *)
@@ -68,10 +67,9 @@ type config = {
           charges four program executions. *)
 }
 
-(** [{ validate = 0; lint = false; tolerance = 1e-9; rollback = true;
-    fuel = None }] — the cost-free guard the default [Strategy.run]
-    uses: exceptions are confined, outputs are checked, nothing is
-    executed. *)
+(** [{ validate = 0; lint = false; rollback = true; fuel = None }] —
+    the cost-free guard the default [Strategy.run] uses: exceptions are
+    confined, outputs are checked, nothing is executed. *)
 val default_config : config
 
 (** [check_config c] is [Ok c], or a one-line [Error] when [c.validate]
@@ -118,12 +116,11 @@ val corrupt_program : Bw_ir.Ast.program -> Bw_ir.Ast.program option
 
 (** Differential validation as a standalone oracle: run [before] and
     [after] on both engines over [trials] deterministic input sets and
-    compare observations within [tolerance].  [Ok ()] when everything
-    agrees; [Error msg] names the first disagreement (or execution
-    error). *)
+    compare observations within the guard's float tolerance.  [Ok ()]
+    when everything agrees; [Error msg] names the first disagreement
+    (or execution error). *)
 val validate_pair :
   ?trials:int ->
-  ?tolerance:float ->
   before:Bw_ir.Ast.program ->
   after:Bw_ir.Ast.program ->
   unit ->

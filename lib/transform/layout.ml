@@ -393,9 +393,7 @@ let accept_counter = Bw_obs.Metrics.counter "pass.layout.accept"
 let reject_counter = Bw_obs.Metrics.counter "pass.layout.reject"
 
 let analytic_traffic ~machine p =
-  Bw_exec.Evaluate.memory_bytes
-    (Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds ~machine
-       p)
+  Bw_exec.Evaluate.memory_bytes (Bw_exec.Evaluate.of_program ~machine p)
 
 (* A candidate must cut predicted memory traffic by more than this share
    of the round's base to be committed. *)

@@ -74,8 +74,8 @@ val run :
 (** [run_guarded ?stages ?guard ?machine ?fuse_search p] additionally
     returns the guard's per-stage events (commits and rollbacks, in
     pipeline order, ["input"] first) and honours a custom
-    {!Guard.config} — differential validation trials, float tolerance,
-    a fuel budget shared by every stage, and fail-fast mode.
+    {!Guard.config} — differential validation trials, linting, a fuel
+    budget shared by every stage, and fail-fast mode.
     @raise Guard.Guard_failed on the first stage failure when
     [guard.rollback] is [false]. *)
 val run_guarded :

@@ -146,10 +146,7 @@ let qcheck_cases =
       arb_seed
       (fun seed ->
         let p = Bw_qa.Gen.generate ~seed:(seed + 1000) ~size:6 in
-        let e =
-          Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds
-            ~machine:Machine.exemplar p
-        in
+        let e = Bw_exec.Evaluate.of_program ~machine:Machine.exemplar p in
         e.Bw_exec.Evaluate.fidelity = Bw_exec.Evaluate.Analytic
         && Float.is_finite e.Bw_exec.Evaluate.seconds
         && e.Bw_exec.Evaluate.seconds >= 0.0) ]
@@ -164,15 +161,10 @@ let test_evaluate_tiers () =
     Bw_obs.Metrics.counter_value
       (Bw_obs.Metrics.counter "evaluate.tier.analytic")
   in
-  let a =
-    Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Microseconds ~machine p
-  in
-  let r =
-    Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Milliseconds ~machine p
-  in
-  let x =
-    Bw_exec.Evaluate.of_program ~budget:Bw_exec.Evaluate.Unbounded ~machine p
-  in
+  let a = Bw_exec.Evaluate.of_program ~machine p in
+  let c = Bw_exec.Run.capture p in
+  let r = Bw_exec.Evaluate.of_reuse ~machine c in
+  let x = Bw_exec.Evaluate.of_result (Bw_exec.Run.replay ~machine c) in
   Alcotest.(check string) "analytic tag" "analytic"
     (Bw_exec.Evaluate.fidelity_name a.Bw_exec.Evaluate.fidelity);
   Alcotest.(check string) "reuse tag" "reuse"
@@ -203,16 +195,12 @@ let test_evaluate_capture () =
   let e = Option.get (Bw_workloads.Registry.find "convolution") in
   let p = e.Bw_workloads.Registry.build ~scale:1 in
   let c = Bw_exec.Run.capture p in
-  let r =
-    Bw_exec.Evaluate.of_capture ~budget:Bw_exec.Evaluate.Milliseconds ~machine c
-  in
-  let x =
-    Bw_exec.Evaluate.of_capture ~budget:Bw_exec.Evaluate.Unbounded ~machine c
-  in
+  let r = Bw_exec.Evaluate.of_reuse ~machine c in
+  let x = Bw_exec.Evaluate.of_result (Bw_exec.Run.replay ~machine c) in
   Alcotest.(check bool) "reuse tier from capture" true
     (r.Bw_exec.Evaluate.fidelity = Bw_exec.Evaluate.Reuse_pass);
   Alcotest.(check (float 1e-12))
-    "unbounded capture = replay seconds"
+    "exact tier from capture = replay seconds"
     (Bw_exec.Run.seconds (Bw_exec.Run.replay ~machine c))
     x.Bw_exec.Evaluate.seconds
 

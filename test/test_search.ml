@@ -120,14 +120,31 @@ let test_deterministic () =
    the count is the objective's own calls: the start plan, one per
    restart, and the plan's and the baseline's final prices (423 when the
    relabels were priced). *)
+let mm_jki () =
+  match Bw_core.Loader.load_program ~scale:1 "mm_jki" with
+  | Ok p -> p
+  | Error e -> Alcotest.fail e
+
 let test_relabel_moves_unpriced () =
-  let p =
-    match Bw_core.Loader.load_program ~scale:1 "mm_jki" with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  let _, st = plan_exn (cfg ()) p in
+  let _, st = plan_exn (cfg ()) (mm_jki ()) in
   check Alcotest.int "mm_jki candidates" 5 st.Search.candidates
+
+(* The [fusion.search.candidates] counter that perfbench reports is the
+   search's own tally: one [plan] adds exactly [stats.candidates],
+   including the final prices of the plan and the baseline. *)
+let test_counter_matches_stats () =
+  let candidates () =
+    Bw_obs.Metrics.counter_value
+      (Bw_obs.Metrics.counter "fusion.search.candidates")
+  in
+  List.iter
+    (fun (name, p) ->
+      let before = candidates () in
+      let _, st = plan_exn (cfg ()) p in
+      check Alcotest.int (name ^ ": counter delta = stats.candidates")
+        st.Search.candidates
+        (candidates () - before))
+    [ ("mm_jki", mm_jki ()); ("dag4x16", small_dag ~seed:4 ~loops:16) ]
 
 let test_dag_family_deterministic () =
   let a = small_dag ~seed:9 ~loops:20 in
@@ -220,7 +237,9 @@ let suites =
         Alcotest.test_case "anneal beats greedy" `Slow test_anneal_beats_greedy;
         Alcotest.test_case "determinism" `Quick test_deterministic;
         Alcotest.test_case "relabel moves unpriced" `Quick
-          test_relabel_moves_unpriced ] );
+          test_relabel_moves_unpriced;
+        Alcotest.test_case "counter matches stats" `Quick
+          test_counter_matches_stats ] );
     ( "fusion.search.cost",
       [ Alcotest.test_case "signature and memo" `Quick test_signature_and_memo ] );
     ( "workloads.dag_family",
