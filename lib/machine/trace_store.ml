@@ -37,6 +37,8 @@ let chunks t = List.length t.filled + 1
 let encoded_bytes t =
   List.fold_left (fun acc (_, len) -> acc + len) t.cur_len t.filled
 
+let resident_bytes t = chunks t * t.chunk_bytes
+
 let bytes_per_record t =
   if t.records = 0 then 0.0
   else float_of_int (encoded_bytes t) /. float_of_int t.records

@@ -56,6 +56,10 @@ val encoded_bytes : t -> int
 (** Number of chunks allocated (filled plus the open one). *)
 val chunks : t -> int
 
+(** Bytes the allocated chunks occupy: at least {!encoded_bytes}, and a
+    whole chunk even for a store of a few records. *)
+val resident_bytes : t -> int
+
 (** Mean encoded bytes per record (0 when empty). *)
 val bytes_per_record : t -> float
 

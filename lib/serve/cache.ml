@@ -1,13 +1,15 @@
 (* Bounded, LRU-evicting, single-flight result cache.  See cache.mli. *)
 
-type 'a entry = { value : 'a; mutable tick : int }
+type 'a entry = { value : 'a; weight : int; mutable tick : int }
 
 type 'a t = {
   m : Mutex.t;
   c : Condition.t;  (* signalled when an in-flight computation settles *)
   table : (string, 'a entry) Hashtbl.t;
   in_flight : (string, unit) Hashtbl.t;
+  weight : 'a -> int;
   capacity : int;
+  mutable used : int;  (* summed weight of the entries *)
   mutable clock : int;
   metric_prefix : string;
   mutable hits : int;
@@ -19,13 +21,15 @@ type 'a t = {
 let metric t name by =
   Bw_obs.Metrics.incr ~by (Bw_obs.Metrics.counter (t.metric_prefix ^ name))
 
-let create ?(metric_prefix = "serve.cache.") ~capacity () =
+let create ?(metric_prefix = "serve.cache.") ~weight ~capacity () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   { m = Mutex.create ();
     c = Condition.create ();
     table = Hashtbl.create (min capacity 64);
     in_flight = Hashtbl.create 8;
+    weight;
     capacity;
+    used = 0;
     clock = 0;
     metric_prefix;
     hits = 0;
@@ -37,32 +41,38 @@ let touch t e =
   t.clock <- t.clock + 1;
   e.tick <- t.clock
 
-(* Evict the least-recently-used entry.  O(table size) scan: capacities
-   are small (hundreds) and eviction happens at most once per insert. *)
+(* Evict the least-recently-used entry.  O(table size) scan: tables
+   are small (hundreds of entries) and an insert evicts only as many
+   entries as its weight displaces. *)
 let evict_one t =
   let victim =
     Hashtbl.fold
       (fun k e acc ->
         match acc with
-        | Some (_, tick) when tick <= e.tick -> acc
-        | _ -> Some (k, e.tick))
+        | Some (_, old) when old.tick <= e.tick -> acc
+        | _ -> Some (k, e))
       t.table None
   in
   match victim with
-  | Some (k, _) ->
+  | Some (k, e) ->
     Hashtbl.remove t.table k;
+    t.used <- t.used - e.weight;
     t.evictions <- t.evictions + 1;
     metric t "eviction" 1
   | None -> ()
 
+(* A value heavier than the whole capacity is not kept: keeping it
+   would mean evicting everything and still overrunning the bound. *)
 let insert t key value =
-  if not (Hashtbl.mem t.table key) then begin
-    while Hashtbl.length t.table >= t.capacity do
+  let weight = t.weight value in
+  if weight <= t.capacity && not (Hashtbl.mem t.table key) then begin
+    while t.used + weight > t.capacity do
       evict_one t
     done;
-    let e = { value; tick = 0 } in
+    let e = { value; weight; tick = 0 } in
     touch t e;
-    Hashtbl.add t.table key e
+    Hashtbl.add t.table key e;
+    t.used <- t.used + weight
   end
 
 (* The single-flight protocol: under the lock, either the value is
@@ -108,20 +118,6 @@ let find_or_compute t ~key f =
       end
   in
   claim ~joined:false
-
-let find t key =
-  Mutex.lock t.m;
-  let r =
-    match Hashtbl.find_opt t.table key with
-    | Some e ->
-      touch t e;
-      t.hits <- t.hits + 1;
-      metric t "hit" 1;
-      Some e.value
-    | None -> None
-  in
-  Mutex.unlock t.m;
-  r
 
 type stats = {
   size : int;
