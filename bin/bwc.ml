@@ -1231,7 +1231,8 @@ let serve_cmd =
          "Run the bandwidth-advisor service: a long-running daemon answering \
           analyze/predict/optimize/simulate/fuzz requests as JSON lines over \
           a Unix or TCP socket, with a content-addressed result cache, \
-          shared simulate captures, and a /metrics endpoint.  Per-request \
+          one engine run per executed program streamed into every \
+          requested machine, and a /metrics endpoint.  Per-request \
           deadlines, admission control with tier-degrading load shed, and \
           worker-domain supervision keep it answering under overload and \
           injected faults.  SIGTERM drains and exits 0.")
@@ -1438,10 +1439,10 @@ let client_cmd =
       value & opt int 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
-            "Retry transport failures and retryable rejections (overloaded, \
-             worker_crashed) up to $(docv) times with jittered backoff — \
-             idempotent requests only.  0 disables (load --chaos mode then \
-             uses 3).")
+            "Retry with jittered backoff — idempotent requests only: \
+             retryable rejections (overloaded, worker_crashed) up to \
+             $(docv) times, transport failures while the 30 s backoff \
+             budget lasts.  0 disables (load --chaos mode then uses 3).")
   in
   let chaos_flag =
     Arg.(

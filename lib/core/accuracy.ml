@@ -50,8 +50,7 @@ let default_machines =
   [ Bw_machine.Machine.origin2000; Bw_machine.Machine.exemplar; origin_scaled ]
 
 let measure_program ?(machines = default_machines) ~name p =
-  let c = Bw_exec.Run.capture p in
-  let results = Bw_exec.Run.replay_many ~machines c in
+  let results = Bw_exec.Run.simulate_many ~machines p in
   List.map2
     (fun machine (r : Bw_exec.Run.result) ->
       let pred = Bw_exec.Evaluate.of_program ~machine p in

@@ -3,7 +3,7 @@
     The closed-form predictor ({!Bw_analysis.Predict}, surfaced as the
     analytic tier of {!Bw_exec.Evaluate}) is only useful for triage if
     its error is characterised.  This module measures it:
-    every registry workload is captured once and replayed on a set of
+    every registry workload is executed once, streamed into a set of
     machine variants, and each (workload, machine) cell compares the
     analytic prediction against the exact simulator.  The resulting
     rows feed the [predict] experiment table, the
@@ -54,8 +54,9 @@ val origin_scaled : Bw_machine.Machine.t
 val default_machines : Bw_machine.Machine.t list
 
 (** [measure_program ?machines ~name p] compares the analytic tier
-    against the exact simulator for one program: [p] is captured once
-    and the capture replayed on every machine; one row per machine. *)
+    against the exact simulator for one program: one run of [p] streams
+    into every machine ({!Bw_exec.Run.simulate_many}); one row per
+    machine. *)
 val measure_program :
   ?machines:Bw_machine.Machine.t list ->
   name:string ->

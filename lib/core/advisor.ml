@@ -32,12 +32,6 @@ let candidates (p : Bw_ir.Ast.program) =
            | _ -> [])
          p.Bw_ir.Ast.body)
   in
-  let global_fusion =
-    match Bw_fusion.Bandwidth_minimal.fuse_program p with
-    | Ok (p', plan) when List.length plan < List.length p.Bw_ir.Ast.body ->
-      [ ("bandwidth-minimal global fusion", p') ]
-    | _ -> []
-  in
   let search_fusion =
     let cfg =
       Bw_fusion.Search.default_config ~engine:Bw_fusion.Search.Anneal ()
@@ -120,7 +114,7 @@ let candidates (p : Bw_ir.Ast.program) =
     let p', _ = Bw_transform.Strategy.run p in
     [ ("full pipeline (fuse + contract + shrink + eliminate stores)", p') ]
   in
-  fusions @ global_fusion @ search_fusion @ contractions @ shrinks
+  fusions @ search_fusion @ contractions @ shrinks
   @ store_elims @ regroups @ tilings @ full_pipeline
 
 let diagnose ~machine (p : Bw_ir.Ast.program) =

@@ -4,10 +4,10 @@ let origin_scaled = Accuracy.origin_scaled
 
 let pick scale a b = if scale <= 1 then a else b
 
-(* Multi-machine tables run each program once: capture the trace, then
-   replay it (in parallel, across domains) against every machine — the
-   results are bit-identical to per-machine Run.simulate calls (enforced
-   by the test suite), only the engine re-execution is saved. *)
+(* Multi-machine tables run each program once: one engine run streams
+   its memory references into every machine — the results are
+   bit-identical to per-machine Run.simulate calls (enforced by the test
+   suite), only the engine re-execution is saved. *)
 let seconds_on machines p =
   List.map Bw_exec.Run.seconds (Bw_exec.Run.simulate_many ~machines p)
 
@@ -260,8 +260,8 @@ let fig8 ?(scale = 2) () =
   in
   let eliminated, _ = Bw_transform.Store_elim.run fused in
   let machines = [ Machine.origin2000; Machine.exemplar ] in
-  (* Three captures (one per program version), each replayed on both
-     machines, instead of six engine executions. *)
+  (* Three engine runs (one per program version), each streamed into
+     both machines, instead of six. *)
   let t0s = seconds_on machines original in
   let t1s = seconds_on machines fused in
   let t2s = seconds_on machines eliminated in
@@ -507,9 +507,9 @@ let ablation_padding ?(scale = 2) () =
   let n = 51_917 in
   let kernel = Bw_workloads.Stride_kernels.kernel ~writes:3 ~reads:6 ~n in
   let paddings = [ 0; 32; 64; 128 ] in
-  (* One capture serves all four stagger variants: the canonical trace is
-     layout-independent, and replay re-bases it onto each machine's
-     (differently staggered) array layout. *)
+  (* One engine run serves all four stagger variants: the engine writes
+     layout-independent canonical addresses, and each machine re-bases
+     them onto its own (differently staggered) array layout. *)
   let machines =
     List.map
       (fun extra ->

@@ -2,7 +2,7 @@
 
     Extracted from the bench harness so both table generation
     ({!Bw_core.Harness}) and multi-machine trace replay
-    ({!Run.simulate_many}) fan out over the same machinery: domains
+    ({!Run.replay_many}) fan out over the same machinery: domains
     claim the next unclaimed index from an atomic counter — so one slow
     item does not serialise the rest — and results come back in input
     order, making a parallel map's output indistinguishable from a

@@ -93,41 +93,141 @@ let array_decls (program : Bw_ir.Ast.program) =
       else None)
     program.Bw_ir.Ast.decls
 
-let simulate ?(engine = `Compiled) ~machine (program : Bw_ir.Ast.program) =
-  Bw_obs.Trace.with_span ~cat:"simulate"
-    ~attrs:
-      [ ("engine", Bw_obs.Trace.Str (engine_name engine));
-        ("machine", Bw_obs.Trace.Str machine.Machine.name) ]
-    ~result_attrs:(fun r ->
-      [ ("loads", Bw_obs.Trace.Int r.counters.Counters.loads);
-        ("stores", Bw_obs.Trace.Int r.counters.Counters.stores);
-        ("flops", Bw_obs.Trace.Int r.counters.Counters.flops);
-        ("memory_bytes", Bw_obs.Trace.Int (Timing.memory_bytes r.cache));
-        ("predicted_s", Bw_obs.Trace.Float r.breakdown.Timing.total) ])
-    ("simulate:" ^ program.Bw_ir.Ast.prog_name)
-  @@ fun () ->
+(* Base of each array (declaration order) in [machine]'s layout. *)
+let layout_bases machine arrays =
   let layout =
     Layout.assign ~align_bytes:machine.Machine.array_align_bytes
-      ~stagger_bytes:machine.Machine.array_stagger_bytes
-      (array_decls program)
+      ~stagger_bytes:machine.Machine.array_stagger_bytes arrays
   in
+  Array.of_list (List.map (fun (name, _) -> Layout.base layout name) arrays)
+
+(* Canonical address space, shared by captures and by streamed runs
+   whose machines lay arrays out differently: array [i] (declaration
+   order) lives at base [(i + 1) lsl shift] with [1 lsl shift >=
+   decl_bytes], so a machine recovers (array, offset) with one
+   shift/mask — no per-record search — and re-bases onto its own
+   layout before applying its translation.  The shift is the smallest
+   whose span covers the largest array, floored at 12 so canonical bases
+   stay page-aligned (hence line-aligned at any real granularity),
+   keeping block partitions identical across layouts. *)
+let canonical_shift arrays =
+  let max_bytes = List.fold_left (fun acc (_, b) -> max acc b) 1 arrays in
+  let rec go s = if 1 lsl s >= max_bytes then s else go (s + 1) in
+  go 12
+
+let canonical_bases arrays shift =
+  Array.of_list (List.mapi (fun i _ -> (i + 1) lsl shift) arrays)
+
+(* The engine's [base_of] for arrays placed at [bases]. *)
+let base_lookup arrays bases =
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i (name, _) -> Hashtbl.replace index name bases.(i)) arrays;
+  Hashtbl.find index
+
+(* [rebase ~bases ~shift drain] drains batches of canonical addresses
+   (array [i] at [(i + 1) lsl shift]) through [drain] re-based onto
+   [bases], by way of a private copy of each batch: a shared batch stays
+   canonical for the other machines, and [drain]'s loop stays the one a
+   single layout runs.  The copy has the default capacity, as the
+   engine sink's buffer does. *)
+let rebase ~bases ~shift drain =
+  let mask = (1 lsl shift) - 1 in
+  let copy = Trace_buffer.create ~on_full:ignore () in
+  let data = copy.Trace_buffer.data in
+  fun (buf : Trace_buffer.t) ->
+    let n = buf.Trace_buffer.len in
+    Array.blit buf.Trace_buffer.data 0 data 0 (n * Trace_buffer.slot_width);
+    for r = 0 to n - 1 do
+      let i = (r * Trace_buffer.slot_width) + 1 in
+      let addr = Array.unsafe_get data i in
+      Array.unsafe_set data i
+        (Array.unsafe_get bases ((addr lsr shift) - 1) + (addr land mask))
+    done;
+    copy.Trace_buffer.len <- n;
+    drain copy
+
+(* One machine's simulation state — fresh translation, cache and
+   counters — and [finish], which evaluates the timing model once the
+   machine has seen the whole reference stream. *)
+let lane machine =
   let translation = Machine.fresh_translation machine in
   let cache = Machine.fresh_cache machine in
   let counters = Counters.create () in
-  let sink =
-    Interp.make_sink
-      ~on_trace:(drain_into_cache ~translation ~cache ~counters)
-      ()
+  let finish ~flops ~int_ops observation =
+    counters.Counters.flops <- flops;
+    counters.Counters.int_ops <- int_ops;
+    Cache.flush cache;
+    publish_cache cache;
+    let breakdown = Timing.predict machine cache counters in
+    { machine; observation; counters; cache; breakdown }
   in
-  let base_of name = Layout.base layout name in
-  let observation = run_engine ~engine ~sink ~base_of program in
-  counters.Counters.flops <- sink.Interp.flops;
-  counters.Counters.int_ops <- sink.Interp.int_ops;
-  Cache.flush cache;
-  publish_engine ~engine ~sink ~counters;
-  publish_cache cache;
-  let breakdown = Timing.predict machine cache counters in
-  { machine; observation; counters; cache; breakdown }
+  (translation, cache, counters, finish)
+
+(* One engine run streams into every machine: each trace buffer drains
+   into each machine's lane in turn.  When all machines lay the arrays
+   out alike (always, for one machine) the engine writes that layout's
+   addresses; otherwise it writes canonical ones and each lane re-bases
+   a copy. *)
+let simulate_many ?(engine = `Compiled) ~machines (program : Bw_ir.Ast.program)
+    =
+  match machines with
+  | [] -> []
+  | _ ->
+    Bw_obs.Trace.with_span ~cat:"simulate"
+      ~attrs:
+        [ ("engine", Bw_obs.Trace.Str (engine_name engine));
+          ( "machine",
+            Bw_obs.Trace.Str
+              (String.concat ","
+                 (List.map (fun m -> m.Machine.name) machines)) ) ]
+      ~result_attrs:(function
+        | [ r ] ->
+          [ ("loads", Bw_obs.Trace.Int r.counters.Counters.loads);
+            ("stores", Bw_obs.Trace.Int r.counters.Counters.stores);
+            ("flops", Bw_obs.Trace.Int r.counters.Counters.flops);
+            ("memory_bytes", Bw_obs.Trace.Int (Timing.memory_bytes r.cache));
+            ("predicted_s", Bw_obs.Trace.Float r.breakdown.Timing.total) ]
+        | _ -> [])
+      ("simulate:" ^ program.Bw_ir.Ast.prog_name)
+    @@ fun () ->
+    let arrays = array_decls program in
+    let bases = List.map (fun machine -> layout_bases machine arrays) machines in
+    let engine_bases, rebased =
+      match bases with
+      | first :: rest when List.for_all (( = ) first) rest ->
+        (first, fun _ drain -> drain)
+      | _ ->
+        let shift = canonical_shift arrays in
+        (canonical_bases arrays shift, fun bases -> rebase ~bases ~shift)
+    in
+    let lanes =
+      List.map2
+        (fun machine b ->
+          let translation, cache, counters, finish = lane machine in
+          (rebased b (drain_into_cache ~translation ~cache ~counters), finish))
+        machines bases
+    in
+    let sink =
+      Interp.make_sink
+        ~on_trace:(fun buf -> List.iter (fun (drain, _) -> drain buf) lanes)
+        ()
+    in
+    let observation =
+      run_engine ~engine ~sink ~base_of:(base_lookup arrays engine_bases)
+        program
+    in
+    let results =
+      List.map
+        (fun (_, finish) ->
+          finish ~flops:sink.Interp.flops ~int_ops:sink.Interp.int_ops
+            observation)
+        lanes
+    in
+    publish_engine ~engine ~sink ~counters:(List.hd results).counters;
+    results
+
+let simulate ?engine ~machine program =
+  List.hd (simulate_many ?engine ~machines:[ machine ] program)
 
 let observe ?(engine = `Compiled) program =
   let counters = Counters.create () in
@@ -169,11 +269,8 @@ let reuse_profile ?(granularity = 32) ?(engine = `Compiled)
 
 (* --- capture once, replay many -------------------------------------------- *)
 
-(* Captured traces use a machine-independent canonical address space:
-   array [i] (declaration order) lives at base [(i + 1) lsl shift] with
-   [1 lsl shift >= decl_bytes], so replay recovers (array, offset) with
-   one shift/mask — no per-record search — and re-bases onto any
-   machine's layout before applying that machine's translation. *)
+(* Captured traces use the canonical address space (see
+   [canonical_shift]), so one capture replays on any machine's layout. *)
 type capture = {
   captured_program : Bw_ir.Ast.program;
   captured_engine : [ `Compiled | `Interpreted ];
@@ -184,14 +281,6 @@ type capture = {
   shift : int;
   store : Trace_store.t;
 }
-
-(* Smallest shift whose span covers the largest array; floored at 12 so
-   canonical bases stay page-aligned (hence line-aligned at any real
-   granularity), keeping block partitions identical across layouts. *)
-let canonical_shift arrays =
-  let max_bytes = List.fold_left (fun acc (_, b) -> max acc b) 1 arrays in
-  let rec go s = if 1 lsl s >= max_bytes then s else go (s + 1) in
-  go 12
 
 let capture ?(engine = `Compiled) (program : Bw_ir.Ast.program) =
   Bw_obs.Trace.with_span ~cat:"capture"
@@ -204,16 +293,14 @@ let capture ?(engine = `Compiled) (program : Bw_ir.Ast.program) =
   @@ fun () ->
   let arrays = array_decls program in
   let shift = canonical_shift arrays in
-  let bases = Hashtbl.create 16 in
-  List.iteri
-    (fun i (name, _) -> Hashtbl.replace bases name ((i + 1) lsl shift))
-    arrays;
   let store = Trace_store.create () in
   let sink =
     Interp.make_sink ~on_trace:(fun buf -> Trace_store.append_buffer store buf) ()
   in
   let observation =
-    run_engine ~engine ~sink ~base_of:(Hashtbl.find bases) program
+    run_engine ~engine ~sink
+      ~base_of:(base_lookup arrays (canonical_bases arrays shift))
+      program
   in
   publish_engine_raw ~engine
     ~flushes:(Trace_buffer.flushes sink.Interp.trace)
@@ -235,14 +322,6 @@ let capture ?(engine = `Compiled) (program : Bw_ir.Ast.program) =
     shift;
     store }
 
-let resident_bytes c =
-  List.fold_left
-    (fun acc (name, bytes) ->
-      if List.mem name c.captured_program.Bw_ir.Ast.live_out then acc + bytes
-      else acc)
-    (Trace_store.resident_bytes c.store)
-    c.arrays
-
 let replay ~machine c =
   Bw_obs.Trace.with_span ~cat:"replay"
     ~attrs:[ ("machine", Bw_obs.Trace.Str machine.Machine.name) ]
@@ -252,33 +331,17 @@ let replay ~machine c =
         ("memory_bytes", Bw_obs.Trace.Int (Timing.memory_bytes r.cache)) ])
     ("replay:" ^ c.captured_program.Bw_ir.Ast.prog_name)
   @@ fun () ->
-  let layout =
-    Layout.assign ~align_bytes:machine.Machine.array_align_bytes
-      ~stagger_bytes:machine.Machine.array_stagger_bytes c.arrays
-  in
-  let machine_bases =
-    Array.of_list (List.map (fun (name, _) -> Layout.base layout name) c.arrays)
-  in
+  let machine_bases = layout_bases machine c.arrays in
   let shift = c.shift in
   let mask = (1 lsl shift) - 1 in
   let remap addr =
     Array.unsafe_get machine_bases ((addr lsr shift) - 1) + (addr land mask)
   in
-  let translation = Machine.fresh_translation machine in
-  let cache = Machine.fresh_cache machine in
-  let counters = Counters.create () in
+  let translation, cache, counters, finish = lane machine in
   Trace_store.replay ~remap c.store ~translation ~cache ~counters;
-  counters.Counters.flops <- c.captured_flops;
-  counters.Counters.int_ops <- c.captured_int_ops;
-  Cache.flush cache;
   Bw_obs.Metrics.incr (Bw_obs.Metrics.counter "trace_store.replays");
-  publish_cache cache;
-  let breakdown = Timing.predict machine cache counters in
-  { machine;
-    observation = c.captured_observation;
-    counters;
-    cache;
-    breakdown }
+  finish ~flops:c.captured_flops ~int_ops:c.captured_int_ops
+    c.captured_observation
 
 let replay_many ?jobs ~machines c =
   match machines with
@@ -287,10 +350,6 @@ let replay_many ?jobs ~machines c =
   | _ ->
     Pool.map ?jobs (fun machine -> replay ~machine c) (Array.of_list machines)
     |> Array.to_list
-
-let simulate_many ?jobs ?engine ~machines program =
-  let c = capture ?engine program in
-  replay_many ?jobs ~machines c
 
 let reuse_of_capture ?(granularity = 32) c =
   let profile = Reuse.create ~granularity () in

@@ -18,12 +18,28 @@ type result = {
 
     [engine] picks the executor: the closure {!Compile}r (default; same
     semantics, several times faster) or the tree-walking {!Interp}reter.
-    The test suite keeps them bit-identical. *)
+    The test suite keeps them bit-identical.  This is the one-machine
+    case of {!simulate_many}. *)
 val simulate :
   ?engine:[ `Compiled | `Interpreted ] ->
   machine:Bw_machine.Machine.t ->
   Bw_ir.Ast.program ->
   result
+
+(** [simulate_many ~machines program] executes [program] {e once} and
+    streams its memory references into every machine: each trace buffer
+    drains into each machine's translation and cache in turn, so no
+    trace is stored and no domain is spawned.  When every machine lays
+    the arrays out alike (always, for one machine) the engine writes
+    that layout's addresses; otherwise it writes the canonical addresses
+    of {!capture} and each machine re-bases them as {!replay} does.
+    Results are in [machines] order, each bit-identical to
+    [simulate ~machine]; engine metrics are published once per run. *)
+val simulate_many :
+  ?engine:[ `Compiled | `Interpreted ] ->
+  machines:Bw_machine.Machine.t list ->
+  Bw_ir.Ast.program ->
+  result list
 
 (** A captured execution: the program's full memory-reference stream,
     delta/varint-encoded in a {!Bw_machine.Trace_store}, plus everything
@@ -54,11 +70,6 @@ type capture = {
 val capture :
   ?engine:[ `Compiled | `Interpreted ] -> Bw_ir.Ast.program -> capture
 
-(** Bytes [c] keeps alive: its trace's chunks
-    ({!Bw_machine.Trace_store.resident_bytes}) and the live-out arrays
-    its observation holds, at their declared sizes. *)
-val resident_bytes : capture -> int
-
 (** [replay ~machine c] evaluates the captured stream on [machine]:
     fresh cache, fresh translation, same record order.  The result is
     bit-identical to [simulate ~machine] of the captured program with
@@ -74,17 +85,6 @@ val replay_many :
   ?jobs:int ->
   machines:Bw_machine.Machine.t list ->
   capture ->
-  result list
-
-(** [simulate_many ~machines program] = {!capture} once, then
-    {!replay_many}: the program executes once however many machines are
-    evaluated, and each result is bit-identical to a direct
-    [simulate ~machine]. *)
-val simulate_many :
-  ?jobs:int ->
-  ?engine:[ `Compiled | `Interpreted ] ->
-  machines:Bw_machine.Machine.t list ->
-  Bw_ir.Ast.program ->
   result list
 
 (** Reuse-distance profile of a captured stream (loads and stores alike),

@@ -37,8 +37,6 @@ let chunks t = List.length t.filled + 1
 let encoded_bytes t =
   List.fold_left (fun acc (_, len) -> acc + len) t.cur_len t.filled
 
-let resident_bytes t = chunks t * t.chunk_bytes
-
 let bytes_per_record t =
   if t.records = 0 then 0.0
   else float_of_int (encoded_bytes t) /. float_of_int t.records
@@ -126,37 +124,19 @@ let iter t ~f =
          decode_chunk data len ~prev_addr ~prev_bytes ~f)
        (0, 0) all)
 
-let replay ?remap t ~translation ~cache ~counters =
+let replay ~remap t ~translation ~cache ~counters =
   let identity = Translate.is_identity translation in
   let loads = ref 0 and stores = ref 0 in
-  let consume =
-    (* Specialised per configuration so the common identity/identity
-       replay pays neither closure. *)
-    match remap with
-    | None ->
-      fun kind addr bytes ->
-        let addr = if identity then addr else Translate.apply translation addr in
-        if kind = 0 then begin
-          incr loads;
-          Cache.read cache ~addr ~bytes
-        end
-        else begin
-          incr stores;
-          Cache.write cache ~addr ~bytes
-        end
-    | Some remap ->
-      fun kind addr bytes ->
-        let addr = remap addr in
-        let addr = if identity then addr else Translate.apply translation addr in
-        if kind = 0 then begin
-          incr loads;
-          Cache.read cache ~addr ~bytes
-        end
-        else begin
-          incr stores;
-          Cache.write cache ~addr ~bytes
-        end
-  in
-  iter t ~f:consume;
+  iter t ~f:(fun kind addr bytes ->
+      let addr = remap addr in
+      let addr = if identity then addr else Translate.apply translation addr in
+      if kind = 0 then begin
+        incr loads;
+        Cache.read cache ~addr ~bytes
+      end
+      else begin
+        incr stores;
+        Cache.write cache ~addr ~bytes
+      end);
   counters.Counters.loads <- counters.Counters.loads + !loads;
   counters.Counters.stores <- counters.Counters.stores + !stores

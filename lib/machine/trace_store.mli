@@ -14,7 +14,7 @@
       {!Bw_exec.Run.capture}, whose trace-buffer drain hook calls
       {!append_buffer});
     - {!replay} drains the recorded stream into any {!Cache.t} +
-      {!Counters.t} pair, applying an optional address [remap] (layout
+      {!Counters.t} pair, applying an address [remap] (layout
       re-basing) and a {!Translate.t} {e at replay time} — so one capture
       serves machines that differ in cache geometry, write policy, page
       translation, or array layout stagger.
@@ -56,10 +56,6 @@ val encoded_bytes : t -> int
 (** Number of chunks allocated (filled plus the open one). *)
 val chunks : t -> int
 
-(** Bytes the allocated chunks occupy: at least {!encoded_bytes}, and a
-    whole chunk even for a store of a few records. *)
-val resident_bytes : t -> int
-
 (** Mean encoded bytes per record (0 when empty). *)
 val bytes_per_record : t -> float
 
@@ -67,13 +63,13 @@ val bytes_per_record : t -> float
     order, with the raw captured addresses (no remap, no translation). *)
 val iter : t -> f:(int -> int -> int -> unit) -> unit
 
-(** [replay t ~translation ~cache ~counters] feeds every record through
-    [remap] (default: identity) then [translation] into [cache], and
+(** [replay ~remap t ~translation ~cache ~counters] feeds every record
+    through [remap] (layout re-basing) then [translation] into [cache], and
     tallies loads/stores into [counters] — the same hot loop
     {!Bw_exec.Run.simulate} drains its live trace through, so the
     resulting cache statistics are bit-identical to a direct run. *)
 val replay :
-  ?remap:(int -> int) ->
+  remap:(int -> int) ->
   t ->
   translation:Translate.t ->
   cache:Cache.t ->

@@ -1,37 +1,31 @@
 (* Bounded, LRU-evicting, single-flight result cache.  See cache.mli. *)
 
-type 'a entry = { value : 'a; weight : int; mutable tick : int }
+type 'a entry = { value : 'a; mutable tick : int }
 
 type 'a t = {
   m : Mutex.t;
   c : Condition.t;  (* signalled when an in-flight computation settles *)
   table : (string, 'a entry) Hashtbl.t;
   in_flight : (string, unit) Hashtbl.t;
-  weight : 'a -> int;
   capacity : int;
-  mutable used : int;  (* summed weight of the entries *)
   mutable clock : int;
-  metric_prefix : string;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable joins : int;
 }
 
-let metric t name by =
-  Bw_obs.Metrics.incr ~by (Bw_obs.Metrics.counter (t.metric_prefix ^ name))
+let metric name =
+  Bw_obs.Metrics.incr (Bw_obs.Metrics.counter ("serve.cache." ^ name))
 
-let create ?(metric_prefix = "serve.cache.") ~weight ~capacity () =
+let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   { m = Mutex.create ();
     c = Condition.create ();
     table = Hashtbl.create (min capacity 64);
     in_flight = Hashtbl.create 8;
-    weight;
     capacity;
-    used = 0;
     clock = 0;
-    metric_prefix;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -41,9 +35,8 @@ let touch t e =
   t.clock <- t.clock + 1;
   e.tick <- t.clock
 
-(* Evict the least-recently-used entry.  O(table size) scan: tables
-   are small (hundreds of entries) and an insert evicts only as many
-   entries as its weight displaces. *)
+(* Evict the least-recently-used entry.  O(table size) scan: capacities
+   are small (hundreds) and eviction happens at most once per insert. *)
 let evict_one t =
   let victim =
     Hashtbl.fold
@@ -54,25 +47,18 @@ let evict_one t =
       t.table None
   in
   match victim with
-  | Some (k, e) ->
+  | Some (k, _) ->
     Hashtbl.remove t.table k;
-    t.used <- t.used - e.weight;
     t.evictions <- t.evictions + 1;
-    metric t "eviction" 1
+    metric "eviction"
   | None -> ()
 
-(* A value heavier than the whole capacity is not kept: keeping it
-   would mean evicting everything and still overrunning the bound. *)
 let insert t key value =
-  let weight = t.weight value in
-  if weight <= t.capacity && not (Hashtbl.mem t.table key) then begin
-    while t.used + weight > t.capacity do
-      evict_one t
-    done;
-    let e = { value; weight; tick = 0 } in
+  if not (Hashtbl.mem t.table key) then begin
+    if Hashtbl.length t.table >= t.capacity then evict_one t;
+    let e = { value; tick = 0 } in
     touch t e;
-    Hashtbl.add t.table key e;
-    t.used <- t.used + weight
+    Hashtbl.add t.table key e
   end
 
 (* The single-flight protocol: under the lock, either the value is
@@ -89,10 +75,10 @@ let find_or_compute t ~key f =
     | Some e ->
       touch t e;
       t.hits <- t.hits + 1;
-      metric t "hit" 1;
+      metric "hit";
       if joined then begin
         t.joins <- t.joins + 1;
-        metric t "join" 1
+        metric "join"
       end;
       Mutex.unlock t.m;
       (e.value, if joined then `Joined else `Hit)
@@ -104,7 +90,7 @@ let find_or_compute t ~key f =
       else begin
         Hashtbl.add t.in_flight key ();
         t.misses <- t.misses + 1;
-        metric t "miss" 1;
+        metric "miss";
         Mutex.unlock t.m;
         let outcome = try Ok (f ()) with e -> Error e in
         Mutex.lock t.m;

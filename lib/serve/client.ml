@@ -164,35 +164,38 @@ let retryable_code = function
 let resilient_request rc (req : Protocol.request) =
   let idempotent = Protocol.idempotent req in
   let line = Json.to_string (Protocol.json_of_request req) in
-  let count_retry () =
-    rc.retries <- rc.retries + 1;
-    Bw_obs.Metrics.incr retries_c
-  in
-  let rec attempt n =
-    let can_retry = idempotent && n < rc.cfg.max_retries in
-    let retry_or fallback sleep_ms =
-      if can_retry && backoff_sleep rc sleep_ms then begin
-        count_retry ();
-        attempt (n + 1)
-      end
-      else fallback ()
-    in
+  (* Sleep, then try again while the budget lasts; [fallback] answers
+     once retrying is over.  [asked] counts the retries the server asked
+     for, the only ones [max_retries] bounds: a transport failure says
+     nothing about the request, so it is retried until the budget is
+     spent. *)
+  let rec retry ~asked fallback sleep_ms =
+    if idempotent && backoff_sleep rc sleep_ms then begin
+      rc.retries <- rc.retries + 1;
+      Bw_obs.Metrics.incr retries_c;
+      attempt ~asked
+    end
+    else fallback ()
+  and attempt ~asked =
     match rc_conn rc with
     | exception e ->
       let msg = Printexc.to_string e in
-      retry_or (fun () -> Error msg) (next_backoff_ms rc)
+      retry ~asked (fun () -> Error msg) (next_backoff_ms rc)
     | c -> (
       match request_raw c line with
       | Error msg ->
         (* transport failure or read timeout: the stream may hold a
            half-written reply, so always reconnect before retrying *)
         resilient_close rc;
-        retry_or (fun () -> Error msg) (next_backoff_ms rc)
+        retry ~asked (fun () -> Error msg) (next_backoff_ms rc)
       | Ok reply -> (
         match Protocol.response_result reply with
         | Ok _ -> Ok reply
         | Error _ ->
-          if retryable_code (Protocol.response_error_code reply) then
+          if
+            retryable_code (Protocol.response_error_code reply)
+            && asked < rc.cfg.max_retries
+          then
             (* honour the server's backoff hint when it gave one,
                jittered so synchronised clients spread back out *)
             let sleep =
@@ -200,10 +203,10 @@ let resilient_request rc (req : Protocol.request) =
               | Some ms -> ms + Random.State.int rc.rng (max 1 ((ms / 2) + 1))
               | None -> next_backoff_ms rc
             in
-            retry_or (fun () -> Ok reply) sleep
+            retry ~asked:(asked + 1) (fun () -> Ok reply) sleep
           else Ok reply))
   in
-  attempt 0
+  attempt ~asked:0
 
 (* Scrape the /metrics endpoint: raw GET line, then read the HTTP
    response until EOF (the server closes after a scrape) and strip the

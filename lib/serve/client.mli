@@ -4,10 +4,9 @@
 
     Two layers: the plain client ({!connect}/{!request}) does exactly
     one attempt, while {!resilient} adds per-attempt socket timeouts,
-    bounded retries with decorrelated-jitter exponential backoff and a
-    total sleep budget, honours the server's [retry_after_ms] hint,
-    and only ever retries idempotent requests
-    ({!Protocol.idempotent}). *)
+    retries with decorrelated-jitter exponential backoff within a total
+    sleep budget, honours the server's [retry_after_ms] hint, and only
+    ever retries idempotent requests ({!Protocol.idempotent}). *)
 
 type t
 
@@ -38,7 +37,10 @@ val fetch_metrics : Server.addr -> (string, string) result
 
 type retry_config = {
   timeout_s : float;  (** per-attempt socket timeout; [0.] = none *)
-  max_retries : int;  (** additional attempts per request *)
+  max_retries : int;
+      (** retries per request that the server asks for ([overloaded],
+          [worker_crashed]); transport failures are bounded by the
+          budget alone *)
   base_backoff_ms : int;  (** backoff floor *)
   max_backoff_ms : int;  (** backoff ceiling *)
   retry_budget_ms : int;
@@ -60,13 +62,15 @@ val resilient_close : resilient -> unit
 (** Retries performed so far (across all requests on this client). *)
 val retry_count : resilient -> int
 
-(** One request with retries.  Transport errors (including timeouts —
-    the connection is re-established, since the stream may hold a
-    half-written reply) and server rejections with a retryable [code]
-    ([overloaded], honouring its [retry_after_ms]; [worker_crashed])
-    are retried with backoff while attempts and budget remain, and only
-    for idempotent requests.  Other structured errors — including
-    [deadline_exceeded] and [shutting_down] — are returned as-is:
-    they are answers, not transport failures. *)
+(** One request with retries, only for idempotent requests.  A
+    transport failure — a connect error, a dropped or half-written
+    reply, a read timeout — is retried with backoff while the budget
+    lasts (the connection is re-established, since the stream may hold
+    a half-written reply).  A server rejection with a retryable [code]
+    ([overloaded], honouring its [retry_after_ms]; [worker_crashed]) is
+    retried at most [max_retries] times per request, within the same
+    budget.  Other structured errors — including [deadline_exceeded]
+    and [shutting_down] — are returned as-is: they are answers, not
+    transport failures. *)
 val resilient_request :
   resilient -> Protocol.request -> (Bw_core.Json.t, string) result

@@ -2,12 +2,11 @@
    No sockets, no cache, no pool — the server wraps these in its
    concurrency machinery, and the tests call them directly.
 
-   Every op that executes a program takes the program's capture from
-   the [capture] supplier and replays or profiles it; nothing here runs
-   an engine any other way.  The server supplies captures from its
-   single-flight capture cache, shared across requests and ops; a test
-   can pass [Run.capture] itself.  Replay is bit-identical to direct
-   simulation, so the answer is the same either way. *)
+   Every op that executes a program runs the request's engine once per
+   program, through [execute]: analyze, simulate and the exact predict
+   tier stream one run into every requested machine
+   ([Run.simulate_many]), optimize simulates its input and its output,
+   and the reuse tier takes a private capture for its reuse pass. *)
 
 module Json = Bw_core.Json
 
@@ -15,12 +14,27 @@ exception Deadline_exceeded
 
 (* Deadlines are absolute [Unix.gettimeofday] instants (the server
    computes them at admission); checks sit at tier boundaries — before
-   each per-machine evaluation, each capture, each fuzz iteration —
+   each engine run, each per-machine evaluation, each fuzz iteration —
    so an expired request stops at the next coarse-grained step instead
    of being computed to completion and thrown away. *)
 let check_deadline = function
   | None -> ()
   | Some d -> if Unix.gettimeofday () > d then raise Deadline_exceeded
+
+let execute_site = "serve.execute"
+
+let () =
+  Bw_obs.Fault.declare
+    ~doc:"Fail a program execution before its engine run (nothing cached)"
+    execute_site
+
+(* Every engine run starts here: an expired request does not start a
+   run it cannot wait for, and the [serve.execute] fault site fails
+   it. *)
+let execute ?deadline run =
+  check_deadline deadline;
+  Bw_obs.Fault.cut execute_site;
+  run ()
 
 let mb bytes = float_of_int bytes /. 1e6
 
@@ -63,41 +77,47 @@ let run_json (r : Bw_exec.Run.result) =
 
 (* --- analyze and simulate -------------------------------------------------- *)
 
-(* Both replay the capture on every requested machine; they differ only
-   in how much of each result they render. *)
-let replayed ?deadline ~capture ~machines p ~row =
-  check_deadline deadline;
-  let c = capture p in
+(* Both stream one engine run into every requested machine; they differ
+   only in how much of each result they render. *)
+let simulated ?deadline (req : Protocol.request) ~machines p ~row =
+  let results =
+    execute ?deadline (fun () ->
+        Bw_exec.Run.simulate_many ~engine:req.Protocol.engine ~machines p)
+  in
   Json.Obj
     [ ("program", Json.String p.Bw_ir.Ast.prog_name);
-      ( "results",
-        Json.List (List.map row (Bw_exec.Run.replay_many ~machines c)) ) ]
+      ("results", Json.List (List.map row results)) ]
 
-let analyze ?deadline ~capture ~machines p =
-  replayed ?deadline ~capture ~machines p ~row:run_json
+let analyze ?deadline req ~machines p =
+  simulated ?deadline req ~machines p ~row:run_json
 
-let simulate ?deadline ~capture ~machines p =
-  replayed ?deadline ~capture ~machines p ~row:(fun r ->
-      Json.Obj (run_row r))
+let simulate ?deadline req ~machines p =
+  simulated ?deadline req ~machines p ~row:(fun r -> Json.Obj (run_row r))
 
 (* --- predict --------------------------------------------------------------- *)
 
-(* The analytic tier never executes; the other two take the capture
-   once, at the first machine, and price every machine from it. *)
-let predict ?deadline ~capture (req : Protocol.request) ~machines p =
-  let c = lazy (capture p) in
-  let evaluate machine =
+(* The analytic tier never executes; the reuse tier takes one capture
+   and prices every machine from it; the exact tier streams one run
+   into every machine. *)
+let predict ?deadline (req : Protocol.request) ~machines p =
+  let engine = req.Protocol.engine in
+  let each evaluate =
+    List.map (fun m -> check_deadline deadline; evaluate m) machines
+  in
+  let evaluations =
     match req.Protocol.budget with
-    | `Analytic -> Bw_exec.Evaluate.of_program ~machine p
-    | `Reuse -> Bw_exec.Evaluate.of_reuse ~machine (Lazy.force c)
+    | `Analytic -> each (fun machine -> Bw_exec.Evaluate.of_program ~machine p)
+    | `Reuse ->
+      let c = execute ?deadline (fun () -> Bw_exec.Run.capture ~engine p) in
+      each (fun machine -> Bw_exec.Evaluate.of_reuse ~machine c)
     | `Exact ->
-      Bw_exec.Evaluate.of_result (Bw_exec.Run.replay ~machine (Lazy.force c))
+      List.map Bw_exec.Evaluate.of_result
+        (execute ?deadline (fun () ->
+             Bw_exec.Run.simulate_many ~engine ~machines p))
   in
   let rows =
     List.map
-      (fun machine ->
-        check_deadline deadline;
-        let e = evaluate machine in
+      (fun (e : Bw_exec.Evaluate.t) ->
         Json.Obj
           [ ("machine", Json.String e.Bw_exec.Evaluate.machine_name);
             ( "fidelity",
@@ -107,7 +127,7 @@ let predict ?deadline ~capture (req : Protocol.request) ~machines p =
             ("memory_mb", Json.Float (Bw_exec.Evaluate.memory_bytes e /. 1e6));
             ( "binding_resource",
               Json.String e.Bw_exec.Evaluate.binding_resource ) ])
-      machines
+      evaluations
   in
   Json.Obj
     [ ("program", Json.String p.Bw_ir.Ast.prog_name);
@@ -124,7 +144,7 @@ let verdict_json = function
           Json.String
             (Format.asprintf "%a" Bw_transform.Guard.pp_failure failure) ) ]
 
-let optimize ?deadline ~capture (req : Protocol.request) ~machines p =
+let optimize ?deadline (req : Protocol.request) ~machines p =
   let guard = Protocol.guard_config req.Protocol.pipeline in
   let machine = List.hd machines in
   check_deadline deadline;
@@ -132,8 +152,8 @@ let optimize ?deadline ~capture (req : Protocol.request) ~machines p =
     Bw_transform.Strategy.run_guarded ~guard ~machine p
   in
   let run q =
-    check_deadline deadline;
-    Bw_exec.Run.replay ~machine (capture q)
+    execute ?deadline (fun () ->
+        Bw_exec.Run.simulate ~engine:req.Protocol.engine ~machine q)
   in
   let before = run p in
   let after = run p' in
@@ -207,13 +227,13 @@ let fuzz ?deadline (req : Protocol.request) =
 
 (* Compute the result payload for one request.  Ping/Metrics/Shutdown
    are server concerns and never reach this function. *)
-let compute ?deadline ~capture (req : Protocol.request) ~machines
+let compute ?deadline (req : Protocol.request) ~machines
     (program : Bw_ir.Ast.program option) =
   match (req.Protocol.op, program) with
-  | Protocol.Analyze, Some p -> analyze ?deadline ~capture ~machines p
-  | Protocol.Predict, Some p -> predict ?deadline ~capture req ~machines p
-  | Protocol.Optimize, Some p -> optimize ?deadline ~capture req ~machines p
-  | Protocol.Simulate, Some p -> simulate ?deadline ~capture ~machines p
+  | Protocol.Analyze, Some p -> analyze ?deadline req ~machines p
+  | Protocol.Predict, Some p -> predict ?deadline req ~machines p
+  | Protocol.Optimize, Some p -> optimize ?deadline req ~machines p
+  | Protocol.Simulate, Some p -> simulate ?deadline req ~machines p
   | Protocol.Fuzz, _ -> fuzz ?deadline req
   | (Protocol.Ping | Protocol.Metrics | Protocol.Shutdown), _
   | _, None ->

@@ -6,20 +6,19 @@
     result cache relies on) and safe to run concurrently with itself on
     other domains.
 
-    The ops that execute a program — analyze, simulate, predict at the
-    [reuse] and [exact] budgets, and optimize (its input and its
-    output) — execute it only by taking its capture from the [capture]
-    supplier and replaying or profiling it.  The server passes its
-    single-flight capture cache, so one program is executed once however
-    many ops and machines ask about it; a test can pass
-    {!Bw_exec.Run.capture} itself.  Replay is bit-identical to direct
-    simulation, so the answer is the same either way.
+    The ops that execute a program run the request's engine once per
+    program they execute: analyze, simulate and predict at the [exact]
+    budget stream one run into every requested machine
+    ({!Bw_exec.Run.simulate_many}), optimize simulates its input and its
+    output, and predict at the [reuse] budget takes one private
+    {!Bw_exec.Run.capture} for its reuse pass.  Each engine run first
+    crosses the [serve.execute] fault site.
 
     [deadline] is an absolute [Unix.gettimeofday] instant.  It is
-    checked at tier boundaries — before each per-machine evaluation,
-    each capture, each fuzz iteration — and an expired deadline
-    raises {!Deadline_exceeded} instead of finishing work nobody will
-    wait for.  Passing no deadline disables all checks. *)
+    checked at tier boundaries — before each engine run, each
+    per-machine evaluation, each fuzz iteration — and an expired
+    deadline raises {!Deadline_exceeded} instead of finishing work
+    nobody will wait for.  Passing no deadline disables all checks. *)
 
 module Json = Bw_core.Json
 
@@ -31,43 +30,41 @@ exception Deadline_exceeded
     an already-expired request is never computed at all. *)
 val check_deadline : float option -> unit
 
-(** Replays the capture on each requested machine: balance, counters,
-    timing and bound per machine. *)
+(** Simulates the program on each requested machine in one engine run:
+    balance, counters, timing and bound per machine. *)
 val analyze :
   ?deadline:float ->
-  capture:(Bw_ir.Ast.program -> Bw_exec.Run.capture) ->
+  Protocol.request ->
   machines:Bw_machine.Machine.t list ->
   Bw_ir.Ast.program ->
   Json.t
 
 (** Evaluates each machine at the request's budget: the analytic model
     ({!Bw_exec.Evaluate.of_program}, no execution), a reuse pass over
-    the capture ({!Bw_exec.Evaluate.of_reuse}) or an exact replay of it
-    ({!Bw_exec.Evaluate.of_result}). *)
+    one capture ({!Bw_exec.Evaluate.of_reuse}) or one simulation run
+    streamed into every machine ({!Bw_exec.Evaluate.of_result}). *)
 val predict :
   ?deadline:float ->
-  capture:(Bw_ir.Ast.program -> Bw_exec.Run.capture) ->
   Protocol.request ->
   machines:Bw_machine.Machine.t list ->
   Bw_ir.Ast.program ->
   Json.t
 
 (** Runs the guarded pipeline under the request's [pipeline] config and
-    replays the captures of the input and the output on the {e first}
-    requested machine. *)
+    simulates the input and the output on the {e first} requested
+    machine. *)
 val optimize :
   ?deadline:float ->
-  capture:(Bw_ir.Ast.program -> Bw_exec.Run.capture) ->
   Protocol.request ->
   machines:Bw_machine.Machine.t list ->
   Bw_ir.Ast.program ->
   Json.t
 
-(** Replays the capture on each requested machine: the first four
-    fields of {!analyze}'s per-machine row. *)
+(** Simulates the program on each requested machine in one engine run:
+    the first four fields of {!analyze}'s per-machine row. *)
 val simulate :
   ?deadline:float ->
-  capture:(Bw_ir.Ast.program -> Bw_exec.Run.capture) ->
+  Protocol.request ->
   machines:Bw_machine.Machine.t list ->
   Bw_ir.Ast.program ->
   Json.t
@@ -78,7 +75,6 @@ val fuzz : ?deadline:float -> Protocol.request -> Json.t
     concerns and raise [Invalid_argument] here. *)
 val compute :
   ?deadline:float ->
-  capture:(Bw_ir.Ast.program -> Bw_exec.Run.capture) ->
   Protocol.request ->
   machines:Bw_machine.Machine.t list ->
   Bw_ir.Ast.program option ->

@@ -20,7 +20,8 @@ type spec = {
   scale : int;  (** workload scale passed in each request *)
   chaos : bool;  (** resilient clients + fault-hunting stream *)
   timeout_s : float;  (** per-attempt socket timeout (chaos mode) *)
-  retries : int;  (** retries per request (chaos mode) *)
+  retries : int;
+      (** retries per request the server asks for (chaos mode) *)
 }
 
 (** 2 clients, 1000 requests, seed 42, scale 1, no chaos (10 s

@@ -340,13 +340,6 @@ let cache_key req ~program =
          (engine_name req.engine) (budget_name req.budget)
          (pipeline_key req.pipeline))
 
-(* Key of the shared capture (program execution) behind every executing
-   op: machine- and op-independent, so requests that differ only in op,
-   machine list or budget share one engine run. *)
-let capture_key req ~program =
-  Printf.sprintf "capture|prog=%s|engine=%s" (Bw_ir.Digest.program program)
-    (engine_name req.engine)
-
 let needs_program req =
   match req.op with
   | Analyze | Predict | Optimize | Simulate -> true

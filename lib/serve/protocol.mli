@@ -52,7 +52,7 @@ type op =
   | Analyze  (** simulate on each machine: balance, counters, timing *)
   | Predict  (** tiered evaluation at the requested budget *)
   | Optimize  (** guarded pipeline + before/after simulation *)
-  | Simulate  (** replay the program's capture on each machine *)
+  | Simulate  (** simulate the program on each machine *)
   | Fuzz  (** differential fuzzing over seeded programs *)
   | Shutdown  (** begin graceful drain *)
 
@@ -145,12 +145,6 @@ val budget_name : [ `Analytic | `Reuse | `Exact ] -> string
 
 (** [None] for ops whose answers are not cacheable. *)
 val cache_key : request -> program:Bw_ir.Ast.program option -> string option
-
-(** Key of a program's machine-independent capture: its digest and the
-    request's engine.  Every executing op (analyze, simulate, predict at
-    the reuse and exact tiers, and optimize's input and output) shares
-    the capture under this key. *)
-val capture_key : request -> program:Bw_ir.Ast.program -> string
 
 val needs_program : request -> bool
 

@@ -1,7 +1,6 @@
 (* The bwc serve daemon: accept loop, per-connection threads, compute
    on the persistent domain pool, content-addressed result cache,
-   single-flight capture cache shared by every executing op, graceful
-   drain.  See server.mli. *)
+   graceful drain.  See server.mli. *)
 
 module Json = Bw_core.Json
 
@@ -15,7 +14,6 @@ type config = {
   addr : addr;
   jobs : int option;
   cache_capacity : int;
-  capture_bytes : int;
   verbose : bool;
   max_queue : int;
   degrade_queue : int;
@@ -27,7 +25,6 @@ type config = {
 
 let default_config addr =
   { addr; jobs = None; cache_capacity = 512;
-    capture_bytes = 2 * 1024 * 1024;
     verbose = false;
     max_queue = 64;
     degrade_queue = 16;
@@ -49,7 +46,6 @@ type t = {
   actual_addr : addr;
   pool : Bw_exec.Pool.t;
   results : Json.t Cache.t;
-  captures : Bw_exec.Run.capture Cache.t;
   drain_requested : bool Atomic.t;
   stopping : bool Atomic.t;
   cm : Mutex.t;
@@ -83,7 +79,6 @@ let oversized_c = Bw_obs.Metrics.counter "serve.request.oversized"
 let compute_delay_site = "serve.compute.delay"
 let socket_stall_site = "serve.socket.stall"
 let socket_close_site = "serve.socket.close"
-let capture_site = "serve.capture"
 
 let () =
   Bw_obs.Fault.declare
@@ -93,10 +88,7 @@ let () =
     ~doc:"Stall mid-response: write half the reply, sleep, write the rest"
     socket_stall_site;
   Bw_obs.Fault.declare
-    ~doc:"Drop the connection after writing half a reply" socket_close_site;
-  Bw_obs.Fault.declare
-    ~doc:"Fail a program capture inside the capture cache (nothing cached)"
-    capture_site
+    ~doc:"Drop the connection after writing half a reply" socket_close_site
 
 (* --- request processing ----------------------------------------------------- *)
 
@@ -120,23 +112,6 @@ let ping_payload t =
             ("evictions", Json.Int stats.Cache.evictions);
             ("single_flight_joins", Json.Int stats.Cache.single_flight_joins)
           ] ) ]
-
-(* The capture supplier every executing op runs through: a program's
-   capture, taken once per (digest, engine) and shared across requests
-   and ops through the single-flight capture cache for as long as the
-   cache's byte budget keeps it.  The deadline check
-   and the fault site sit inside the cache's compute: an expired request
-   does not start a capture it cannot wait for, and a failed capture
-   caches nothing, so one waiter retries it.  No deadlock: a capture
-   computation runs an engine and waits on nothing, so a task blocked
-   on another task's capture always waits on progress. *)
-let shared_capture t req ~deadline program =
-  fst
-    (Cache.find_or_compute t.captures ~key:(Protocol.capture_key req ~program)
-       (fun () ->
-         Handle.check_deadline deadline;
-         Bw_obs.Fault.cut capture_site;
-         Bw_exec.Run.capture ~engine:req.Protocol.engine program))
 
 (* One-line error message from an arbitrary handler exception. *)
 let one_line e =
@@ -196,14 +171,13 @@ let compute_op t (req : Protocol.request) ~degrade =
       match (degrade, program) with
       | true, Some p -> (
         (* Load shed, fidelity first: answer inline from the analytic
-           tier, which never calls the capture supplier — no pool, no
-           queue, and deliberately no cache in either direction, so
-           degraded payloads can never alias the byte-identical
-           full-fidelity cached answers. *)
+           tier, which never executes — no pool, no queue, and
+           deliberately no cache in either direction, so degraded
+           payloads can never alias the byte-identical full-fidelity
+           cached answers. *)
         Bw_obs.Metrics.incr degraded_c;
         match
-          Handle.predict ~capture:(shared_capture t req ~deadline)
-            { req with Protocol.budget = `Analytic } ~machines p
+          Handle.predict { req with Protocol.budget = `Analytic } ~machines p
         with
         | payload ->
           Protocol.ok_response ?id:req.Protocol.id ~degraded:"analytic"
@@ -224,9 +198,7 @@ let compute_op t (req : Protocol.request) ~degrade =
               | Some (Bw_obs.Fault.Raise | Bw_obs.Fault.Corrupt) ->
                 Bw_obs.Fault.sleep_ms 250
               | None -> ());
-              Handle.compute ?deadline
-                ~capture:(shared_capture t req ~deadline)
-                req ~machines program)
+              Handle.compute ?deadline req ~machines program)
         in
         match
           match Protocol.cache_key req ~program with
@@ -555,11 +527,7 @@ let start config =
       listen_fd;
       actual_addr;
       pool = Bw_exec.Pool.create ?jobs:config.jobs ();
-      results =
-        Cache.create ~weight:(fun _ -> 1) ~capacity:config.cache_capacity ();
-      captures =
-        Cache.create ~metric_prefix:"serve.capture_cache."
-          ~weight:Bw_exec.Run.resident_bytes ~capacity:config.capture_bytes ();
+      results = Cache.create ~capacity:config.cache_capacity;
       drain_requested = Atomic.make false;
       stopping = Atomic.make false;
       cm = Mutex.create ();

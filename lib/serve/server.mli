@@ -5,13 +5,10 @@
     threads do the blocking I/O; handler compute runs on a persistent
     work-stealing domain pool ({!Bw_exec.Pool}).  Cacheable responses
     are memoised in a content-addressed result cache keyed on IR digest
-    × machine set × pipeline config ({!Protocol.cache_key}).  Every
-    executing op takes its program's capture from a second,
-    single-flight cache ({!Protocol.capture_key}: program × engine) and
-    replays or profiles it ({!Handle}), so analyze, simulate, predict
-    and optimize requests for one program share one engine run.  That
-    cache is bounded by bytes ([capture_bytes]); a capture larger than
-    the whole budget is used by its op and not kept.
+    × machine set × pipeline config ({!Protocol.cache_key}).  A miss
+    runs the request's engine once per program it executes ({!Handle}):
+    one run streams into every requested machine, and nothing but the
+    answer is kept.
 
     Raw lines beginning with ["GET "] are answered with a minimal
     HTTP/1.0 response carrying the {!Expose.render} metrics text, so
@@ -47,9 +44,10 @@
     [pool.worker.crash] (kill a worker domain at task pickup),
     [serve.compute.delay] (straggler compute), [serve.socket.stall]
     (half-written reply, sleep, rest), [serve.socket.close] (drop the
-    connection mid-reply), [serve.capture] (fail a program capture,
-    which caches nothing).  The HTTP metrics scrape is exempt from
-    socket chaos so observability survives the storm it is watching.
+    connection mid-reply), [serve.execute] (fail a program execution
+    before its engine run, which caches nothing).  The HTTP metrics
+    scrape is exempt from socket chaos so observability survives the
+    storm it is watching.
 
     Metrics: [serve.queue.depth] (gauge), [serve.queue.shed],
     [serve.queue.degraded], [serve.deadline.expired],
@@ -64,10 +62,6 @@ type config = {
   addr : addr;
   jobs : int option;  (** worker domains; default [cores - 1] *)
   cache_capacity : int;  (** result-cache entries before LRU eviction *)
-  capture_bytes : int;
-      (** capture-cache budget: the summed {!Bw_exec.Run.resident_bytes}
-          of the captures kept; a larger capture serves the request that
-          took it and is not kept *)
   verbose : bool;
   max_queue : int;
       (** reject ([overloaded]) when the pool backlog reaches this *)

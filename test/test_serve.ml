@@ -7,9 +7,9 @@
    The resilience layer is tested with armed faults: worker-domain
    crashes heal, deadlines expire into structured errors, overload
    degrades then sheds, the watchdog reaps idle connections, a failed
-   simulate capture caches nothing, a drain under load still answers
-   everything admitted, and the chaos load run ends with zero
-   unanswered requests. *)
+   execution caches nothing, a drain under load still answers
+   everything admitted, the resilient client outlasts dropped replies,
+   and the chaos load run ends with zero unanswered requests. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -40,7 +40,7 @@ let with_faults arm_fn f =
 (* --- cache ------------------------------------------------------------------ *)
 
 let test_cache_hit_and_miss () =
-  let c = Cache.create ~weight:(fun _ -> 1) ~capacity:8 () in
+  let c = Cache.create ~capacity:8 in
   let computed = ref 0 in
   let f () = incr computed; 42 in
   let v1, how1 = Cache.find_or_compute c ~key:"k" f in
@@ -52,7 +52,7 @@ let test_cache_hit_and_miss () =
   check int "computed exactly once" 1 !computed
 
 let test_cache_eviction_at_capacity () =
-  let c = Cache.create ~weight:(fun _ -> 1) ~capacity:2 () in
+  let c = Cache.create ~capacity:2 in
   ignore (Cache.find_or_compute c ~key:"a" (fun () -> 1));
   ignore (Cache.find_or_compute c ~key:"b" (fun () -> 2));
   (* refresh "a" so "b" is the least recently used *)
@@ -67,7 +67,7 @@ let test_cache_eviction_at_capacity () =
   check int "one eviction" 1 s.Cache.evictions
 
 let test_cache_single_flight () =
-  let c = Cache.create ~weight:(fun _ -> 1) ~capacity:8 () in
+  let c = Cache.create ~capacity:8 in
   let computed = ref 0 in
   let m = Mutex.create () in
   let f () =
@@ -98,7 +98,7 @@ let test_cache_single_flight () =
   check int "three joins" 3 (Cache.stats c).Cache.single_flight_joins
 
 let test_cache_failure_does_not_poison () =
-  let c = Cache.create ~weight:(fun _ -> 1) ~capacity:4 () in
+  let c = Cache.create ~capacity:4 in
   (match Cache.find_or_compute c ~key:"k" (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "expected the computation's exception"
   | exception Failure msg -> check string "exception propagates" "boom" msg);
@@ -106,32 +106,6 @@ let test_cache_failure_does_not_poison () =
   let v, how = Cache.find_or_compute c ~key:"k" (fun () -> 7) in
   check int "retry succeeds" 7 v;
   check bool "retry is a miss" true (how = `Miss)
-
-(* Weights bound the summed size, not the count: an insert evicts
-   least-recently-used entries until it fits, and a value heavier than
-   the whole capacity is answered but not kept. *)
-let test_cache_weight_bound () =
-  let c = Cache.create ~weight:String.length ~capacity:10 () in
-  let put key v = ignore (Cache.find_or_compute c ~key (fun () -> v)) in
-  put "a" "aaaa";
-  put "b" "bbbb";
-  put "c" "cc";
-  check int "10 of 10: all three fit" 3 (Cache.stats c).Cache.size;
-  (* refresh "a" so "b", then "c", are the least recently used *)
-  put "a" "unused: a is a hit";
-  put "d" "ddddd";
-  check bool "a survives" true (Cache.mem c "a");
-  check bool "b evicted" false (Cache.mem c "b");
-  check bool "c evicted to make room too" false (Cache.mem c "c");
-  check bool "d kept" true (Cache.mem c "d");
-  let v, how =
-    Cache.find_or_compute c ~key:"big" (fun () -> String.make 11 'x')
-  in
-  check int "oversized value answered" 11 (String.length v);
-  check bool "oversized is a miss" true (how = `Miss);
-  check bool "oversized not kept" false (Cache.mem c "big");
-  check bool "nothing evicted for it" true (Cache.mem c "a" && Cache.mem c "d");
-  check int "two evictions" 2 (Cache.stats c).Cache.evictions
 
 (* --- protocol --------------------------------------------------------------- *)
 
@@ -341,51 +315,28 @@ let test_server_repeat_does_zero_engine_work () =
       check bool "second cached" true (Protocol.response_cached r2);
       check int "the hit did zero engine work" after_first (runs ()))
 
-(* Every executing op replays the program's one shared capture: fig7's
-   six distinct misses (analyze, simulate, predict at all three budgets
-   on two machines, optimize on one) run the engine once for fig7 and
-   once for its optimized form, and every payload equals the one a
-   direct simulation and {!Bw_exec.Evaluate} give. *)
-let test_server_ops_share_one_capture () =
+(* Every executing miss runs the engine once per program it executes —
+   analyze, simulate and predict at the exact budget stream one run into
+   both machines, the reuse budget takes one capture, the analytic
+   budget runs nothing, and optimize simulates its input and its output
+   — and every payload equals the one a direct simulation and
+   {!Bw_exec.Evaluate} give.  Inputs: two registry programs and one
+   generated program sent as inline source. *)
+let test_server_miss_runs_engine_per_program () =
   let machine_names = [ "origin2000"; "exemplar" ] in
-  let req op =
-    { (Protocol.default_request op) with
-      Protocol.program = Some "fig7";
-      machines = machine_names }
+  let inputs =
+    [ { (Protocol.default_request Protocol.Analyze) with
+        Protocol.program = Some "fig7" };
+      { (Protocol.default_request Protocol.Analyze) with
+        Protocol.program = Some "read_loop" };
+      { (Protocol.default_request Protocol.Analyze) with
+        Protocol.source =
+          Some
+            (Bw_ir.Pretty.program_to_string
+               (Bw_qa.Gen.generate ~seed:3 ~size:4)) } ]
   in
-  let predict budget = { (req Protocol.Predict) with Protocol.budget } in
-  let requests =
-    [ req Protocol.Analyze; req Protocol.Simulate; predict `Exact;
-      predict `Reuse; predict `Analytic;
-      { (req Protocol.Optimize) with Protocol.machines = [ "origin2000" ] } ]
-  in
-  let runs0 = counter "engine.compiled.runs" in
-  let misses0 = counter "serve.capture_cache.miss" in
-  let payloads =
-    with_server (fun addr ->
-        let client = Client.connect addr in
-        Fun.protect
-          ~finally:(fun () -> Client.close client)
-          (fun () ->
-            List.map
-              (fun r ->
-                let response = Result.get_ok (Client.request client r) in
-                check bool "a miss" false (Protocol.response_cached response);
-                match Protocol.response_result response with
-                | Ok payload -> payload
-                | Error msg -> Alcotest.fail msg)
-              requests))
-  in
-  check int "engine runs: fig7 and its optimized form" 2
-    (counter "engine.compiled.runs" - runs0);
-  check int "capture-cache misses" 2
-    (counter "serve.capture_cache.miss" - misses0);
-  let p = Result.get_ok (Bw_core.Loader.load_program ~scale:1 "fig7") in
   let machines =
     List.map (fun n -> Result.get_ok (Bw_core.Loader.machine n)) machine_names
-  in
-  let direct =
-    List.map (fun machine -> Bw_exec.Run.simulate ~machine p) machines
   in
   let f x = Json.Float x in
   let mb bytes = f (float_of_int bytes /. 1e6) in
@@ -416,73 +367,124 @@ let test_server_ops_share_one_capture () =
                 ( "cpu_utilisation",
                   f (Bw_core.Balance.cpu_utilisation_bound b m) ) ] ) ])
   in
-  let program = ("program", Json.String p.Bw_ir.Ast.prog_name) in
-  let results rows = Json.Obj [ program; ("results", Json.List rows) ] in
-  let capture = Bw_exec.Run.capture p in
-  let evaluated name evaluate =
-    Json.Obj
-      [ program;
-        ("budget", Json.String name);
-        ( "results",
-          Json.List
-            (List.map
-               (fun machine ->
-                 let e : Bw_exec.Evaluate.t = evaluate machine in
-                 Json.Obj
-                   [ ("machine", Json.String e.Bw_exec.Evaluate.machine_name);
-                     ( "fidelity",
-                       Json.String
-                         (Bw_exec.Evaluate.fidelity_name
-                            e.Bw_exec.Evaluate.fidelity) );
-                     ("seconds", f e.Bw_exec.Evaluate.seconds);
-                     ("memory_mb", f (Bw_exec.Evaluate.memory_bytes e /. 1e6));
-                     ( "binding_resource",
-                       Json.String e.Bw_exec.Evaluate.binding_resource ) ])
-               machines) ) ]
-  in
-  let expected =
-    [ results (List.map analyze_row direct);
-      results (List.map (fun r -> Json.Obj (row r)) direct);
-      evaluated "exact" (fun machine ->
-          Bw_exec.Evaluate.of_result (Bw_exec.Run.simulate ~machine p));
-      evaluated "reuse" (fun machine ->
-          Bw_exec.Evaluate.of_reuse ~machine capture);
-      evaluated "analytic" (fun machine ->
-          Bw_exec.Evaluate.of_program ~machine p) ]
-  in
-  List.iteri
-    (fun i e ->
-      check string
-        (Protocol.op_name (List.nth requests i).Protocol.op ^ " payload")
-        (Json.to_string e)
-        (Json.to_string (List.nth payloads i)))
-    expected;
-  (* optimize: the before/after figures are direct simulations of fig7
-     and of the pipeline's output on origin2000 *)
-  let optimized = List.nth payloads 5 in
-  let machine = List.hd machines in
-  let p', _, _ = Bw_transform.Strategy.run_guarded ~machine p in
-  let before = Bw_exec.Run.simulate ~machine p in
-  let after = Bw_exec.Run.simulate ~machine p' in
   let traffic (r : Bw_exec.Run.result) =
     mb (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache)
   in
-  List.iter
-    (fun (field, v) ->
-      check string ("optimize " ^ field) (Json.to_string v)
-        (match Json.member field optimized with
-        | Some got -> Json.to_string got
-        | None -> Alcotest.failf "optimize payload lacks %s" field))
-    [ ("memory_mb_before", traffic before);
-      ("memory_mb_after", traffic after);
-      ("seconds_before", f (Bw_exec.Run.seconds before));
-      ("seconds_after", f (Bw_exec.Run.seconds after));
-      ("speedup", f (Bw_exec.Run.seconds before /. Bw_exec.Run.seconds after));
-      ( "behaviour_preserved",
-        Json.Bool
-          (Bw_exec.Interp.equal_observation before.Bw_exec.Run.observation
-             after.Bw_exec.Run.observation) );
-      ("optimized", Json.String (Bw_ir.Pretty.program_to_string p')) ]
+  (* (request, engine runs it takes, payload a direct computation gives) *)
+  let cases (input : Protocol.request) =
+    let req op = { input with Protocol.op; machines = machine_names } in
+    let predict budget = { (req Protocol.Predict) with Protocol.budget } in
+    let p = Result.get_ok (Protocol.load_program input) in
+    let direct =
+      List.map (fun machine -> Bw_exec.Run.simulate ~machine p) machines
+    in
+    let program = ("program", Json.String p.Bw_ir.Ast.prog_name) in
+    let results rows = Json.Obj [ program; ("results", Json.List rows) ] in
+    let evaluated name evaluate =
+      Json.Obj
+        [ program;
+          ("budget", Json.String name);
+          ( "results",
+            Json.List
+              (List.map
+                 (fun machine ->
+                   let e : Bw_exec.Evaluate.t = evaluate machine in
+                   Json.Obj
+                     [ ("machine", Json.String e.Bw_exec.Evaluate.machine_name);
+                       ( "fidelity",
+                         Json.String
+                           (Bw_exec.Evaluate.fidelity_name
+                              e.Bw_exec.Evaluate.fidelity) );
+                       ("seconds", f e.Bw_exec.Evaluate.seconds);
+                       ( "memory_mb",
+                         f (Bw_exec.Evaluate.memory_bytes e /. 1e6) );
+                       ( "binding_resource",
+                         Json.String e.Bw_exec.Evaluate.binding_resource ) ])
+                 machines) ) ]
+    in
+    let capture = Bw_exec.Run.capture p in
+    (* optimize: the before/after figures are direct simulations of the
+       input and of the pipeline's output on origin2000 *)
+    let machine = List.hd machines in
+    let p', _, _ = Bw_transform.Strategy.run_guarded ~machine p in
+    let before = Bw_exec.Run.simulate ~machine p in
+    let after = Bw_exec.Run.simulate ~machine p' in
+    let optimized =
+      [ ("memory_mb_before", traffic before);
+        ("memory_mb_after", traffic after);
+        ("seconds_before", f (Bw_exec.Run.seconds before));
+        ("seconds_after", f (Bw_exec.Run.seconds after));
+        ( "speedup",
+          f (Bw_exec.Run.seconds before /. Bw_exec.Run.seconds after) );
+        ( "behaviour_preserved",
+          Json.Bool
+            (Bw_exec.Interp.equal_observation before.Bw_exec.Run.observation
+               after.Bw_exec.Run.observation) );
+        ("optimized", Json.String (Bw_ir.Pretty.program_to_string p')) ]
+    in
+    [ (req Protocol.Analyze, 1, `Payload (results (List.map analyze_row direct)));
+      ( req Protocol.Simulate,
+        1,
+        `Payload (results (List.map (fun r -> Json.Obj (row r)) direct)) );
+      ( predict `Exact,
+        1,
+        `Payload
+          (evaluated "exact" (fun machine ->
+               Bw_exec.Evaluate.of_result (Bw_exec.Run.simulate ~machine p)))
+      );
+      ( predict `Reuse,
+        1,
+        `Payload
+          (evaluated "reuse" (fun machine ->
+               Bw_exec.Evaluate.of_reuse ~machine capture)) );
+      ( predict `Analytic,
+        0,
+        `Payload
+          (evaluated "analytic" (fun machine ->
+               Bw_exec.Evaluate.of_program ~machine p)) );
+      ( { (req Protocol.Optimize) with Protocol.machines = [ "origin2000" ] },
+        2,
+        `Fields optimized ) ]
+  in
+  let cases = List.concat_map cases inputs in
+  let answers =
+    with_server (fun addr ->
+        let client = Client.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Client.close client)
+          (fun () ->
+            List.map
+              (fun (r, _, _) ->
+                let runs0 = counter "engine.compiled.runs" in
+                let response = Result.get_ok (Client.request client r) in
+                check bool "a miss" false (Protocol.response_cached response);
+                match Protocol.response_result response with
+                | Ok payload -> (payload, counter "engine.compiled.runs" - runs0)
+                | Error msg -> Alcotest.fail msg)
+              cases))
+  in
+  check int "engine runs: six misses per program" (6 * List.length inputs)
+    (List.fold_left (fun acc (_, runs) -> acc + runs) 0 answers);
+  List.iter2
+    (fun ((r : Protocol.request), runs, expected) (payload, ran) ->
+      let what =
+        Printf.sprintf "%s %s" (Protocol.op_name r.Protocol.op)
+          (Protocol.budget_name r.Protocol.budget)
+      in
+      check int (what ^ ": engine runs") runs ran;
+      match expected with
+      | `Payload e ->
+        check string (what ^ " payload") (Json.to_string e)
+          (Json.to_string payload)
+      | `Fields fields ->
+        List.iter
+          (fun (field, v) ->
+            check string (what ^ " " ^ field) (Json.to_string v)
+              (match Json.member field payload with
+              | Some got -> Json.to_string got
+              | None -> Alcotest.failf "%s payload lacks %s" what field))
+          fields)
+    cases answers
 
 let test_server_survives_malformed_requests () =
   with_server (fun addr ->
@@ -552,11 +554,7 @@ let test_handle_optimize_matches_cli () =
   match (Protocol.load_program req, Protocol.resolve_machines req) with
   | Error msg, _ | _, Error msg -> Alcotest.fail msg
   | Ok p, Ok machines ->
-    let result =
-      Bw_serve.Handle.optimize
-        ~capture:(Bw_exec.Run.capture ~engine:req.Protocol.engine)
-        req ~machines p
-    in
+    let result = Bw_serve.Handle.optimize req ~machines p in
     let cli, _, _ =
       Bw_transform.Strategy.run_guarded ~stages:Bw_transform.Strategy.default
         ~guard:Bw_transform.Guard.default_config ~machine:(List.hd machines) p
@@ -883,50 +881,11 @@ let test_server_watchdog_reaps_idle_connections () =
               check bool "fresh connections served" true
                 (Result.is_ok (Protocol.response_result r2)))))
 
-(* The capture cache is bounded by bytes: under a budget one byte short
-   of fig7's capture, analyze and simulate each take their own capture
-   and keep none, and the answers are the ones a shared capture gives. *)
-let test_server_capture_budget () =
-  let p = Result.get_ok (Bw_core.Loader.load_program ~scale:1 "fig7") in
-  let bytes = Bw_exec.Run.resident_bytes (Bw_exec.Run.capture p) in
-  let req op =
-    { (Protocol.default_request op) with
-      Protocol.program = Some "fig7";
-      machines = [ "origin2000" ] }
-  in
-  let answer budget =
-    let runs0 = counter "engine.compiled.runs" in
-    let evictions0 = counter "serve.capture_cache.eviction" in
-    let payloads =
-      with_server
-        ~tweak:(fun c -> { c with Server.capture_bytes = budget })
-        (fun addr ->
-          List.map
-            (fun op ->
-              match
-                Protocol.response_result
-                  (Result.get_ok (Client.one_shot addr (req op)))
-              with
-              | Ok payload -> Json.to_string payload
-              | Error msg -> Alcotest.fail msg)
-            [ Protocol.Analyze; Protocol.Simulate ])
-    in
-    ( payloads,
-      counter "engine.compiled.runs" - runs0,
-      counter "serve.capture_cache.eviction" - evictions0 )
-  in
-  let shared, shared_runs, _ = answer bytes in
-  let unkept, unkept_runs, evictions = answer (bytes - 1) in
-  check int "a capture within the budget is shared" 1 shared_runs;
-  check int "one over it is taken per op" 2 unkept_runs;
-  check int "and evicts nothing" 0 evictions;
-  check (Alcotest.list string) "same answers" shared unkept
-
-(* A capture that fails inside the server's capture cache fails only
-   the request that started it, with a one-line error, and caches
-   nothing in either cache: the same request then computes afresh and
-   answers exactly what a direct simulation answers. *)
-let test_server_capture_fault_caches_nothing () =
+(* An execution that fails at [serve.execute] fails only the request
+   that started it, with a one-line error, and caches nothing: the same
+   request then executes afresh and answers exactly what a direct
+   simulation answers. *)
+let test_server_execute_fault_caches_nothing () =
   let req =
     { (Protocol.default_request Protocol.Simulate) with
       Protocol.program = Some "read_loop";
@@ -934,25 +893,24 @@ let test_server_capture_fault_caches_nothing () =
   in
   with_server (fun addr ->
       with_faults
-        (fun () -> Fault.arm "serve.capture" Fault.Raise (Fault.Nth 1))
+        (fun () -> Fault.arm "serve.execute" Fault.Raise (Fault.Nth 1))
         (fun () ->
-          let misses0 = counter "serve.capture_cache.miss" in
+          let runs0 = counter "engine.compiled.runs" in
           let r1 = Result.get_ok (Client.one_shot addr req) in
           (match Protocol.response_result r1 with
-          | Ok _ -> Alcotest.fail "the armed capture did not fail"
+          | Ok _ -> Alcotest.fail "the armed execution did not fail"
           | Error msg ->
             check bool "one-line error" false (String.contains msg '\n'));
           let r2 = Result.get_ok (Client.one_shot addr req) in
           check bool "the failed attempt was not cached" false
             (Protocol.response_cached r2);
-          check int "the retry took the capture afresh" 2
-            (counter "serve.capture_cache.miss" - misses0);
+          check int "the retry executed afresh" 2
+            (Fault.hits "serve.execute");
+          check int "and ran the engine once" 1
+            (counter "engine.compiled.runs" - runs0);
           let direct =
             match (Protocol.load_program req, Protocol.resolve_machines req) with
-            | Ok p, Ok machines ->
-              Bw_serve.Handle.simulate
-                ~capture:(Bw_exec.Run.capture ~engine:req.Protocol.engine)
-                ~machines p
+            | Ok p, Ok machines -> Bw_serve.Handle.simulate req ~machines p
             | Error msg, _ | _, Error msg -> Alcotest.fail msg
           in
           match Protocol.response_result r2 with
@@ -1037,6 +995,56 @@ let test_resilient_client_survives_dropped_replies () =
               check bool "retries were needed" true
                 (Client.retry_count rc > 0))))
 
+(* Transport failures are retried while the budget lasts, whatever
+   [max_retries] says: a request whose replies are dropped more times
+   in a row than [max_retries] allows still gets its answer. *)
+let test_resilient_client_outlasts_max_retries () =
+  with_server (fun addr ->
+      with_faults
+        (fun () -> Fault.arm "serve.socket.close" Fault.Raise (Fault.Every 1))
+        (fun () ->
+          let cfg =
+            { Client.default_retry_config with
+              Client.timeout_s = 2.0;
+              max_retries = 1;
+              base_backoff_ms = 100;
+              max_backoff_ms = 200 }
+          in
+          let lost = cfg.Client.max_retries + 3 in
+          (* every reply is dropped until [lost] of them were; the
+             client's backoff sleep leaves ample time to disarm *)
+          let finished = Atomic.make false in
+          let healer =
+            Thread.create
+              (fun () ->
+                while
+                  Fault.hits "serve.socket.close" < lost
+                  && not (Atomic.get finished)
+                do
+                  Thread.delay 0.001
+                done;
+                Fault.disarm_all ())
+              ()
+          in
+          let rc = Client.resilient ~cfg ~seed:7 addr in
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set finished true;
+              Thread.join healer;
+              Client.resilient_close rc)
+            (fun () ->
+              let req =
+                { (Protocol.default_request Protocol.Analyze) with
+                  Protocol.program = Some "read_loop" }
+              in
+              match Client.resilient_request rc req with
+              | Error msg -> Alcotest.failf "gave up: %s" msg
+              | Ok r ->
+                check bool "answered" true
+                  (Result.is_ok (Protocol.response_result r));
+                check int "one retry per dropped reply" lost
+                  (Client.retry_count rc))))
+
 let test_chaos_load_run_is_clean () =
   with_server
     ~tweak:(fun c ->
@@ -1077,9 +1085,7 @@ let suites =
         Alcotest.test_case "single-flight computes once" `Quick
           test_cache_single_flight;
         Alcotest.test_case "failure does not poison the key" `Quick
-          test_cache_failure_does_not_poison;
-        Alcotest.test_case "weights bound the summed size" `Quick
-          test_cache_weight_bound ] );
+          test_cache_failure_does_not_poison ] );
     ( "serve.protocol",
       [ Alcotest.test_case "rejects garbage with one-line errors" `Quick
           test_protocol_rejects_garbage;
@@ -1099,8 +1105,9 @@ let suites =
     ( "serve.daemon",
       [ Alcotest.test_case "cache hit is byte-identical" `Quick
           test_server_hit_is_byte_identical;
-        Alcotest.test_case "ops share one capture per program" `Quick
-          test_server_ops_share_one_capture;
+        Alcotest.test_case
+          "every executing miss runs the engine once per program it executes"
+          `Quick test_server_miss_runs_engine_per_program;
         Alcotest.test_case "repeat request does zero engine work" `Quick
           test_server_repeat_does_zero_engine_work;
         Alcotest.test_case "malformed requests never kill it" `Quick
@@ -1126,13 +1133,14 @@ let suites =
           test_server_rejects_oversized_requests;
         Alcotest.test_case "watchdog reaps idle connections" `Quick
           test_server_watchdog_reaps_idle_connections;
-        Alcotest.test_case "a failed capture caches nothing" `Quick
-          test_server_capture_fault_caches_nothing;
-        Alcotest.test_case "captures over the byte budget are not kept"
-          `Quick test_server_capture_budget;
+        Alcotest.test_case "a failed execution caches nothing" `Quick
+          test_server_execute_fault_caches_nothing;
         Alcotest.test_case "shutdown under load answers everything" `Quick
           test_server_shutdown_under_load;
         Alcotest.test_case "resilient client survives dropped replies" `Quick
           test_resilient_client_survives_dropped_replies;
+        Alcotest.test_case "transport failures are retried past max_retries"
+          `Quick
+          test_resilient_client_outlasts_max_retries;
         Alcotest.test_case "chaos load run: zero unanswered" `Quick
           test_chaos_load_run_is_clean ] ) ]

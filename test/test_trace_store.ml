@@ -1,6 +1,7 @@
-(* Trace store: encode/decode round trips, and the PR's central
-   guarantee — replaying a capture on any machine is bit-identical to
-   simulating the program on that machine directly. *)
+(* Trace store: encode/decode round trips, and the central guarantee of
+   capture and streaming — replaying a capture on any machine, and one
+   engine run streamed into several machines, are bit-identical to
+   simulating the program on each machine directly. *)
 
 open Bw_machine
 module Run = Bw_exec.Run
@@ -99,15 +100,20 @@ let variant_machines =
 
 let check_replay ~what ~engine p =
   let c = Run.capture ~engine p in
-  List.iter
-    (fun machine ->
+  List.iter2
+    (fun machine streamed ->
       let direct = Run.simulate ~engine ~machine p in
       let replayed = Run.replay ~machine c in
       check bool
         (Printf.sprintf "%s on %s" what machine.Machine.name)
         true
-        (Run.equal_result direct replayed))
+        (Run.equal_result direct replayed);
+      check bool
+        (Printf.sprintf "%s streamed on %s" what machine.Machine.name)
+        true
+        (Run.equal_result direct streamed))
     machines
+    (Run.simulate_many ~engine ~machines p)
 
 let test_registry_replay_compiled () =
   List.iter
@@ -130,16 +136,27 @@ let qcheck_replay_variants =
     (fun seed ->
       let p = Bw_qa.Gen.generate ~seed ~size:4 in
       let c = Run.capture p in
+      let streamed machines =
+        List.for_all2
+          (fun machine r -> Run.equal_result (Run.simulate ~machine p) r)
+          machines
+          (Run.simulate_many ~machines p)
+      in
       List.for_all
         (fun machine ->
           Run.equal_result (Run.simulate ~machine p) (Run.replay ~machine c))
-        variant_machines)
+        variant_machines
+      (* all four: canonical addresses, re-based per machine; the three
+         origin variants lay arrays out alike: that layout's addresses *)
+      && streamed variant_machines
+      && streamed (List.filteri (fun i _ -> i < 3) variant_machines))
 
-let test_simulate_many_parallel_deterministic () =
+let test_replay_many_parallel_deterministic () =
   let p = Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:48 () in
   let ms = variant_machines @ [ Machine.exemplar ] in
-  let serial = List.map (fun machine -> Run.simulate ~machine p) ms in
-  let fanned = Run.simulate_many ~jobs:4 ~machines:ms p in
+  let c = Run.capture p in
+  let serial = List.map (fun machine -> Run.replay ~machine c) ms in
+  let fanned = Run.replay_many ~jobs:4 ~machines:ms c in
   List.iter2
     (fun a b ->
       check bool
@@ -196,8 +213,8 @@ let suites =
         Alcotest.test_case "registry, interpreted engine" `Slow
           test_registry_replay_interpreted;
         QCheck_alcotest.to_alcotest ~long:false qcheck_replay_variants;
-        Alcotest.test_case "simulate_many jobs:4 = serial" `Quick
-          test_simulate_many_parallel_deterministic;
+        Alcotest.test_case "replay_many ~jobs:4 = serial replay" `Quick
+          test_replay_many_parallel_deterministic;
         Alcotest.test_case "reuse fast path vs exact sweep" `Quick
           test_reuse_fast_path_vs_exact ] )
   ]
