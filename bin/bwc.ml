@@ -14,16 +14,20 @@
                                    (--promote regenerates the goldens)
      bwc analyze <prog>            balance, predicted time, bottleneck
      bwc optimize <prog>           run the fusion/storage/store-elimination
-                                   pipeline and report before/after
-                                   (--trace FILE writes a Chrome trace with
-                                   one span per pass; --layout follows with
+                                   pipeline and report before/after: serve's
+                                   optimize op (Bw_serve.Handle.optimized)
+                                   printed as text
+                                   (--trace FILE writes a Chrome trace of the
+                                   op, one span per pass and per simulation;
+                                   --layout follows with
                                    the data-layout pass; --validate[=N] checks
                                    each stage differentially on both engines;
                                    --no-rollback fails fast; --fuel N bounds
                                    the pipeline's step budget; --faults SPEC
                                    arms fault-injection sites)
-     bwc profile <prog>            run simulation + optimizer pipeline under
-                                   full span/metrics instrumentation
+     bwc profile <prog>            run the same op (pipeline, then simulation
+                                   of input and output) under full
+                                   span/metrics instrumentation
      bwc fuse <prog>               compare fusion plans and their costs
      bwc simulate <prog>|--registry
                                    capture a trace once, replay it on several
@@ -124,6 +128,73 @@ let scale_arg =
         value & opt int 1
         & info [ "s"; "scale" ] ~docv:"SCALE"
             ~doc:"Workload size: 1 quick, 2 full, 3 stress."))
+
+(* PROGRAM or --registry, loaded at --scale: the (name, program) pairs
+   that lint, simulate and predict run over. *)
+let programs_arg ~cmd =
+  let programs name registry scale =
+    match (name, registry) with
+    | None, false ->
+      Format.eprintf "bwc: %s needs a PROGRAM argument or --registry@." cmd;
+      exit 1
+    | Some name, _ -> [ (name, or_die (load_program ~scale name)) ]
+    | None, true ->
+      List.map
+        (fun (e : Bw_workloads.Registry.entry) ->
+          (e.Bw_workloads.Registry.name, e.Bw_workloads.Registry.build ~scale))
+        Bw_workloads.Registry.all
+  in
+  Term.(
+    const programs
+    $ Arg.(
+        value
+        & pos 0 (some string) None
+        & info [] ~docv:"PROGRAM" ~doc:"Workload name or .bw source file.")
+    $ Arg.(
+        value & flag
+        & info [ "registry" ]
+            ~doc:"Run over every workload in the registry instead of PROGRAM.")
+    $ scale_arg)
+
+(* Arms the sites before the command runs; the term is whether
+   --faults was given. *)
+let faults_arg =
+  let arm = function
+    | None -> false
+    | Some spec ->
+      or_die
+        (Result.map_error (( ^ ) "bad --faults: ") (Bw_obs.Fault.arm_spec spec));
+      true
+  in
+  Term.(
+    const arm
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "faults" ] ~docv:"SPEC"
+            ~doc:
+              "Arm fault-injection sites, e.g. \
+               'guard.fuse=raise,guard.shrink=corrupt@nth:2' or \
+               'qa.pipeline=corrupt@every:1' (same syntax as the BWC_FAULTS \
+               environment variable; see $(b,bwc faults))."))
+
+(* Write [spans] to [file] as a Chrome trace document.  Re-parsing what
+   was written is a self-check that it is well-formed. *)
+let write_trace file spans =
+  let doc = Bw_core.Trace_export.json_of_spans spans in
+  Bw_core.Trace_export.write_file file doc;
+  ignore (Bw_core.Json.parse (Bw_core.Json.to_string doc));
+  Format.printf "wrote %s (%d spans)@." file (List.length spans)
+
+(* Run [f], tracing it into [file] when one is given. *)
+let traced file f =
+  match file with
+  | None -> f ()
+  | Some file ->
+    Bw_obs.Trace.reset ();
+    let v = Bw_obs.Trace.with_enabled true f in
+    write_trace file (Bw_obs.Trace.collect ());
+    v
 
 (* --- list ----------------------------------------------------------------- *)
 
@@ -319,20 +390,19 @@ let corpus_cmd =
 
 let analyze machine p =
   let r = Bw_exec.Run.simulate ~machine p in
+  let row = Bw_core.Balance.of_result r in
+  let print_row (row : Bw_core.Balance.row) =
+    List.iter
+      (fun (name, v) -> Format.printf "  %-8s %8.2f@." name v)
+      row.Bw_core.Balance.per_boundary
+  in
   Format.printf "program: %s@." p.Bw_ir.Ast.prog_name;
   Format.printf "machine: %s@.@." machine.Bw_machine.Machine.name;
   Format.printf "counters: %a@.@." Bw_machine.Counters.pp r.Bw_exec.Run.counters;
   Format.printf "program balance (bytes/flop):@.";
-  List.iter
-    (fun (name, v) -> Format.printf "  %-8s %8.2f@." name v)
-    (Bw_exec.Run.program_balance r);
+  print_row row;
   Format.printf "@.machine balance (bytes/flop):@.";
-  List.iter2
-    (fun name v -> Format.printf "  %-8s %8.2f@." name v)
-    (Bw_machine.Machine.boundary_names machine)
-    (Bw_machine.Machine.balance machine);
-  let row = { Bw_core.Balance.name = p.Bw_ir.Ast.prog_name;
-              per_boundary = Bw_exec.Run.program_balance r } in
+  print_row (Bw_core.Balance.of_machine machine);
   let resource, ratio = Bw_core.Balance.worst_ratio row machine in
   Format.printf
     "@.demand/supply: worst at %s (%.1fx) -> CPU utilisation bound %.0f%%@."
@@ -351,32 +421,9 @@ let analyze_cmd =
 
 (* --- optimize --------------------------------------------------------------- *)
 
-(* Enable tracing, run [f], write the collected spans to [file] as a
-   Chrome trace document.  Trailing newline + re-parse is a self-check
-   that what we wrote is well-formed. *)
-let with_trace_file file f =
-  Bw_obs.Trace.reset ();
-  let v = Bw_obs.Trace.with_enabled true f in
-  let spans = Bw_obs.Trace.collect () in
-  let doc = Bw_core.Trace_export.json_of_spans spans in
-  Bw_core.Trace_export.write_file file doc;
-  ignore (Bw_core.Json.parse (Bw_core.Json.to_string doc));
-  Format.printf "wrote %s (%d spans)@." file (List.length spans);
-  v
-
-let arm_faults_or_die ~what = function
-  | None -> ()
-  | Some spec -> (
-    match Bw_obs.Fault.arm_spec spec with
-    | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "bwc: bad %s: %s@." what msg;
-      exit 1)
-
 let optimize_cmd =
   let run name scale machine print_program layout trace_out validate lint
       no_rollback fuel faults fuse_search search_seed =
-    arm_faults_or_die ~what:"--faults" faults;
     let guard =
       or_die
         (Bw_transform.Guard.check_config
@@ -386,55 +433,28 @@ let optimize_cmd =
              fuel })
     in
     let p = or_die (load_program ~scale name) in
-    let search_engine =
-      match fuse_search with
-      | None -> None
-      | Some s -> (
-        match Bw_fusion.Search.engine_of_string s with
-        | Some e -> Some e
-        | None ->
-          Format.eprintf
-            "bwc: unknown fuse-search engine '%s' (anneal, exact)@." s;
-          exit 1)
-    in
-    (* the closure records the last search's stats so they can be
-       reported after the guarded pipeline finishes *)
-    let search_stats = ref None in
-    let fuse_search =
+    let search =
       Option.map
-        (fun engine ->
-          let cfg =
+        (fun s ->
+          match Bw_fusion.Search.engine_of_string s with
+          | Some engine ->
             Bw_fusion.Search.default_config ~engine ~machine ~seed:search_seed
               ()
-          in
-          fun q ->
-            match Bw_fusion.Search.run cfg q with
-            | Ok (q', st) ->
-              search_stats := Some st;
-              q'
-            | Error msg ->
-              Format.eprintf "fuse-search failed: %s@." msg;
-              q)
-        search_engine
+          | None ->
+            Format.eprintf
+              "bwc: unknown fuse-search engine '%s' (anneal, exact)@." s;
+            exit 1)
+        fuse_search
     in
     let stages =
       Bw_transform.Strategy.(if layout then default @ [ Layout ] else default)
     in
-    let run_pipeline () =
-      Bw_transform.Strategy.run_guarded ~stages ~guard ~machine ?fuse_search p
-    in
-    let outcome =
+    let o =
       try
-        Ok
-          (match trace_out with
-          | None -> run_pipeline ()
-          | Some file -> with_trace_file file run_pipeline)
-      with Bw_transform.Guard.Guard_failed events -> Error events
-    in
-    let p', report, events =
-      match outcome with
-      | Ok v -> v
-      | Error events ->
+        traced trace_out (fun () ->
+            Bw_serve.Handle.optimized ~engine:`Compiled ~stages ~guard ?search
+              ~machine p)
+      with Bw_transform.Guard.Guard_failed events ->
         (* fail-fast mode: the guard report is the diagnosis *)
         Format.eprintf "bwc: optimization aborted by the guard:@.%a@."
           Bw_transform.Guard.pp_report events;
@@ -445,14 +465,15 @@ let optimize_cmd =
     let layout_committed : Bw_transform.Guard.event =
       { stage = Bw_transform.Strategy.(stage_name Layout); verdict = Committed }
     in
-    if List.mem layout_committed events then
+    if List.mem layout_committed o.events then
       List.iter (Format.printf "layout: %s@.")
-        (match report.Bw_transform.Strategy.layout with
+        (match o.report.Bw_transform.Strategy.layout with
         | [] -> [ "no profitable rewrite" ]
         | actions -> List.map Bw_transform.Layout.action_to_string actions);
-    (match !search_stats with
+    (match o.search with
     | None -> ()
-    | Some st ->
+    | Some (Error msg) -> Format.eprintf "fuse-search failed: %s@." msg
+    | Some (Ok st) ->
       let open Bw_fusion.Search in
       Format.printf "%a@." pp_stats st;
       let win =
@@ -468,32 +489,29 @@ let optimize_cmd =
         (Float.abs win);
       if not st.accepted then
         Format.printf "fuse-search: declined (no predicted win over the input)@.");
-    Format.printf "%a@.@." Bw_transform.Strategy.pp_report report;
+    Format.printf "%a@.@." Bw_transform.Strategy.pp_report o.report;
     let rolled_back =
       List.exists
         (fun e -> e.Bw_transform.Guard.verdict <> Bw_transform.Guard.Committed)
-        events
+        o.events
     in
-    if validate <> None || lint || no_rollback || fuel <> None
-       || faults <> None || rolled_back
-    then Format.printf "%a@.@." Bw_transform.Guard.pp_report events;
-    let before = Bw_exec.Run.simulate ~machine p in
-    let after = Bw_exec.Run.simulate ~machine p' in
-    let traffic r =
-      float_of_int (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache) /. 1e6
-    in
-    Format.printf "memory traffic: %.2f MB -> %.2f MB@." (traffic before)
-      (traffic after);
+    if validate <> None || lint || no_rollback || fuel <> None || faults
+       || rolled_back
+    then Format.printf "%a@.@." Bw_transform.Guard.pp_report o.events;
+    let seconds_before = Bw_exec.Run.seconds o.before in
+    let seconds_after = Bw_exec.Run.seconds o.after in
+    Format.printf "memory traffic: %.2f MB -> %.2f MB@."
+      (Bw_serve.Handle.memory_mb o.before)
+      (Bw_serve.Handle.memory_mb o.after);
     Format.printf "predicted time: %.2f ms -> %.2f ms (%.2fx)@."
-      (1e3 *. Bw_exec.Run.seconds before)
-      (1e3 *. Bw_exec.Run.seconds after)
-      (Bw_exec.Run.seconds before /. Bw_exec.Run.seconds after);
+      (1e3 *. seconds_before) (1e3 *. seconds_after)
+      (seconds_before /. seconds_after);
     let same =
-      Bw_exec.Interp.equal_observation before.Bw_exec.Run.observation
-        after.Bw_exec.Run.observation
+      Bw_exec.Interp.equal_observation o.before.Bw_exec.Run.observation
+        o.after.Bw_exec.Run.observation
     in
     Format.printf "observable behaviour preserved: %b@." same;
-    if print_program then Format.printf "@.%a@." Bw_ir.Pretty.pp_program p'
+    if print_program then Format.printf "@.%a@." Bw_ir.Pretty.pp_program o.output
   in
   let print_flag =
     Arg.(value & flag & info [ "p"; "print" ] ~doc:"Print the transformed program.")
@@ -548,16 +566,6 @@ let optimize_cmd =
              statement count (validation trials charge four executions \
              each); a stage that cannot pay is rolled back.")
   in
-  let faults_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:
-            "Arm fault-injection sites, e.g. \
-             'guard.fuse=raise,guard.shrink=corrupt@nth:2' (same syntax as \
-             the BWC_FAULTS environment variable; see $(b,bwc faults)).")
-  in
   let fuse_search_arg =
     Arg.(
       value
@@ -604,41 +612,36 @@ let profile_cmd =
             ("scale", Bw_obs.Trace.Int scale) ]
         ("profile:" ^ p.Bw_ir.Ast.prog_name)
     in
-    let before = Bw_exec.Run.simulate ~machine p in
-    let p', report = Bw_transform.Strategy.run p in
-    let after = Bw_exec.Run.simulate ~machine p' in
+    let o = Bw_serve.Handle.optimized ~engine:`Compiled ~machine p in
     Bw_obs.Trace.finish root;
     Bw_obs.Trace.set_enabled false;
     let spans = Bw_obs.Trace.collect () in
     Format.printf "== optimizer ==@.%a@.@." Bw_transform.Strategy.pp_report
-      report;
-    let traffic r =
-      float_of_int (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache) /. 1e6
-    in
+      o.report;
+    let seconds_before = Bw_exec.Run.seconds o.before in
+    let seconds_after = Bw_exec.Run.seconds o.after in
     Format.printf
       "memory traffic: %.2f MB -> %.2f MB; predicted time %.2f ms -> %.2f ms \
        (%.2fx)@.@."
-      (traffic before) (traffic after)
-      (1e3 *. Bw_exec.Run.seconds before)
-      (1e3 *. Bw_exec.Run.seconds after)
-      (Bw_exec.Run.seconds before /. Bw_exec.Run.seconds after);
+      (Bw_serve.Handle.memory_mb o.before)
+      (Bw_serve.Handle.memory_mb o.after)
+      (1e3 *. seconds_before) (1e3 *. seconds_after)
+      (seconds_before /. seconds_after);
     Format.printf "== spans ==@.%a@.@." Bw_core.Trace_export.pp_span_tree spans;
     Format.printf "== metrics ==@.%a@." Bw_obs.Metrics.pp_snapshot
       (Bw_obs.Metrics.snapshot ());
-    match trace_out with
-    | None -> ()
-    | Some file ->
-      let doc = Bw_core.Trace_export.json_of_spans spans in
-      Bw_core.Trace_export.write_file file doc;
-      ignore (Bw_core.Json.parse (Bw_core.Json.to_string doc));
-      Format.printf "@.wrote %s (%d spans)@." file (List.length spans)
+    Option.iter
+      (fun file ->
+        Format.printf "@.";
+        write_trace file spans)
+      trace_out
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run a program's simulation and optimization under full \
-          observability: per-pass spans, cache/engine/fusion metrics, and \
-          an optional Chrome trace")
+         "Optimize a program, then simulate its input and its output, under \
+          full observability: per-pass spans, cache/engine/fusion metrics, \
+          and an optional Chrome trace")
     Term.(const run $ program_arg $ scale_arg $ machine_arg $ trace_arg)
 
 (* --- validate-json --------------------------------------------------------- *)
@@ -677,17 +680,15 @@ let validate_json_cmd =
 (* --- fuzz ------------------------------------------------------------------ *)
 
 let fuzz_cmd =
-  let run seed count size minimize out corpus trace_out faults =
-    arm_faults_or_die ~what:"--faults" faults;
+  let run seed count size minimize out corpus trace_out (_ : bool) =
     if count < 1 then begin
       Format.eprintf "bwc: --count must be >= 1@.";
       exit 1
     end;
-    let fuzz () = snd (Bw_qa.Oracle.fuzz ~before:ignore ~seed ~count ~size) in
-    let outcome =
-      match trace_out with None -> fuzz () | Some file -> with_trace_file file fuzz
-    in
-    match outcome with
+    match
+      traced trace_out (fun () ->
+          snd (Bw_qa.Oracle.fuzz ~before:ignore ~seed ~count ~size))
+    with
     | None ->
       Format.printf "fuzz: %d program(s) ok (seeds %d..%d, size %d)@." count
         seed (seed + count - 1) size
@@ -767,16 +768,6 @@ let fuzz_cmd =
              $(docv)/fuzz_<seed>.bw plus its rendered .golden, ready to \
              commit so the golden harness pins the regression.")
   in
-  let faults_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:
-            "Arm fault-injection sites (same syntax as BWC_FAULTS); arm \
-             'qa.pipeline=corrupt@every:1' to exercise the whole \
-             counterexample path.")
-  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
@@ -792,16 +783,9 @@ let fuzz_cmd =
 (* --- lint ------------------------------------------------------------------- *)
 
 let lint_cmd =
-  let run name_opt registry scale faults =
-    arm_faults_or_die ~what:"--faults" faults;
+  let run (_ : bool) programs =
     let reports =
-      match (name_opt, registry) with
-      | None, false ->
-        Format.eprintf "bwc: lint needs a PROGRAM argument or --registry@.";
-        exit 1
-      | Some name, _ ->
-        [ Bw_qa.Lint.check_program (or_die (load_program ~scale name)) ]
-      | None, true -> Bw_qa.Lint.check_registry ~scale ()
+      List.map (fun (_, p) -> Bw_qa.Lint.check_program p) programs
     in
     List.iter (fun r -> Format.printf "%a@." Bw_qa.Lint.pp_report r) reports;
     let bad = List.filter (fun r -> not (Bw_qa.Lint.ok r)) reports in
@@ -811,24 +795,6 @@ let lint_cmd =
       exit 2
     end
   in
-  let program_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"PROGRAM" ~doc:"Workload name or .bw source file.")
-  in
-  let registry_flag =
-    Arg.(
-      value & flag
-      & info [ "registry" ] ~doc:"Lint every workload in the registry.")
-  in
-  let faults_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:"Arm fault-injection sites (same syntax as BWC_FAULTS).")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
@@ -836,7 +802,7 @@ let lint_cmd =
           optimizer pipeline and statically verify dependence preservation: \
           live-out stores kept, print counts unchanged, no new backward \
           dependences.  Exits 2 on any violation.")
-    Term.(const run $ program_opt_arg $ registry_flag $ scale_arg $ faults_arg)
+    Term.(const run $ faults_arg $ programs_arg ~cmd:"lint")
 
 (* --- faults ----------------------------------------------------------------- *)
 
@@ -942,24 +908,12 @@ let reuse_cmd =
 (* --- simulate ----------------------------------------------------------------- *)
 
 let simulate_cmd =
-  let run name_opt registry scale machines engine jobs check stats =
-    let programs =
-      match (name_opt, registry) with
-      | None, false ->
-        Format.eprintf "bwc: simulate needs a PROGRAM argument or --registry@.";
-        exit 1
-      | Some name, _ -> [ (name, or_die (load_program ~scale name)) ]
-      | None, true ->
-        List.map
-          (fun (e : Bw_workloads.Registry.entry) ->
-            (e.Bw_workloads.Registry.name, e.Bw_workloads.Registry.build ~scale))
-          Bw_workloads.Registry.all
-    in
+  let run programs machines engine check stats =
     let mismatches = ref 0 in
     List.iter
       (fun (name, p) ->
         let c = Bw_exec.Run.capture ~engine p in
-        let results = Bw_exec.Run.replay_many ?jobs ~machines c in
+        let results = Bw_exec.Run.replay_many ~machines c in
         Format.printf "%s:@." name;
         if stats then begin
           let s = c.Bw_exec.Run.store in
@@ -998,17 +952,6 @@ let simulate_cmd =
       exit 2
     end
   in
-  let program_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"PROGRAM" ~doc:"Workload name or .bw source file.")
-  in
-  let registry_flag =
-    Arg.(
-      value & flag
-      & info [ "registry" ] ~doc:"Simulate every workload in the registry.")
-  in
   let engine_arg =
     Arg.(
       value
@@ -1016,21 +959,6 @@ let simulate_cmd =
           `Compiled
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:"Execution engine for the capture: compiled or interpreted.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains for the parallel replay fan-out.")
-  in
-  let check_flag =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Also run a direct per-machine simulation and verify the replay \
-             is bit-identical (exit 2 on any mismatch).")
   in
   let stats_flag =
     Arg.(
@@ -1048,23 +976,23 @@ let simulate_cmd =
           bit-identical to per-machine direct simulation (verifiable with \
           --check)")
     Term.(
-      const run $ program_opt_arg $ registry_flag $ scale_arg
+      const run $ programs_arg ~cmd:"simulate"
       $ machines_arg ~default:Bw_machine.Machine.[ origin2000; exemplar ]
-      $ engine_arg $ jobs_arg $ check_flag $ stats_flag)
+      $ engine_arg
+      $ check_flag
+          ~doc:
+            "Also run a direct per-machine simulation and verify the replay \
+             is bit-identical (exit 2 on any mismatch)."
+      $ stats_flag)
 
 (* --- predict ----------------------------------------------------------------- *)
 
 let predict_cmd =
-  let run name_opt registry scale machines check =
+  let run programs machines check =
     let rows =
-      match (name_opt, registry) with
-      | None, false ->
-        Format.eprintf "bwc: predict needs a PROGRAM argument or --registry@.";
-        exit 1
-      | Some name, _ ->
-        Bw_core.Accuracy.measure_program ~machines ~name
-          (or_die (load_program ~scale name))
-      | None, true -> Bw_core.Accuracy.measure ~scale ~machines ()
+      List.concat_map
+        (fun (name, p) -> Bw_core.Accuracy.measure_program ~machines ~name p)
+        programs
     in
     print_string (Bw_core.Table.to_string (Bw_core.Accuracy.table rows));
     if check then begin
@@ -1077,34 +1005,18 @@ let predict_cmd =
         exit 2
     end
   in
-  let program_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"PROGRAM" ~doc:"Workload name or .bw source file.")
-  in
-  let registry_flag =
-    Arg.(
-      value & flag
-      & info [ "registry" ] ~doc:"Predict every workload in the registry.")
-  in
-  let check_flag =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Verify every cell against the documented error envelope; \
-             exit 2 on a violation (CI gate).")
-  in
   Cmd.v
     (Cmd.info "predict"
        ~doc:
          "Closed-form analytic prediction (no execution) next to the exact \
           simulator, with per-cell relative error")
     Term.(
-      const run $ program_opt_arg $ registry_flag $ scale_arg
+      const run $ programs_arg ~cmd:"predict"
       $ machines_arg ~default:Bw_core.Accuracy.default_machines
-      $ check_flag)
+      $ check_flag
+          ~doc:
+            "Verify every cell against the documented error envelope; exit 2 \
+             on a violation (CI gate).")
 
 (* --- serve / client ---------------------------------------------------------- *)
 
@@ -1442,7 +1354,9 @@ let client_cmd =
             "Retry with jittered backoff — idempotent requests only: \
              retryable rejections (overloaded, worker_crashed) up to \
              $(docv) times, transport failures while the 30 s backoff \
-             budget lasts.  0 disables (load --chaos mode then uses 3).")
+             budget lasts.  A connect error before the first connection \
+             (say, a missing socket) fails at once.  0 disables (load \
+             --chaos mode then uses 3).")
   in
   let chaos_flag =
     Arg.(

@@ -119,11 +119,7 @@ let candidates (p : Bw_ir.Ast.program) =
 
 let diagnose ~machine (p : Bw_ir.Ast.program) =
   let base = Bw_exec.Run.simulate ~machine p in
-  let row =
-    { Balance.name = p.Bw_ir.Ast.prog_name;
-      Balance.per_boundary = Bw_exec.Run.program_balance base }
-  in
-  let _, ratio = Balance.worst_ratio row machine in
+  let _, ratio = Balance.worst_ratio (Balance.of_result base) machine in
   let before_traffic = traffic base in
   let suggestions =
     candidates p

@@ -1,13 +1,10 @@
-type row = { name : string; per_boundary : (string * float) list }
+type row = { per_boundary : (string * float) list }
 
-let of_program ~machine (p : Bw_ir.Ast.program) =
-  let r = Bw_exec.Run.simulate ~machine p in
-  { name = p.Bw_ir.Ast.prog_name;
-    per_boundary = Bw_exec.Run.program_balance r }
+let of_result r = { per_boundary = Bw_exec.Run.program_balance r }
+let of_program ~machine p = of_result (Bw_exec.Run.simulate ~machine p)
 
 let of_machine (m : Bw_machine.Machine.t) =
-  { name = m.Bw_machine.Machine.name;
-    per_boundary =
+  { per_boundary =
       List.combine
         (Bw_machine.Machine.boundary_names m)
         (Bw_machine.Machine.balance m) }

@@ -8,12 +8,15 @@
     machine supplies runs at most [1/r] of peak. *)
 
 type row = {
-  name : string;
   per_boundary : (string * float) list;
       (** bytes/flop at each boundary, CPU side first *)
 }
 
-(** Measure a program's balance on the given machine's cache hierarchy. *)
+(** The balance of a simulation run, on the run's machine. *)
+val of_result : Bw_exec.Run.result -> row
+
+(** Measure a program's balance on the given machine's cache hierarchy:
+    {!of_result} of one simulation. *)
 val of_program :
   machine:Bw_machine.Machine.t -> Bw_ir.Ast.program -> row
 

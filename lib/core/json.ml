@@ -256,7 +256,3 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
-
-let to_int = function Int i -> Some i | _ -> None
-
-let to_bool = function Bool b -> Some b | _ -> None

@@ -35,9 +35,3 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 val to_float : t -> float option (* accepts Int too *)
 val to_str : t -> string option
-
-(** More accessors for the wire protocol; same [None]-on-mismatch
-    contract. *)
-
-val to_int : t -> int option (* Int only; floats are not truncated *)
-val to_bool : t -> bool option

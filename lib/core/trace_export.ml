@@ -26,34 +26,6 @@ let json_of_spans ?(pid = 1) spans =
     [ ("traceEvents", Json.List (List.map (json_of_span ~pid) spans));
       ("displayTimeUnit", Json.String "ms") ]
 
-let json_of_metrics snaps =
-  Json.List
-    (List.map
-       (fun { Bw_obs.Metrics.metric; data } ->
-         let fields =
-           match data with
-           | Bw_obs.Metrics.Counter_v n ->
-             [ ("kind", Json.String "counter");
-               ("value", Json.Int n) ]
-           | Bw_obs.Metrics.Gauge_v v ->
-             [ ("kind", Json.String "gauge");
-               ("value", Json.Float v) ]
-           | Bw_obs.Metrics.Hist_v h ->
-             [ ("kind", Json.String "histogram");
-               ("count", Json.Int h.Bw_obs.Metrics.count);
-               ("sum", Json.Float h.Bw_obs.Metrics.sum);
-               ( "buckets",
-                 Json.List
-                   (List.map
-                      (fun (ub, n) ->
-                        Json.Obj
-                          [ ("le", Json.Float ub);
-                            ("n", Json.Int n) ])
-                      h.Bw_obs.Metrics.buckets) ) ]
-         in
-         Json.Obj (("metric", Json.String metric) :: fields))
-       snaps)
-
 let pp_span_tree ppf spans =
   (* group by recording domain, then rely on start order + depth *)
   let tids =

@@ -13,10 +13,6 @@ val json_of_value : Bw_obs.Trace.value -> Json.t
     [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
 val json_of_spans : ?pid:int -> Bw_obs.Trace.span list -> Json.t
 
-(** One JSON object per instrument: [{"metric", "kind", "value"}] (and
-    ["count"]/["sum"]/["buckets"] for histograms). *)
-val json_of_metrics : Bw_obs.Metrics.snapshot list -> Json.t
-
 (** Pretty tree of the span forest (indented by depth, durations in
     ms), for terminal consumption by [bwc profile]. *)
 val pp_span_tree : Format.formatter -> Bw_obs.Trace.span list -> unit

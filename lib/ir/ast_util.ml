@@ -195,8 +195,6 @@ let rename_scalar ~from ~into stmts =
   in
   List.map rn_stmt stmts
 
-let map_toplevel f stmts = List.map f stmts
-
 let rec rewrite_stmts f stmts =
   List.map
     (fun s ->

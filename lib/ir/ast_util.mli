@@ -61,9 +61,6 @@ val subst_scalar : name:string -> value:expr -> expr -> expr
     position (fails with [Invalid_argument] if [name] is written). *)
 val subst_scalar_stmts : name:string -> value:expr -> stmt list -> stmt list
 
-(** Map over the immediate statements of a list, without descending. *)
-val map_toplevel : (stmt -> stmt) -> stmt list -> stmt list
-
 (** Rewrite every statement bottom-up: children first, then the parent. *)
 val rewrite_stmts : (stmt -> stmt) -> stmt list -> stmt list
 

@@ -22,55 +22,6 @@ let lookup_dtype env name =
     | Some d when d.dims = [] -> Some d.dtype
     | Some _ | None -> None
 
-let rec infer ~lookup e =
-  let both a b =
-    match (infer ~lookup a, infer ~lookup b) with
-    | Ok ta, Ok tb ->
-      if ta = tb then Ok ta
-      else Error (Printf.sprintf "mixed operand types in %s" (Pretty.expr_to_string e))
-    | (Error _ as err), _ | _, (Error _ as err) -> err
-  in
-  match e with
-  | Int_lit _ -> Ok I64
-  | Float_lit _ -> Ok F64
-  | Scalar s -> (
-    match lookup s with
-    | Some t -> Ok t
-    | None -> Error (Printf.sprintf "undeclared scalar '%s'" s))
-  | Element (_, _) ->
-    (* resolved by the caller, which knows the array decls *)
-    Error "Element outside of checker context"
-  | Unary (Neg, a) | Unary (Abs, a) -> infer ~lookup a
-  | Unary (Sqrt, a) -> (
-    match infer ~lookup a with
-    | Ok F64 -> Ok F64
-    | Ok I64 -> Error "sqrt of an integer expression"
-    | Error _ as err -> err)
-  | Unary (Int_to_float, a) -> (
-    match infer ~lookup a with
-    | Ok I64 -> Ok F64
-    | Ok F64 -> Error "float() of a float expression"
-    | Error _ as err -> err)
-  | Binary (Mod, a, b) -> (
-    match both a b with
-    | Ok I64 -> Ok I64
-    | Ok F64 -> Error "mod of float expressions"
-    | Error _ as err -> err)
-  | Binary (_, a, b) -> both a b
-  | Call (_, args) ->
-    let bad =
-      List.filter_map
-        (fun a ->
-          match infer ~lookup a with
-          | Ok F64 -> None
-          | Ok I64 -> Some "integer argument to intrinsic call"
-          | Error m -> Some m)
-        args
-    in
-    (match bad with [] -> Ok F64 | m :: _ -> Error m)
-
-let type_of_expr ~lookup e = infer ~lookup e
-
 (* Full inference within the checker, resolving array elements. *)
 let rec type_expr env e : dtype option =
   match e with

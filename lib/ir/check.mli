@@ -17,8 +17,3 @@ val check : Ast.program -> (unit, error list) result
 
 (** [check_exn p] raises [Invalid_argument] with a rendered error list. *)
 val check_exn : Ast.program -> unit
-
-(** [type_of_expr ~lookup e] infers the type of [e], where [lookup]
-    resolves a name to its declared type ([None] = undeclared). *)
-val type_of_expr :
-  lookup:(string -> Ast.dtype option) -> Ast.expr -> (Ast.dtype, string) result

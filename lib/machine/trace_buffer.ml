@@ -6,7 +6,7 @@ type t = {
   data : int array; (* slot_width ints per record: kind, addr, bytes *)
   capacity : int; (* in records *)
   mutable len : int;
-  mutable on_full : t -> unit;
+  on_full : t -> unit;
   mutable flushes : int;
 }
 
@@ -25,7 +25,6 @@ let create ?(capacity = 1_024) ~on_full () =
     on_full;
     flushes = 0 }
 
-let set_on_full t f = t.on_full <- f
 let length t = t.len
 let reset t = t.len <- 0
 

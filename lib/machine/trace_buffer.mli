@@ -17,7 +17,7 @@ type t = {
   data : int array;  (** [slot_width] ints per record: kind, addr, bytes *)
   capacity : int;  (** in records *)
   mutable len : int;  (** records currently buffered *)
-  mutable on_full : t -> unit;
+  on_full : t -> unit;
       (** drain handler, invoked when an append finds the buffer full and
           by {!flush}; the buffer is reset after it returns.  It must not
           append to the buffer it is draining. *)
@@ -33,9 +33,6 @@ val kind_store : int
     (default 1024 — 24 KB of ints, small enough to stay hot in the host
     CPU's cache while still amortising the drain call). *)
 val create : ?capacity:int -> on_full:(t -> unit) -> unit -> t
-
-(** Replace the drain handler (used to rebind a shared buffer). *)
-val set_on_full : t -> (t -> unit) -> unit
 
 (** Append a load/store record, draining first if the buffer is full. *)
 val load : t -> addr:int -> bytes:int -> unit

@@ -72,7 +72,7 @@ type running = {
   r_start : float;
   r_depth : int;
   r_buf : buffer;
-  mutable r_attrs : (string * value) list;  (* reverse order of groups *)
+  r_attrs : (string * value) list;
   mutable r_done : bool;
 }
 
@@ -93,11 +93,6 @@ let start ?(cat = "") ?(attrs = []) name =
         r_attrs = attrs;
         r_done = false }
   end
-
-let add_attrs h attrs =
-  match h with
-  | Disabled -> ()
-  | Running r -> if not r.r_done then r.r_attrs <- r.r_attrs @ attrs
 
 let finish ?(attrs = []) h =
   match h with

@@ -43,10 +43,6 @@ type handle
     is disabled. *)
 val start : ?cat:string -> ?attrs:(string * value) list -> string -> handle
 
-(** Attach further attributes to a running span; appended after the
-    [start] attributes.  No-op on a disabled or finished handle. *)
-val add_attrs : handle -> (string * value) list -> unit
-
 (** Close the span and append it to the recording domain's buffer.
     Finishing twice is harmless (the second call is ignored). *)
 val finish : ?attrs:(string * value) list -> handle -> unit

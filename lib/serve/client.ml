@@ -93,6 +93,7 @@ type resilient = {
   cfg : retry_config;
   rng : Random.State.t;
   mutable conn : t option;
+  mutable connected : bool;  (* has any connect succeeded? *)
   mutable budget_left_ms : int;
   mutable prev_backoff_ms : int;
   mutable retries : int;
@@ -106,6 +107,7 @@ let resilient ?(cfg = default_retry_config) ?(seed = 0) addr =
     cfg;
     rng = Random.State.make [| seed; 0x5e11e27 |];
     conn = None;
+    connected = false;
     budget_left_ms = cfg.retry_budget_ms;
     prev_backoff_ms = cfg.base_backoff_ms;
     retries = 0 }
@@ -130,6 +132,7 @@ let rc_conn rc =
         rc.r_addr
     in
     rc.conn <- Some c;
+    rc.connected <- true;
     c
 
 (* Decorrelated jitter: sleep ~ uniform(base, prev * 3), capped — the
@@ -168,7 +171,8 @@ let resilient_request rc (req : Protocol.request) =
      once retrying is over.  [asked] counts the retries the server asked
      for, the only ones [max_retries] bounds: a transport failure says
      nothing about the request, so it is retried until the budget is
-     spent. *)
+     spent.  A connect error before any connect succeeded is returned at
+     once: no server there has restarted, and none will by waiting. *)
   let rec retry ~asked fallback sleep_ms =
     if idempotent && backoff_sleep rc sleep_ms then begin
       rc.retries <- rc.retries + 1;
@@ -180,7 +184,8 @@ let resilient_request rc (req : Protocol.request) =
     match rc_conn rc with
     | exception e ->
       let msg = Printexc.to_string e in
-      retry ~asked (fun () -> Error msg) (next_backoff_ms rc)
+      if rc.connected then retry ~asked (fun () -> Error msg) (next_backoff_ms rc)
+      else Error msg
     | c -> (
       match request_raw c line with
       | Error msg ->

@@ -66,7 +66,10 @@ val retry_count : resilient -> int
     transport failure — a connect error, a dropped or half-written
     reply, a read timeout — is retried with backoff while the budget
     lasts (the connection is re-established, since the stream may hold
-    a half-written reply).  A server rejection with a retryable [code]
+    a half-written reply).  A connect error on a client that has never
+    connected is returned at once: a missing socket or a refused port
+    fails fast, while a server that restarts under a connected client
+    is waited for.  A server rejection with a retryable [code]
     ([overloaded], honouring its [retry_after_ms]; [worker_crashed]) is
     retried at most [max_retries] times per request, within the same
     budget.  Other structured errors — including [deadline_exceeded]

@@ -1,6 +1,8 @@
 (* Pure compute behind each serve op: request in, result payload out.
    No sockets, no cache, no pool — the server wraps these in its
-   concurrency machinery, and the tests call them directly.
+   concurrency machinery, and the tests call them directly.  The
+   optimize op's typed core, [optimized], is also what `bwc optimize`
+   and `bwc profile` print.
 
    Every op that executes a program runs the request's engine once per
    program, through [execute]: analyze, simulate and the exact predict
@@ -36,7 +38,8 @@ let execute ?deadline run =
   Bw_obs.Fault.cut execute_site;
   run ()
 
-let mb bytes = float_of_int bytes /. 1e6
+let memory_mb (r : Bw_exec.Run.result) =
+  float_of_int (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache) /. 1e6
 
 (* The per-machine row simulate answers with; analyze's row extends it. *)
 let run_row (r : Bw_exec.Run.result) =
@@ -44,15 +47,11 @@ let run_row (r : Bw_exec.Run.result) =
     ("seconds", Json.Float (Bw_exec.Run.seconds r));
     ( "effective_bandwidth_mbs",
       Json.Float (Bw_exec.Run.effective_bandwidth r /. 1e6) );
-    ( "memory_mb",
-      Json.Float (mb (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache)) ) ]
+    ("memory_mb", Json.Float (memory_mb r)) ]
 
 let run_json (r : Bw_exec.Run.result) =
   let counters = r.Bw_exec.Run.counters in
-  let row =
-    { Bw_core.Balance.name = "";
-      per_boundary = Bw_exec.Run.program_balance r }
-  in
+  let row = Bw_core.Balance.of_result r in
   let machine = r.Bw_exec.Run.machine in
   let resource, ratio = Bw_core.Balance.worst_ratio row machine in
   Json.Obj
@@ -66,7 +65,7 @@ let run_json (r : Bw_exec.Run.result) =
           Json.Obj
             (List.map
                (fun (b, v) -> (b, Json.Float v))
-               (Bw_exec.Run.program_balance r)) );
+               row.Bw_core.Balance.per_boundary) );
         ( "bound",
           Json.Obj
             [ ("resource", Json.String resource);
@@ -144,22 +143,48 @@ let verdict_json = function
           Json.String
             (Format.asprintf "%a" Bw_transform.Guard.pp_failure failure) ) ]
 
-let optimize ?deadline (req : Protocol.request) ~machines p =
-  let guard = Protocol.guard_config req.Protocol.pipeline in
-  let machine = List.hd machines in
+type optimized = {
+  output : Bw_ir.Ast.program;
+  report : Bw_transform.Strategy.stage_report;
+  events : Bw_transform.Guard.event list;
+  search : (Bw_fusion.Search.stats, string) result option;
+  before : Bw_exec.Run.result;
+  after : Bw_exec.Run.result;
+}
+
+let optimized ?deadline ~engine ?stages ?guard ?search ~machine p =
   check_deadline deadline;
-  let p', report, events =
-    Bw_transform.Strategy.run_guarded ~guard ~machine p
+  (* the search runs inside the guarded pipeline; its closure keeps the
+     last outcome for the caller and declines on an error *)
+  let outcome = ref None in
+  let fuse_search =
+    Option.map
+      (fun cfg q ->
+        let r = Bw_fusion.Search.run cfg q in
+        outcome := Some (Result.map snd r);
+        match r with Ok (q', _) -> q' | Error _ -> q)
+      search
+  in
+  let output, report, events =
+    Bw_transform.Strategy.run_guarded ?stages ?guard ~machine ?fuse_search p
   in
   let run q =
-    execute ?deadline (fun () ->
-        Bw_exec.Run.simulate ~engine:req.Protocol.engine ~machine q)
+    execute ?deadline (fun () -> Bw_exec.Run.simulate ~engine ~machine q)
   in
   let before = run p in
-  let after = run p' in
-  let traffic (r : Bw_exec.Run.result) =
-    mb (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache)
+  let after = run output in
+  { output; report; events; search = !outcome; before; after }
+
+let optimize ?deadline (req : Protocol.request) ~machines p =
+  let machine = List.hd machines in
+  let o =
+    optimized ?deadline ~engine:req.Protocol.engine
+      ~guard:(Protocol.guard_config req.Protocol.pipeline)
+      ~machine p
   in
+  let report = o.report in
+  let seconds_before = Bw_exec.Run.seconds o.before in
+  let seconds_after = Bw_exec.Run.seconds o.after in
   Json.Obj
     [ ("program", Json.String p.Bw_ir.Ast.prog_name);
       ("machine", Json.String machine.Bw_machine.Machine.name);
@@ -185,18 +210,17 @@ let optimize ?deadline (req : Protocol.request) ~machines p =
                Json.Obj
                  [ ("stage", Json.String e.Bw_transform.Guard.stage);
                    ("verdict", verdict_json e.Bw_transform.Guard.verdict) ])
-             events) );
-      ("memory_mb_before", Json.Float (traffic before));
-      ("memory_mb_after", Json.Float (traffic after));
-      ("seconds_before", Json.Float (Bw_exec.Run.seconds before));
-      ("seconds_after", Json.Float (Bw_exec.Run.seconds after));
-      ( "speedup",
-        Json.Float (Bw_exec.Run.seconds before /. Bw_exec.Run.seconds after) );
+             o.events) );
+      ("memory_mb_before", Json.Float (memory_mb o.before));
+      ("memory_mb_after", Json.Float (memory_mb o.after));
+      ("seconds_before", Json.Float seconds_before);
+      ("seconds_after", Json.Float seconds_after);
+      ("speedup", Json.Float (seconds_before /. seconds_after));
       ( "behaviour_preserved",
         Json.Bool
-          (Bw_exec.Interp.equal_observation before.Bw_exec.Run.observation
-             after.Bw_exec.Run.observation) );
-      ("optimized", Json.String (Bw_ir.Pretty.program_to_string p')) ]
+          (Bw_exec.Interp.equal_observation o.before.Bw_exec.Run.observation
+             o.after.Bw_exec.Run.observation) );
+      ("optimized", Json.String (Bw_ir.Pretty.program_to_string o.output)) ]
 
 (* --- fuzz ------------------------------------------------------------------ *)
 

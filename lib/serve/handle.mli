@@ -1,6 +1,8 @@
 (** Pure compute behind each serve op: request in, JSON result payload
     out.  No sockets, no caching, no pool — {!Server} supplies those;
-    tests call these directly.
+    tests call these directly.  This is the op core of both front ends:
+    serve renders these payloads, and [bwc optimize] and [bwc profile]
+    print {!optimized}, the typed record that {!optimize} renders.
 
     Every function is deterministic in its arguments (the property the
     result cache relies on) and safe to run concurrently with itself on
@@ -50,9 +52,43 @@ val predict :
   Bw_ir.Ast.program ->
   Json.t
 
-(** Runs the guarded pipeline under the request's [pipeline] config and
-    simulates the input and the output on the {e first} requested
-    machine. *)
+(** Simulated memory traffic of a run, in MB (10{^6} bytes). *)
+val memory_mb : Bw_exec.Run.result -> float
+
+(** What one optimization did: the pipeline's output, its report and
+    guard events, the fusion search's outcome when one was asked for,
+    and the simulations of the input and of the output. *)
+type optimized = {
+  output : Bw_ir.Ast.program;
+  report : Bw_transform.Strategy.stage_report;
+  events : Bw_transform.Guard.event list;
+  search : (Bw_fusion.Search.stats, string) result option;
+      (** [None] unless [search] was given and its stage ran; on an
+          [Error] the stage returns its input, so nothing is fused *)
+  before : Bw_exec.Run.result;
+  after : Bw_exec.Run.result;
+}
+
+(** [optimized ~engine ?stages ?guard ?search ~machine p] runs
+    {!Bw_transform.Strategy.run_guarded} over [stages] (default
+    {!Bw_transform.Strategy.default}) under [guard] (default
+    {!Bw_transform.Guard.default_config}); [search] replaces the fuse
+    stage's sweep with {!Bw_fusion.Search.run}.  It then simulates [p]
+    and the output on [machine] with [engine], each run crossing
+    [serve.execute] after a deadline check.
+    @raise Bw_transform.Guard.Guard_failed as [run_guarded] does. *)
+val optimized :
+  ?deadline:float ->
+  engine:[ `Compiled | `Interpreted ] ->
+  ?stages:Bw_transform.Strategy.stage list ->
+  ?guard:Bw_transform.Guard.config ->
+  ?search:Bw_fusion.Search.config ->
+  machine:Bw_machine.Machine.t ->
+  Bw_ir.Ast.program ->
+  optimized
+
+(** {!optimized} on the {e first} requested machine, with the request's
+    engine and [pipeline] config, rendered as JSON. *)
 val optimize :
   ?deadline:float ->
   Protocol.request ->

@@ -15,8 +15,6 @@ let action_to_string = function
   | Split { array; lanes } -> Printf.sprintf "split %s into %d lanes" array lanes
   | Transpose { array } -> Printf.sprintf "transpose %s" array
 
-let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
-
 (* --- generic reference rewriting ---------------------------------------
    [rw name idxs] maps an array reference (read or write) whose
    subscripts are already rewritten; used by Split and Transpose. *)

@@ -38,7 +38,6 @@ type action =
   | Split of { array : string; lanes : int }
   | Transpose of { array : string }
 
-val pp_action : Format.formatter -> action -> unit
 val action_to_string : action -> string
 
 (** Apply one rewrite; [Error] explains why it does not apply (missing

@@ -1,15 +1,5 @@
 open Bw_ir.Builder
 
-let loop_arrays =
-  [ [ "a"; "d"; "e"; "f" ];
-    [ "a"; "d"; "e"; "f" ];
-    [ "a"; "d"; "e"; "f" ];
-    [ "b"; "c"; "d"; "e"; "f" ];
-    [ "a" ];
-    [ "b"; "c" ] ]
-
-let preventing_pair = (4, 5)
-
 let program ~n =
   let idx = [ v "i" ] in
   let a k = k $ idx in

@@ -13,9 +13,3 @@
     fusion ({1,2,3,4,5} then {6}) loads 8. *)
 
 val program : n:int -> Bw_ir.Ast.program
-
-(** Node indices of loops 5 and 6 (0-based positions in the body). *)
-val preventing_pair : int * int
-
-(** Arrays accessed by each loop, in loop order — the hyper-edge data. *)
-val loop_arrays : string list list

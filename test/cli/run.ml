@@ -93,7 +93,7 @@ let () =
       let expected = Filename.concat dir (name ^ ".expected") in
       let fail fmt =
         incr failures;
-        Printf.printf ("FAIL %s: " ^^ fmt ^^ "\n")  name
+        Printf.printf ("FAIL %s: " ^^ fmt ^^ "\n") name
       in
       match run bwc env args with
       | code, _, stderr when code <> 0 -> fail "exit %d\n%s" code stderr

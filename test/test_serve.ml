@@ -349,7 +349,7 @@ let test_server_miss_runs_engine_per_program () =
   let analyze_row (r : Bw_exec.Run.result) =
     let c = r.Bw_exec.Run.counters in
     let balance = Bw_exec.Run.program_balance r in
-    let b = { Bw_core.Balance.name = ""; per_boundary = balance } in
+    let b = { Bw_core.Balance.per_boundary = balance } in
     let m = r.Bw_exec.Run.machine in
     let resource, ratio = Bw_core.Balance.worst_ratio b m in
     Json.Obj
@@ -565,6 +565,32 @@ let test_handle_optimize_matches_cli () =
     check bool "optimized program is the CLI's" true
       (Json.member "optimized" result
       = Some (Json.String (Bw_ir.Pretty.program_to_string cli)))
+
+(* The search path of the shared optimize op, which `bwc optimize
+   --fuse-search` takes: on the 18-loop dag4x16 the annealer's plan is
+   committed, while the exact engine refuses an instance over its
+   12-node limit and the fuse stage then fuses nothing. *)
+let optimized_dag4x16 engine =
+  let machine = Bw_machine.Machine.origin2000 in
+  let p = Result.get_ok (Bw_core.Loader.load_program ~scale:1 "dag4x16") in
+  let search = Bw_fusion.Search.default_config ~engine ~machine () in
+  Bw_serve.Handle.optimized ~engine:`Compiled ~search ~machine p
+
+let test_handle_optimized_anneal () =
+  let o = optimized_dag4x16 Bw_fusion.Search.Anneal in
+  (match o.Bw_serve.Handle.search with
+  | Some (Ok st) -> check bool "plan accepted" true st.Bw_fusion.Search.accepted
+  | Some (Error msg) -> Alcotest.failf "search failed: %s" msg
+  | None -> Alcotest.fail "the search stage did not run");
+  check int "fused loops" 13
+    o.Bw_serve.Handle.report.Bw_transform.Strategy.fused_loops
+
+let test_handle_optimized_exact_over_limit () =
+  let o = optimized_dag4x16 Bw_fusion.Search.Exact in
+  check bool "the search errs" true
+    (match o.Bw_serve.Handle.search with Some (Error _) -> true | _ -> false);
+  check int "fused loops" 0
+    o.Bw_serve.Handle.report.Bw_transform.Strategy.fused_loops
 
 let test_server_metrics_endpoint () =
   with_server (fun addr ->
@@ -1045,6 +1071,28 @@ let test_resilient_client_outlasts_max_retries () =
                 check int "one retry per dropped reply" lost
                   (Client.retry_count rc))))
 
+(* A client that has never connected returns a connect error at once
+   instead of waiting out its 30 s retry budget: nothing listens at a
+   missing socket path, and waiting does not create a server. *)
+let test_resilient_client_fails_fast_without_server () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bwc-missing-%d.sock" (Unix.getpid ()))
+  in
+  let rc = Client.resilient ~seed:7 (Server.Unix_sock path) in
+  let t0 = Unix.gettimeofday () in
+  let reply =
+    Fun.protect
+      ~finally:(fun () -> Client.resilient_close rc)
+      (fun () ->
+        Client.resilient_request rc (Protocol.default_request Protocol.Ping))
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check bool "connect error returned" true (Result.is_error reply);
+  check bool (Printf.sprintf "returned in %.3f s, under 1 s" elapsed) true
+    (elapsed < 1.0)
+
 let test_chaos_load_run_is_clean () =
   with_server
     ~tweak:(fun c ->
@@ -1100,7 +1148,11 @@ let suites =
         Alcotest.test_case "key is content-addressed" `Quick
           test_cache_key_is_content_addressed ] );
     ( "serve.handle",
-      [ Alcotest.test_case "optimize answers what bwc optimize does" `Quick
+      [ Alcotest.test_case "the op's annealing search commits its plan" `Quick
+          test_handle_optimized_anneal;
+        Alcotest.test_case "the op reports an exact search over its limit"
+          `Quick test_handle_optimized_exact_over_limit;
+        Alcotest.test_case "optimize answers what bwc optimize does" `Quick
           test_handle_optimize_matches_cli ] );
     ( "serve.daemon",
       [ Alcotest.test_case "cache hit is byte-identical" `Quick
@@ -1142,5 +1194,7 @@ let suites =
         Alcotest.test_case "transport failures are retried past max_retries"
           `Quick
           test_resilient_client_outlasts_max_retries;
+        Alcotest.test_case "a missing socket fails fast" `Quick
+          test_resilient_client_fails_fast_without_server;
         Alcotest.test_case "chaos load run: zero unanswered" `Quick
           test_chaos_load_run_is_clean ] ) ]
