@@ -1248,13 +1248,7 @@ let client_cmd =
             ~finally:(fun () -> Bw_serve.Client.resilient_close rc)
             (fun () -> or_die (Bw_serve.Client.resilient_request rc req))
         end
-        else if timeout > 0. then begin
-          let client = Bw_serve.Client.connect ~timeout_s:timeout addr in
-          Fun.protect
-            ~finally:(fun () -> Bw_serve.Client.close client)
-            (fun () -> or_die (Bw_serve.Client.request client req))
-        end
-        else or_die (Bw_serve.Client.one_shot addr req)
+        else or_die (Bw_serve.Client.one_shot ~timeout_s:timeout addr req)
       in
       print_endline (Bw_core.Json.to_string response);
       match Bw_serve.Protocol.response_result response with

@@ -148,7 +148,9 @@ let rebase ~bases ~shift drain =
 
 (* One machine's simulation state — fresh translation, cache and
    counters — and [finish], which evaluates the timing model once the
-   machine has seen the whole reference stream. *)
+   machine has seen the whole reference stream, then retires the cache:
+   the result keeps its statistics, and its slot storage goes back to
+   the free list for the next run. *)
 let lane machine =
   let translation = Machine.fresh_translation machine in
   let cache = Machine.fresh_cache machine in
@@ -159,6 +161,7 @@ let lane machine =
     Cache.flush cache;
     publish_cache cache;
     let breakdown = Timing.predict machine cache counters in
+    Cache.retire cache;
     { machine; observation; counters; cache; breakdown }
   in
   (translation, cache, counters, finish)

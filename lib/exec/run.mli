@@ -8,6 +8,8 @@ type result = {
   observation : Interp.observation;
   counters : Bw_machine.Counters.t;
   cache : Bw_machine.Cache.t;
+      (** retired ({!Bw_machine.Cache.retire}): its statistics stay
+          readable, its slot storage serves the next run *)
   breakdown : Bw_machine.Timing.breakdown;
 }
 

@@ -18,7 +18,24 @@ type level_stats = {
    last_use at [2*slot + 1]), so probing a whole set walks consecutive
    words of one or two host cache lines.  A slot is invalid iff its tag
    is -1 (real tags are always >= 0), and dirty bits live in a Bytes.t
-   (1 byte per slot instead of a boxed-bool word). *)
+   (1 byte per slot instead of a boxed-bool word).
+
+   That table is sized by the modelled capacity, not by the program:
+   32 K slots for a 4 MB level, whatever the run touches.  So the table,
+   the dirty bytes and a log of the slots filled since the last reset
+   form one [storage], drawn by [create] from a free list and handed
+   back by [retire], which resets only the logged slots.  A run then
+   pays for the lines it fills, not for the capacity it models. *)
+type storage = {
+  meta : int array;
+  dirty : Bytes.t; (* '\001' = dirty *)
+  (* the slots whose tag went from invalid to valid since the last
+     reset, in fill order; each slot appears at most once, so the log
+     never outgrows the slot count *)
+  mutable fills : int array;
+  mutable n_fills : int;
+}
+
 type level = {
   geometry : geometry;
   n_sets : int;
@@ -29,9 +46,11 @@ type level = {
   pow2_sets : bool;
   set_mask : int; (* n_sets - 1, meaningful iff pow2_sets *)
   set_shift : int; (* log2 n_sets, meaningful iff pow2_sets *)
-  (* way-major: slot = set * associativity + way; see layout note above *)
+  (* way-major: slot = set * associativity + way; see layout note above.
+     [meta] and [dirty] are [store]'s, kept here for the probe paths *)
   meta : int array;
-  dirty : Bytes.t; (* '\001' = dirty *)
+  dirty : Bytes.t;
+  store : storage;
   (* hot-line memo: the line address and slot of the last access at this
      level, or -1.  Stride-1 traces re-touch the same line line_bytes/8
      times in a row; the memo turns those repeats into O(1) hits that
@@ -61,6 +80,7 @@ type t = {
   mutable mem_lines_in : int;
   mutable mem_lines_out : int;
   mem_line_bytes : int; (* line size used to charge memory traffic *)
+  mutable retired : bool; (* storage handed back: stats only *)
 }
 
 let is_power_of_two x = x > 0 && x land (x - 1) = 0
@@ -79,6 +99,61 @@ let dirty_mark = Char.chr 1
    tag has been installed, so initialising everything to -1 is fine *)
 let[@inline] tag_of level slot = Array.unsafe_get level.meta (2 * slot)
 
+(* --- slot storage ---------------------------------------------------------- *)
+
+(* Free storage by slot count, most recently retired first.  Storage
+   enters the list only from [retire], so it never holds more than was
+   live at once; the lock serves the domains of [Pool]. *)
+let free : (int, storage list) Hashtbl.t = Hashtbl.create 8
+let free_lock = Mutex.create ()
+
+let take_storage slots =
+  let reused =
+    Mutex.protect free_lock (fun () ->
+        match Hashtbl.find_opt free slots with
+        | Some (st :: rest) ->
+          Hashtbl.replace free slots rest;
+          Some st
+        | Some [] | None -> None)
+  in
+  match reused with
+  | Some st -> st
+  | None ->
+    { meta = Array.make (2 * slots) (-1);
+      dirty = Bytes.make slots clean;
+      fills = [||];
+      n_fills = 0 }
+
+let give_storage (st : storage) =
+  let slots = Bytes.length st.dirty in
+  Mutex.protect free_lock (fun () ->
+      let rest = Option.value ~default:[] (Hashtbl.find_opt free slots) in
+      Hashtbl.replace free slots (st :: rest))
+
+(* Log a fill of an invalid slot: called on the miss path only, just
+   before the tag is installed. *)
+let note_fill (st : storage) slot =
+  let n = st.n_fills in
+  if n = Array.length st.fills then begin
+    let grown = Array.make (min (Bytes.length st.dirty) (max 16 (2 * n))) 0 in
+    Array.blit st.fills 0 grown 0 n;
+    st.fills <- grown
+  end;
+  Array.unsafe_set st.fills n slot;
+  st.n_fills <- n + 1
+
+(* Invalidate the logged slots, returning the storage to the state
+   [take_storage] allocates: every slot's tag, timestamp and dirty byte
+   are only ever set after its first fill. *)
+let reset_storage (st : storage) =
+  for k = 0 to st.n_fills - 1 do
+    let slot = st.fills.(k) in
+    st.meta.(2 * slot) <- -1;
+    st.meta.((2 * slot) + 1) <- -1;
+    Bytes.set st.dirty slot clean
+  done;
+  st.n_fills <- 0
+
 let make_level g =
   if g.size_bytes <= 0 || g.line_bytes <= 0 || g.associativity <= 0 then
     raise (Bad_geometry "non-positive cache parameter");
@@ -87,7 +162,7 @@ let make_level g =
   if g.size_bytes mod (g.line_bytes * g.associativity) <> 0 then
     raise (Bad_geometry "size not divisible by line * associativity");
   let n_sets = g.size_bytes / (g.line_bytes * g.associativity) in
-  let slots = n_sets * g.associativity in
+  let store = take_storage (n_sets * g.associativity) in
   let pow2_sets = is_power_of_two n_sets in
   { geometry = g;
     n_sets;
@@ -95,8 +170,9 @@ let make_level g =
     pow2_sets;
     set_mask = (if pow2_sets then n_sets - 1 else 0);
     set_shift = (if pow2_sets then log2_exact n_sets else 0);
-    meta = Array.make (2 * slots) (-1);
-    dirty = Bytes.make slots clean;
+    meta = store.meta;
+    dirty = store.dirty;
+    store;
     hot_line = -1;
     hot_slot = -1;
     stats = fresh_stats () }
@@ -119,7 +195,8 @@ let create ?(write_policy = Write_back) ?(fast = true) geometries =
   in
   { levels; policy = write_policy; fast; top_shift;
     hot0_line = -1; hot0_slot = -1; l0_stats; l0_dirty;
-    clock = 0; mem_lines_in = 0; mem_lines_out = 0; mem_line_bytes }
+    clock = 0; mem_lines_in = 0; mem_lines_out = 0; mem_line_bytes;
+    retired = false }
 
 let level_count t = Array.length t.levels
 
@@ -212,6 +289,7 @@ let rec access_ref t i ~byte_addr ~is_write =
       end;
       (* fetch the line from below (write-allocate on stores) *)
       access_ref t (i + 1) ~byte_addr ~is_write:false;
+      if meta.(2 * slot) < 0 then note_fill level.store slot;
       meta.(2 * slot) <- tag;
       Bytes.set level.dirty slot (if is_write then dirty_mark else clean);
       meta.((2 * slot) + 1) <- t.clock
@@ -357,6 +435,7 @@ and access_cold t level i ~byte_addr ~line_addr ~is_write =
     end;
     if next_is_mem then t.mem_lines_in <- t.mem_lines_in + 1
     else access_fast t (i + 1) ~byte_addr ~is_write:false;
+    if old_tag < 0 then note_fill level.store slot;
     Array.unsafe_set meta mslot tag;
     Bytes.unsafe_set level.dirty slot (if is_write then dirty_mark else clean);
     Array.unsafe_set meta (mslot + 1) t.clock;
@@ -372,7 +451,11 @@ let access_line t i ~byte_addr ~is_write =
   if t.fast then access_fast t i ~byte_addr ~is_write
   else access_ref t i ~byte_addr ~is_write
 
-let check_access ~addr ~bytes =
+let check_live t =
+  if t.retired then invalid_arg "Cache: retired cache"
+
+let check_access t ~addr ~bytes =
+  check_live t;
   if bytes <= 0 then invalid_arg "Cache: non-positive access size";
   if addr < 0 then invalid_arg "Cache: negative address"
 
@@ -387,10 +470,11 @@ let check_access ~addr ~bytes =
    negative [addr] shifts (logically) to a line number no valid address
    can produce, so invalid arguments always fall through to the cold
    entry and its [check_access].  When [t.fast] is false the mirror
-   stays -1 and likewise never matches. *)
+   stays -1 and likewise never matches, as it does once [retire] has
+   reset it, so a retired cache refuses every access there too. *)
 
 let read_cold t ~addr ~bytes =
-  check_access ~addr ~bytes;
+  check_access t ~addr ~bytes;
   let sh = t.top_shift in
   let first = addr lsr sh and last = (addr + bytes - 1) lsr sh in
   if t.fast then begin
@@ -420,7 +504,7 @@ let[@inline] read t ~addr ~bytes =
   else read_cold t ~addr ~bytes
 
 let write_cold t ~addr ~bytes =
-  check_access ~addr ~bytes;
+  check_access t ~addr ~bytes;
   let sh = t.top_shift in
   let first = addr lsr sh and last = (addr + bytes - 1) lsr sh in
   if t.fast then begin
@@ -467,6 +551,7 @@ let flush t =
      dirty bytes are scanned a 64-bit word at a time: flush visits every
      slot of every level — tens of thousands on a multi-megabyte L2
      model — and almost all of them are clean. *)
+  check_live t;
   for i = 0 to Array.length t.levels - 1 do
     let level = t.levels.(i) in
     let g = level.geometry in
@@ -495,18 +580,24 @@ let flush t =
     done
   done
 
-let clear t =
-  t.clock <- 0;
-  t.mem_lines_in <- 0;
-  t.mem_lines_out <- 0;
+let forget_hot_lines t =
   t.hot0_line <- -1;
   t.hot0_slot <- -1;
   Array.iter
     (fun level ->
-      Array.fill level.meta 0 (Array.length level.meta) (-1);
-      Bytes.fill level.dirty 0 (Bytes.length level.dirty) clean;
       level.hot_line <- -1;
-      level.hot_slot <- -1;
+      level.hot_slot <- -1)
+    t.levels
+
+let clear t =
+  check_live t;
+  t.clock <- 0;
+  t.mem_lines_in <- 0;
+  t.mem_lines_out <- 0;
+  forget_hot_lines t;
+  Array.iter
+    (fun level ->
+      reset_storage level.store;
       let s = level.stats in
       s.reads <- 0;
       s.writes <- 0;
@@ -514,3 +605,14 @@ let clear t =
       s.write_misses <- 0;
       s.writebacks <- 0)
     t.levels
+
+let retire t =
+  if not t.retired then begin
+    t.retired <- true;
+    forget_hot_lines t;
+    Array.iter
+      (fun level ->
+        reset_storage level.store;
+        give_storage level.store)
+      t.levels
+  end

@@ -9,7 +9,21 @@
 
     The simulator is exact, not sampled: the per-level hit/miss/write-back
     counts are what the paper reads from hardware counters, so the program
-    balance computed from them is deterministic. *)
+    balance computed from them is deterministic.
+
+    {b Storage lifecycle.}  A level's slot storage (its tag/LRU table and
+    dirty bytes) is sized by the modelled capacity: 32 K slots for a
+    4 MB level with 128-byte lines.  {!create} draws each level's storage
+    from a process-wide free list keyed by slot count, allocating only
+    when the list has none of that size; each level logs the slots a run
+    fills; {!retire} invalidates just those slots and returns the
+    storage to the list.  Recycled storage is indistinguishable from
+    fresh storage in every counter, so a run's set-up and tear-down cost
+    follows the lines it fills, not the capacity it models.  The list
+    only ever holds storage that was retired, so it never holds more
+    than was live at once; it is guarded by a mutex, so caches may be
+    created and retired from several domains.  A cache that is never
+    retired simply leaves its storage to the GC. *)
 
 type geometry = {
   size_bytes : int;
@@ -57,11 +71,13 @@ val level_count : t -> int
 val geometry : t -> int -> geometry
 
 (** [read t ~addr ~bytes] simulates a CPU load of [bytes] bytes at [addr];
-    accesses spanning multiple lines touch each line once. *)
+    accesses spanning multiple lines touch each line once.
+    @raise Invalid_argument on a retired cache. *)
 val read : t -> addr:int -> bytes:int -> unit
 
 (** [write t ~addr ~bytes] simulates a CPU store (write-allocate:
-    a missing line is fetched before being dirtied). *)
+    a missing line is fetched before being dirtied).
+    @raise Invalid_argument on a retired cache. *)
 val write : t -> addr:int -> bytes:int -> unit
 
 (** Statistics of one level ([0] = closest to CPU).  Live view: the
@@ -91,8 +107,20 @@ val boundary_bytes : t -> int -> int
 
 (** Write back every dirty line, charging the traffic to the levels
     below.  Call at most once, at the end of a run, when modelling
-    programs whose results must reach memory. *)
+    programs whose results must reach memory.
+    @raise Invalid_argument on a retired cache. *)
 val flush : t -> unit
 
-(** Reset all stats and invalidate all lines. *)
+(** Reset all stats and invalidate all lines.
+    @raise Invalid_argument on a retired cache. *)
 val clear : t -> unit
+
+(** [retire t] ends [t]'s simulation and returns its slot storage to
+    the free list, after invalidating only the slots [t] filled.
+    Afterwards {!stats}, {!stats_snapshot}, {!memory_lines_in},
+    {!memory_lines_out}, {!memory_bytes_in}, {!memory_bytes_out},
+    {!boundary_bytes}, {!level_count} and {!geometry} keep answering
+    what they answered before, while {!read}, {!write}, {!flush} and
+    {!clear} raise [Invalid_argument]: the storage may already belong
+    to another cache.  Retiring a retired cache does nothing. *)
+val retire : t -> unit

@@ -67,9 +67,25 @@ let request_raw t line =
 
 let request t req = request_raw t (Json.to_string (Protocol.json_of_request req))
 
-let one_shot addr req =
-  let t = connect addr in
-  Fun.protect ~finally:(fun () -> close t) (fun () -> request t req)
+(* A failed connect as one line naming the address and the cause. *)
+let connect_error addr e =
+  let cause =
+    match e with
+    | Unix.Unix_error (err, _, _) -> Unix.error_message err
+    | Failure msg -> msg
+    | e -> Printexc.to_string e
+  in
+  Format.asprintf "cannot connect to %a: %s" Server.pp_addr addr cause
+
+(* [f] on a fresh connection, closed on every way out. *)
+let with_connection ?timeout_s addr f =
+  match connect ?timeout_s addr with
+  | exception ((Unix.Unix_error _ | Failure _) as e) ->
+    Error (connect_error addr e)
+  | t -> Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+
+let one_shot ?timeout_s addr req =
+  with_connection ?timeout_s addr (fun t -> request t req)
 
 (* --- resilient client -------------------------------------------------------- *)
 
@@ -183,7 +199,7 @@ let resilient_request rc (req : Protocol.request) =
   and attempt ~asked =
     match rc_conn rc with
     | exception e ->
-      let msg = Printexc.to_string e in
+      let msg = connect_error rc.r_addr e in
       if rc.connected then retry ~asked (fun () -> Error msg) (next_backoff_ms rc)
       else Error msg
     | c -> (
@@ -217,10 +233,7 @@ let resilient_request rc (req : Protocol.request) =
    response until EOF (the server closes after a scrape) and strip the
    header block. *)
 let fetch_metrics addr =
-  let t = connect addr in
-  Fun.protect
-    ~finally:(fun () -> close t)
-    (fun () ->
+  with_connection addr (fun t ->
       send_line t "GET /metrics HTTP/1.0";
       let buf = Buffer.create 4096 in
       (try

@@ -26,11 +26,19 @@ val request_raw : t -> string -> (Bw_core.Json.t, string) result
 (** Encode and send a {!Protocol.request}. *)
 val request : t -> Protocol.request -> (Bw_core.Json.t, string) result
 
-(** Connect, send one request, read the response, close. *)
-val one_shot : Server.addr -> Protocol.request -> (Bw_core.Json.t, string) result
+(** Connect ([timeout_s] as in {!connect}), send one request, read the
+    response, close.  A failed connect is an [Error] of one line naming
+    the address and the cause, e.g. [cannot connect to
+    unix:/tmp/bwc.sock: No such file or directory]. *)
+val one_shot :
+  ?timeout_s:float ->
+  Server.addr ->
+  Protocol.request ->
+  (Bw_core.Json.t, string) result
 
 (** Scrape the [/metrics] endpoint over a fresh connection and return
-    the exposition body (HTTP headers stripped). *)
+    the exposition body (HTTP headers stripped); a failed connect is an
+    [Error] as in {!one_shot}. *)
 val fetch_metrics : Server.addr -> (string, string) result
 
 (** {2 Resilient client} *)
@@ -69,7 +77,8 @@ val retry_count : resilient -> int
     a half-written reply).  A connect error on a client that has never
     connected is returned at once: a missing socket or a refused port
     fails fast, while a server that restarts under a connected client
-    is waited for.  A server rejection with a retryable [code]
+    is waited for.  Connect errors read as in {!one_shot}.  A server
+    rejection with a retryable [code]
     ([overloaded], honouring its [retry_after_ms]; [worker_crashed]) is
     retried at most [max_retries] times per request, within the same
     budget.  Other structured errors — including [deadline_exceeded]

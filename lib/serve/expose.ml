@@ -1,7 +1,7 @@
 (* Plain-text metrics exposition in the Prometheus line format:
    metric names with '.' mapped to '_', one "name value" line per
    counter/gauge, and histograms flattened to _count/_sum plus
-   cumulative _bucket{le="..."} lines. *)
+   cumulative _bucket{le="..."} lines, then the GC gauges. *)
 
 let sanitize name =
   String.map
@@ -41,4 +41,16 @@ let render () =
                  (float_repr ub) !cum))
           h.Bw_obs.Metrics.buckets)
     (Bw_obs.Metrics.snapshot ());
+  (* the garbage collector's figures, read at scrape time: words
+     allocated and collections run since start, and the major heap's
+     size now *)
+  let gc = Gc.quick_stat () in
+  List.iter
+    (fun (name, v) ->
+      Buffer.add_string buf (Printf.sprintf "%s %s\n" name (float_repr v)))
+    [ ("gc_minor_words", gc.Gc.minor_words);
+      ("gc_major_words", gc.Gc.major_words);
+      ("gc_minor_collections", float_of_int gc.Gc.minor_collections);
+      ("gc_major_collections", float_of_int gc.Gc.major_collections);
+      ("gc_heap_words", float_of_int gc.Gc.heap_words) ];
   Buffer.contents buf

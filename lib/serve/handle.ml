@@ -7,8 +7,9 @@
    Every op that executes a program runs the request's engine once per
    program, through [execute]: analyze, simulate and the exact predict
    tier stream one run into every requested machine
-   ([Run.simulate_many]), optimize simulates its input and its output,
-   and the reuse tier takes a private capture for its reuse pass. *)
+   ([Run.simulate_many]), optimize simulates its input and, when the
+   pipeline changed it, its output, and the reuse tier takes a private
+   capture for its reuse pass. *)
 
 module Json = Bw_core.Json
 
@@ -172,7 +173,8 @@ let optimized ?deadline ~engine ?stages ?guard ?search ~machine p =
     execute ?deadline (fun () -> Bw_exec.Run.simulate ~engine ~machine q)
   in
   let before = run p in
-  let after = run output in
+  (* an unchanged program simulates to the same result: run it once *)
+  let after = if Bw_ir.Ast.equal_program output p then before else run output in
   { output; report; events; search = !outcome; before; after }
 
 let optimize ?deadline (req : Protocol.request) ~machines p =

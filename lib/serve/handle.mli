@@ -11,8 +11,9 @@
     The ops that execute a program run the request's engine once per
     program they execute: analyze, simulate and predict at the [exact]
     budget stream one run into every requested machine
-    ({!Bw_exec.Run.simulate_many}), optimize simulates its input and its
-    output, and predict at the [reuse] budget takes one private
+    ({!Bw_exec.Run.simulate_many}), optimize simulates its input and,
+    when the pipeline changed it, its output, and predict at the [reuse]
+    budget takes one private
     {!Bw_exec.Run.capture} for its reuse pass.  Each engine run first
     crosses the [serve.execute] fault site.
 
@@ -57,7 +58,8 @@ val memory_mb : Bw_exec.Run.result -> float
 
 (** What one optimization did: the pipeline's output, its report and
     guard events, the fusion search's outcome when one was asked for,
-    and the simulations of the input and of the output. *)
+    and the simulations of the input and of the output ([after] is
+    [before] itself when the output equals the input). *)
 type optimized = {
   output : Bw_ir.Ast.program;
   report : Bw_transform.Strategy.stage_report;
@@ -74,8 +76,9 @@ type optimized = {
     {!Bw_transform.Strategy.default}) under [guard] (default
     {!Bw_transform.Guard.default_config}); [search] replaces the fuse
     stage's sweep with {!Bw_fusion.Search.run}.  It then simulates [p]
-    and the output on [machine] with [engine], each run crossing
-    [serve.execute] after a deadline check.
+    and, unless {!Bw_ir.Ast.equal_program} finds it unchanged, the
+    output on [machine] with [engine], each run crossing [serve.execute]
+    after a deadline check.
     @raise Bw_transform.Guard.Guard_failed as [run_guarded] does. *)
 val optimized :
   ?deadline:float ->

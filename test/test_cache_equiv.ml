@@ -64,25 +64,26 @@ let stats_to_list (s : Cache.level_stats) =
     ("writebacks", s.Cache.writebacks)
   ]
 
-let assert_same ~what fast reference =
+let assert_same ?(names = ("fast", "reference")) ~what fast reference =
+  let a, b = names in
   for i = 0 to Cache.level_count fast - 1 do
     List.iter2
       (fun (name, f) (_, r) ->
         if f <> r then
-          QCheck.Test.fail_reportf
-            "%s: level %d %s differ: fast=%d reference=%d" what i name f r)
+          QCheck.Test.fail_reportf "%s: level %d %s differ: %s=%d %s=%d" what
+            i name a f b r)
       (stats_to_list (Cache.stats fast i))
       (stats_to_list (Cache.stats reference i))
   done;
   if Cache.memory_lines_in fast <> Cache.memory_lines_in reference then
-    QCheck.Test.fail_reportf "%s: memory_lines_in differ: fast=%d reference=%d"
-      what
+    QCheck.Test.fail_reportf "%s: memory_lines_in differ: %s=%d %s=%d" what a
       (Cache.memory_lines_in fast)
+      b
       (Cache.memory_lines_in reference);
   if Cache.memory_lines_out fast <> Cache.memory_lines_out reference then
-    QCheck.Test.fail_reportf
-      "%s: memory_lines_out differ: fast=%d reference=%d" what
+    QCheck.Test.fail_reportf "%s: memory_lines_out differ: %s=%d %s=%d" what a
       (Cache.memory_lines_out fast)
+      b
       (Cache.memory_lines_out reference)
 
 let equiv_property ~name ?write_policy ~with_clear geometries =
@@ -98,6 +99,37 @@ let equiv_property ~name ?write_policy ~with_clear geometries =
       Cache.flush fast;
       Cache.flush reference;
       assert_same ~what:"after flush" fast reference;
+      true)
+
+(* --- recycled storage ------------------------------------------------------ *)
+
+(* [retire] resets the slots a cache filled and hands its storage to the
+   free list, and the next [create] of that geometry takes it back (the
+   list is last-in first-out).  A second trace must then count on that
+   storage exactly what it counts on a cache created while the first was
+   live, whose storage is new: no other test retires a cache with these
+   slot counts.  The first trace may end with dirty lines unflushed. *)
+let recycle_property ~name ?write_policy ~fast geometries =
+  QCheck.Test.make ~count:300 ~name
+    (QCheck.triple QCheck.bool (trace_arb ~with_clear:true)
+       (trace_arb ~with_clear:false))
+    (fun (flush_first, first, second) ->
+      let used = Cache.create ?write_policy ~fast geometries in
+      List.iter (apply used) first;
+      if flush_first then Cache.flush used;
+      let fresh = Cache.create ?write_policy ~fast geometries in
+      Cache.retire used;
+      let recycled = Cache.create ?write_policy ~fast geometries in
+      List.iter
+        (fun op ->
+          apply recycled op;
+          apply fresh op)
+        second;
+      let names = ("recycled", "fresh") in
+      assert_same ~names ~what:"before flush" recycled fresh;
+      Cache.flush recycled;
+      Cache.flush fresh;
+      assert_same ~names ~what:"after flush" recycled fresh;
       true)
 
 (* --- geometries ---------------------------------------------------------- *)
@@ -151,7 +183,20 @@ let properties =
       ~write_policy:Cache.Write_through ~with_clear:true two_way
   ]
 
+let recycle_properties =
+  List.concat_map
+    (fun (model, fast) ->
+      List.map
+        (fun (policy, write_policy) ->
+          recycle_property ~name:(model ^ ", " ^ policy) ~write_policy ~fast
+            two_level)
+        [ ("write-back", Cache.Write_back);
+          ("write-through", Cache.Write_through) ])
+    [ ("fast", true); ("reference", false) ]
+
 let suites =
   [ ( "cache fast/reference equivalence",
-      List.map (QCheck_alcotest.to_alcotest ~long:false) properties )
+      List.map (QCheck_alcotest.to_alcotest ~long:false) properties );
+    ( "cache recycled storage counts as new",
+      List.map (QCheck_alcotest.to_alcotest ~long:false) recycle_properties )
   ]

@@ -124,6 +124,45 @@ let test_cache_clear () =
   Cache.read c ~addr:0 ~bytes:8;
   check int "contents invalidated" 1 s.Cache.read_misses
 
+(* A retired cache answers every statistics reader as before and
+   refuses every access, the repeat of its last access (the L1 hot-line
+   mirror's case) included. *)
+let test_cache_retire () =
+  let l2 = { Cache.size_bytes = 768; line_bytes = 32; associativity = 2 } in
+  let c = Cache.create [ small_geometry; l2 ] in
+  for i = 0 to 40 do
+    Cache.write c ~addr:(16 * i) ~bytes:8;
+    Cache.read c ~addr:(48 * i) ~bytes:8
+  done;
+  let readers () =
+    ( Cache.level_count c,
+      List.init 2 (Cache.geometry c),
+      Cache.stats_snapshot c,
+      List.init 2 (fun i ->
+          let s = Cache.stats c i in
+          [ s.Cache.reads; s.Cache.writes; s.Cache.read_misses;
+            s.Cache.write_misses; s.Cache.writebacks ]),
+      [ Cache.memory_lines_in c; Cache.memory_lines_out c;
+        Cache.memory_bytes_in c; Cache.memory_bytes_out c;
+        Cache.boundary_bytes c 0; Cache.boundary_bytes c 1 ] )
+  in
+  let before = readers () in
+  check bool "lines reached memory" true (Cache.memory_lines_in c > 0);
+  Cache.retire c;
+  check bool "every reader answers as before" true (before = readers ());
+  let refused what f =
+    Alcotest.check_raises what (Invalid_argument "Cache: retired cache") f
+  in
+  refused "read of the hot line" (fun () ->
+      Cache.read c ~addr:(48 * 40) ~bytes:8);
+  refused "write of the hot line" (fun () ->
+      Cache.write c ~addr:(48 * 40) ~bytes:8);
+  refused "read" (fun () -> Cache.read c ~addr:0 ~bytes:8);
+  refused "flush" (fun () -> Cache.flush c);
+  refused "clear" (fun () -> Cache.clear c);
+  Cache.retire c;
+  check bool "a second retire changes nothing" true (before = readers ())
+
 let test_write_through_hit_forwards () =
   let c = Cache.create ~write_policy:Cache.Write_through [ small_geometry ] in
   Cache.read c ~addr:0 ~bytes:8;
@@ -360,7 +399,9 @@ let suites =
         Alcotest.test_case "write-through hit" `Quick test_write_through_hit_forwards;
         Alcotest.test_case "write-through no-allocate" `Quick test_write_through_no_allocate;
         Alcotest.test_case "write-through reads" `Quick test_write_through_reads_like_write_back;
-        Alcotest.test_case "clear" `Quick test_cache_clear ] );
+        Alcotest.test_case "clear" `Quick test_cache_clear;
+        Alcotest.test_case "retired: stats readable, accesses refused" `Quick
+          test_cache_retire ] );
     ( "machine.balance",
       [ Alcotest.test_case "origin2000" `Quick test_origin_balance;
         Alcotest.test_case "scaled" `Quick test_scaled_machine ] );

@@ -318,22 +318,27 @@ let test_server_repeat_does_zero_engine_work () =
 (* Every executing miss runs the engine once per program it executes —
    analyze, simulate and predict at the exact budget stream one run into
    both machines, the reuse budget takes one capture, the analytic
-   budget runs nothing, and optimize simulates its input and its output
-   — and every payload equals the one a direct simulation and
-   {!Bw_exec.Evaluate} give.  Inputs: two registry programs and one
-   generated program sent as inline source. *)
+   budget runs nothing, and optimize simulates its input and, when the
+   pipeline changed it, its output — and every payload equals the one a
+   direct simulation and {!Bw_exec.Evaluate} give.  Inputs: two registry
+   programs and one generated program sent as inline source, each with
+   the engine runs its optimize takes: the pipeline returns read_loop
+   unchanged and rewrites the other two. *)
 let test_server_miss_runs_engine_per_program () =
   let machine_names = [ "origin2000"; "exemplar" ] in
   let inputs =
-    [ { (Protocol.default_request Protocol.Analyze) with
-        Protocol.program = Some "fig7" };
-      { (Protocol.default_request Protocol.Analyze) with
-        Protocol.program = Some "read_loop" };
-      { (Protocol.default_request Protocol.Analyze) with
-        Protocol.source =
-          Some
-            (Bw_ir.Pretty.program_to_string
-               (Bw_qa.Gen.generate ~seed:3 ~size:4)) } ]
+    [ ( { (Protocol.default_request Protocol.Analyze) with
+          Protocol.program = Some "fig7" },
+        2 );
+      ( { (Protocol.default_request Protocol.Analyze) with
+          Protocol.program = Some "read_loop" },
+        1 );
+      ( { (Protocol.default_request Protocol.Analyze) with
+          Protocol.source =
+            Some
+              (Bw_ir.Pretty.program_to_string
+                 (Bw_qa.Gen.generate ~seed:3 ~size:4)) },
+        2 ) ]
   in
   let machines =
     List.map (fun n -> Result.get_ok (Bw_core.Loader.machine n)) machine_names
@@ -371,7 +376,7 @@ let test_server_miss_runs_engine_per_program () =
     mb (Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache)
   in
   (* (request, engine runs it takes, payload a direct computation gives) *)
-  let cases (input : Protocol.request) =
+  let cases ((input : Protocol.request), optimize_runs) =
     let req op = { input with Protocol.op; machines = machine_names } in
     let predict budget = { (req Protocol.Predict) with Protocol.budget } in
     let p = Result.get_ok (Protocol.load_program input) in
@@ -443,7 +448,7 @@ let test_server_miss_runs_engine_per_program () =
           (evaluated "analytic" (fun machine ->
                Bw_exec.Evaluate.of_program ~machine p)) );
       ( { (req Protocol.Optimize) with Protocol.machines = [ "origin2000" ] },
-        2,
+        optimize_runs,
         `Fields optimized ) ]
   in
   let cases = List.concat_map cases inputs in
@@ -463,7 +468,8 @@ let test_server_miss_runs_engine_per_program () =
                 | Error msg -> Alcotest.fail msg)
               cases))
   in
-  check int "engine runs: six misses per program" (6 * List.length inputs)
+  check int "engine runs: 4 per program outside optimize, plus optimize's"
+    (List.fold_left (fun acc (_, runs) -> acc + 4 + runs) 0 inputs)
     (List.fold_left (fun acc (_, runs) -> acc + runs) 0 answers);
   List.iter2
     (fun ((r : Protocol.request), runs, expected) (payload, ran) ->
@@ -605,6 +611,52 @@ let test_server_metrics_endpoint () =
            i + n <= len && (String.sub body i n = needle || go (i + 1))
          in
          go 0))
+
+(* The exposition carries five GC gauges read at scrape time; across a
+   simulate miss all five are present and none falls. *)
+let test_server_metrics_gc_gauges () =
+  let names =
+    [ "gc_minor_words"; "gc_major_words"; "gc_minor_collections";
+      "gc_major_collections"; "gc_heap_words" ]
+  in
+  let scrape addr =
+    let lines =
+      String.split_on_char '\n' (Result.get_ok (Client.fetch_metrics addr))
+    in
+    List.map
+      (fun name ->
+        match
+          List.find_map
+            (fun l ->
+              match String.split_on_char ' ' l with
+              | [ n; v ] when n = name -> float_of_string_opt v
+              | _ -> None)
+            lines
+        with
+        | Some v -> v
+        | None -> Alcotest.failf "the scrape lacks %s" name)
+      names
+  in
+  with_server (fun addr ->
+      (* free what earlier tests left first, so that no sweep can
+         shrink the heap between the two scrapes *)
+      Gc.full_major ();
+      let before = scrape addr in
+      let req =
+        { (Protocol.default_request Protocol.Simulate) with
+          Protocol.program = Some "read_loop";
+          machines = [ "origin2000"; "exemplar" ] }
+      in
+      let r = Result.get_ok (Client.one_shot addr req) in
+      check bool "a simulate miss" true
+        (Result.is_ok (Protocol.response_result r)
+        && not (Protocol.response_cached r));
+      let after = scrape addr in
+      List.iter2
+        (fun name (b, a) ->
+          check bool (Printf.sprintf "%s: %.0f -> %.0f" name b a) true (a >= b))
+        names
+        (List.combine before after))
 
 let test_server_drains_on_shutdown () =
   let config = Server.default_config (Server.Tcp ("127.0.0.1", 0)) in
@@ -1073,7 +1125,8 @@ let test_resilient_client_outlasts_max_retries () =
 
 (* A client that has never connected returns a connect error at once
    instead of waiting out its 30 s retry budget: nothing listens at a
-   missing socket path, and waiting does not create a server. *)
+   missing socket path, and waiting does not create a server.  The
+   error is one line naming the path and the cause. *)
 let test_resilient_client_fails_fast_without_server () =
   let path =
     Filename.concat
@@ -1089,7 +1142,13 @@ let test_resilient_client_fails_fast_without_server () =
         Client.resilient_request rc (Protocol.default_request Protocol.Ping))
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  check bool "connect error returned" true (Result.is_error reply);
+  (match reply with
+  | Ok _ -> Alcotest.fail "a reply from a missing socket"
+  | Error msg ->
+    check string "the error names the path and the cause"
+      (Printf.sprintf "cannot connect to unix:%s: %s" path
+         (Unix.error_message Unix.ENOENT))
+      msg);
   check bool (Printf.sprintf "returned in %.3f s, under 1 s" elapsed) true
     (elapsed < 1.0)
 
@@ -1168,6 +1227,8 @@ let suites =
           test_server_optimize_all_work_deleted;
         Alcotest.test_case "metrics endpoint" `Quick
           test_server_metrics_endpoint;
+        Alcotest.test_case "GC gauges present, none falls across a miss"
+          `Quick test_server_metrics_gc_gauges;
         Alcotest.test_case "drains on shutdown" `Quick
           test_server_drains_on_shutdown;
         Alcotest.test_case "load generator: no errors, cache hits" `Quick

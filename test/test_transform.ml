@@ -604,6 +604,36 @@ let test_nas_sp_allocation_budget () =
     Alcotest.failf "one nas_sp optimize allocated %.0f minor words, budget %.0f"
       used budget
 
+(* One simulation of a small generated program (seed 9 at size 5: 35
+   references), as a serve miss runs it, on each paper machine.  The
+   slot storage of its cache levels is recycled from the run before, so
+   after a warm-up run the major heap takes little more than the
+   engine's trace buffer.  The minor heap is emptied before and after
+   the run, and [Gc.counters] includes major allocations no GC slice
+   has tallied yet, so the count is exact: the run's direct major
+   allocations and what it promoted.  The budget is 10% above the 3,081
+   words counted when it was set; fresh storage took about 75,000. *)
+let test_small_simulation_allocation_budget () =
+  let p = Bw_qa.Gen.generate ~seed:9 ~size:5 in
+  let major_words () =
+    Gc.minor ();
+    let _, _, major = Gc.counters () in
+    major
+  in
+  List.iter
+    (fun machine ->
+      let run () = Bw_exec.Run.simulate ~machine p in
+      ignore (run ());
+      let words = major_words () in
+      ignore (Sys.opaque_identity (run ()));
+      let used = major_words () -. words in
+      let budget = 3_389.0 in
+      if used > budget then
+        Alcotest.failf
+          "one simulation on %s allocated %.0f major words, budget %.0f"
+          machine.Bw_machine.Machine.name used budget)
+    [ Bw_machine.Machine.origin2000; Bw_machine.Machine.exemplar ]
+
 let test_strategy_fig6 () =
   let p = Bw_workloads.Fig6.fused ~n:30 in
   let p', report = Strategy.run p in
@@ -874,6 +904,8 @@ let suites =
         Alcotest.test_case "fig6 pipeline" `Quick test_strategy_fig6;
         Alcotest.test_case "nas_sp allocation budget" `Quick
           test_nas_sp_allocation_budget;
+        Alcotest.test_case "small simulation allocation budget" `Quick
+          test_small_simulation_allocation_budget;
         Alcotest.test_case "preserves all workloads" `Slow test_strategy_preserves_workloads;
         Alcotest.test_case "preserves random programs" `Slow test_strategy_preserves_random_programs ] );
     ( "transform.guard",
