@@ -1175,7 +1175,7 @@ let client_cmd =
           timeout_s = (if timeout > 0. then timeout else 10.0);
           retries = (if retries > 0 then retries else 3) }
       in
-      let stats = Bw_serve.Loadgen.run spec in
+      let stats = or_die (Bw_serve.Loadgen.run spec) in
       let doc = Bw_core.Json.to_string (Bw_serve.Loadgen.json_of_stats stats) in
       (match out with
       | None -> print_endline doc

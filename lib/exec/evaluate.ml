@@ -55,26 +55,31 @@ let of_program ~(machine : Bw_machine.Machine.t) program =
     seconds = p.Bw_analysis.Predict.seconds;
     binding_resource = p.Bw_analysis.Predict.binding_resource }
 
-(* Reuse tier: one stack-distance profile of the captured stream at the
+let reuse_granularity (machine : Bw_machine.Machine.t) =
+  match List.rev machine.Bw_machine.Machine.caches with
+  | last :: _ -> last.Bw_machine.Cache.line_bytes
+  | [] -> 32
+
+(* Reuse tier: one stack-distance profile of the reference stream at the
    machine's last-level line granularity prices every fully associative
    capacity; the timing model is then evaluated from the per-level miss
    counts.  Writebacks are apportioned by the stream's store fraction —
    the profile does not track dirtiness. *)
-let of_reuse ~(machine : Bw_machine.Machine.t) (c : Run.capture) =
-  count Reuse_pass;
-  let loads = ref 0 and stores = ref 0 in
-  Bw_machine.Trace_store.iter c.Run.store ~f:(fun kind _ _ ->
-      if kind = Bw_machine.Trace_buffer.kind_load then incr loads
-      else incr stores);
-  let loads = float_of_int !loads and stores = float_of_int !stores in
-  let flops = float_of_int c.Run.captured_flops in
-  let caches = machine.Bw_machine.Machine.caches in
-  let granularity =
-    match List.rev caches with
-    | last :: _ -> last.Bw_machine.Cache.line_bytes
-    | [] -> 32
+let of_reuse ~(machine : Bw_machine.Machine.t) (pass : Run.reuse_pass) =
+  let granularity = reuse_granularity machine in
+  let reuse =
+    match List.assoc_opt granularity pass.Run.profiles with
+    | Some reuse -> reuse
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Evaluate.of_reuse: no %d-byte profile for %s"
+           granularity machine.Bw_machine.Machine.name)
   in
-  let reuse = Run.reuse_of_capture ~granularity c in
+  count Reuse_pass;
+  let loads = float_of_int pass.Run.pass_loads in
+  let stores = float_of_int pass.Run.pass_stores in
+  let flops = float_of_int pass.Run.pass_flops in
+  let caches = machine.Bw_machine.Machine.caches in
   let write_frac =
     if loads +. stores <= 0.0 then 0.0 else stores /. (loads +. stores)
   in

@@ -8,11 +8,11 @@
       model.  No execution; the cost of a query does not depend on trip
       counts, only on the program's references times their loop depth.
       Carries the error envelope documented in EXPERIMENTS.md.
-    - {b Reuse_pass} ({!of_reuse}): one reuse-distance pass over a
-      captured reference stream ({!Run.reuse_of_capture}), pricing every
-      fully associative capacity at once.  Execution cost once per
-      program, then milliseconds per machine; blind to associativity
-      conflicts.
+    - {b Reuse_pass} ({!of_reuse}): reuse-distance profiles of one
+      engine run's reference stream ({!Run.reuse_pass}, one profile per
+      distinct last-level line size), pricing every fully associative
+      capacity at once.  Execution cost once per program, then
+      microseconds per machine; blind to associativity conflicts.
     - {b Exact} ({!of_result}): the full simulator ({!Run.simulate} /
       {!Run.replay}).  Bit-exact counters; pays for every reference on
       every machine.
@@ -46,9 +46,17 @@ val memory_bytes : t -> float
     closed-form model, never executed. *)
 val of_program : machine:Bw_machine.Machine.t -> Bw_ir.Ast.program -> t
 
-(** [of_reuse ~machine c] is the reuse tier: one reuse-distance pass
-    over the captured stream, no re-execution. *)
-val of_reuse : machine:Bw_machine.Machine.t -> Run.capture -> t
+(** The block size the reuse tier profiles [machine] at: its last
+    cache level's line size (32 bytes for a machine without caches). *)
+val reuse_granularity : Bw_machine.Machine.t -> int
+
+(** [of_reuse ~machine pass] is the reuse tier: [machine] priced from
+    [pass]'s profile at {!reuse_granularity} [machine] and its load,
+    store and flop counts, no re-execution.  A pass built from a
+    capture ({!Run.reuse_of_capture}) prices the same.
+    @raise Invalid_argument if [pass] has no profile at that
+    granularity. *)
+val of_reuse : machine:Bw_machine.Machine.t -> Run.reuse_pass -> t
 
 (** The exact tier: wrap a simulation or replay result. *)
 val of_result : Run.result -> t

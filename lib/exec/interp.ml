@@ -66,15 +66,15 @@ type sink = {
   mutable int_ops : int;
 }
 
-let make_sink ?capacity ~on_trace () =
-  { trace = Bw_machine.Trace_buffer.create ?capacity ~on_full:on_trace ();
+let make_sink ~on_trace () =
+  { trace = Bw_machine.Trace_buffer.create ~on_full:on_trace ();
     flops = 0;
     int_ops = 0 }
 
 let discard_sink () =
   (* records are dropped on overflow (Trace_buffer resets after on_full)
      and by flush; only the flop/int-op tallies survive *)
-  make_sink ~capacity:4096 ~on_trace:(fun _ -> ()) ()
+  make_sink ~on_trace:(fun _ -> ()) ()
 
 let flush_sink s = Bw_machine.Trace_buffer.flush s.trace
 

@@ -51,10 +51,11 @@ type sink = {
   mutable int_ops : int;
 }
 
-(** [make_sink ~on_trace ()] builds a sink whose trace buffer drains
-    through [on_trace] (on overflow and on {!flush_sink}). *)
+(** [make_sink ~on_trace ()] builds a sink whose trace buffer
+    ({!Bw_machine.Trace_buffer.capacity} records, allocated on the minor
+    heap) drains through [on_trace] (on overflow and on {!flush_sink}). *)
 val make_sink :
-  ?capacity:int -> on_trace:(Bw_machine.Trace_buffer.t -> unit) -> unit -> sink
+  on_trace:(Bw_machine.Trace_buffer.t -> unit) -> unit -> sink
 
 (** A sink that discards memory events but still tallies flops/int ops.
     Fresh per call: sinks are single-owner mutable state, so sharing one

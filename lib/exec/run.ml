@@ -128,8 +128,8 @@ let base_lookup arrays bases =
    (array [i] at [(i + 1) lsl shift]) through [drain] re-based onto
    [bases], by way of a private copy of each batch: a shared batch stays
    canonical for the other machines, and [drain]'s loop stays the one a
-   single layout runs.  The copy has the default capacity, as the
-   engine sink's buffer does. *)
+   single layout runs.  The copy has the engine sink's capacity, so it
+   too lives and dies on the minor heap. *)
 let rebase ~bases ~shift drain =
   let mask = (1 lsl shift) - 1 in
   let copy = Trace_buffer.create ~on_full:ignore () in
@@ -232,43 +232,96 @@ let simulate_many ?(engine = `Compiled) ~machines (program : Bw_ir.Ast.program)
 let simulate ?engine ~machine program =
   List.hd (simulate_many ?engine ~machines:[ machine ] program)
 
+(* Add one batch's loads and stores to [counters]. *)
+let count_batch counters (buf : Trace_buffer.t) =
+  let data = buf.Trace_buffer.data in
+  let n = buf.Trace_buffer.len in
+  let loads = ref 0 in
+  for r = 0 to n - 1 do
+    if
+      Array.unsafe_get data (r * Trace_buffer.slot_width)
+      = Trace_buffer.kind_load
+    then incr loads
+  done;
+  counters.Counters.loads <- counters.Counters.loads + !loads;
+  counters.Counters.stores <- counters.Counters.stores + (n - !loads)
+
 let observe ?(engine = `Compiled) program =
   let counters = Counters.create () in
-  let sink =
-    Interp.make_sink
-      ~on_trace:(fun buf ->
-        let data = buf.Trace_buffer.data in
-        let n = buf.Trace_buffer.len in
-        let loads = ref 0 in
-        for r = 0 to n - 1 do
-          if Array.unsafe_get data (r * Trace_buffer.slot_width) = 0 then incr loads
-        done;
-        counters.Counters.loads <- counters.Counters.loads + !loads;
-        counters.Counters.stores <- counters.Counters.stores + (n - !loads))
-      ()
-  in
+  let sink = Interp.make_sink ~on_trace:(count_batch counters) () in
   let observation = run_engine ~engine ~sink program in
   counters.Counters.flops <- sink.Interp.flops;
   counters.Counters.int_ops <- sink.Interp.int_ops;
   publish_engine ~engine ~sink ~counters;
   (observation, counters)
 
-let reuse_profile ?(granularity = 32) ?(engine = `Compiled)
+(* --- reuse profiles ------------------------------------------------------- *)
+
+type reuse_pass = {
+  pass_flops : int;
+  pass_loads : int;
+  pass_stores : int;
+  profiles : (int * Reuse.t) list;
+}
+
+(* One engine run with array [i] (declaration order) at [bases.(i)],
+   every reference fed to one reuse profile per distinct granularity;
+   loads and stores are counted from the same stream.  No trace is
+   stored: each batch goes into every profile in turn, so a profile sees
+   the records in engine order. *)
+let profile_run ~engine ~arrays ~bases ~granularities
     (program : Bw_ir.Ast.program) =
-  let profile = Reuse.create ~granularity () in
-  let layout = Layout.assign ~stagger_bytes:0 (array_decls program) in
+  Bw_obs.Trace.with_span ~cat:"reuse"
+    ~attrs:[ ("engine", Bw_obs.Trace.Str (engine_name engine)) ]
+    ("reuse:" ^ program.Bw_ir.Ast.prog_name)
+  @@ fun () ->
+  let profiles =
+    List.map
+      (fun granularity -> (granularity, Reuse.create ~granularity ()))
+      (List.sort_uniq compare granularities)
+  in
+  let counters = Counters.create () in
   let sink =
     Interp.make_sink
-      ~on_trace:
-        (Trace_buffer.drain ~f:(fun _kind addr _bytes ->
-             Reuse.access profile ~addr))
+      ~on_trace:(fun buf ->
+        count_batch counters buf;
+        let data = buf.Trace_buffer.data in
+        let n = buf.Trace_buffer.len in
+        List.iter
+          (fun (_, profile) ->
+            for r = 0 to n - 1 do
+              let i = (r * Trace_buffer.slot_width) + 1 in
+              Reuse.access profile ~addr:(Array.unsafe_get data i)
+            done)
+          profiles)
       ()
   in
   ignore
-    (run_engine ~engine ~sink
-       ~base_of:(fun name -> Layout.base layout name)
-       program);
-  profile
+    (run_engine ~engine ~sink ~base_of:(base_lookup arrays bases) program);
+  counters.Counters.flops <- sink.Interp.flops;
+  publish_engine ~engine ~sink ~counters;
+  { pass_flops = counters.Counters.flops;
+    pass_loads = counters.Counters.loads;
+    pass_stores = counters.Counters.stores;
+    profiles }
+
+let reuse_pass ?(engine = `Compiled) ~granularities program =
+  let arrays = array_decls program in
+  profile_run ~engine ~arrays
+    ~bases:(canonical_bases arrays (canonical_shift arrays))
+    ~granularities program
+
+let reuse_profile ?(granularity = 32) ?(engine = `Compiled)
+    (program : Bw_ir.Ast.program) =
+  let arrays = array_decls program in
+  let layout = Layout.assign ~stagger_bytes:0 arrays in
+  let bases =
+    Array.of_list (List.map (fun (name, _) -> Layout.base layout name) arrays)
+  in
+  let pass =
+    profile_run ~engine ~arrays ~bases ~granularities:[ granularity ] program
+  in
+  snd (List.hd pass.profiles)
 
 (* --- capture once, replay many -------------------------------------------- *)
 

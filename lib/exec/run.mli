@@ -93,8 +93,9 @@ val replay_many :
     at [granularity]-byte blocks (default 32) — one pass over the store,
     no cache model, predicting the miss count of every fully associative
     LRU capacity at once (see {!Bw_machine.Reuse}).  Canonical bases are
-    at least page-aligned, so the block partition matches a packed
-    layout's for any real granularity. *)
+    at least page-aligned, so no block straddles two arrays at any real
+    granularity; in {!reuse_profile}'s packed layout neighbours may share
+    a block, so the two can differ by a few blocks. *)
 val reuse_of_capture : ?granularity:int -> capture -> Bw_machine.Reuse.t
 
 (** Structural equality of two simulation results: machine name, all
@@ -129,10 +130,34 @@ val seconds : result -> float
     first, e.g. [("L1-Reg", 6.4); ("L2-L1", 5.1); ("Mem-L2", 5.2)]. *)
 val program_balance : result -> (string * float) list
 
+(** One engine run profiled for the reuse tier: the CPU-side tallies
+    and one reuse-distance profile per requested block granularity. *)
+type reuse_pass = {
+  pass_flops : int;
+  pass_loads : int;  (** counted from the reference stream *)
+  pass_stores : int;
+  profiles : (int * Bw_machine.Reuse.t) list;
+      (** [(granularity, profile)], one per distinct granularity *)
+}
+
+(** [reuse_pass ~granularities program] executes [program] {e once} with
+    its arrays at the canonical bases of {!capture} and streams every
+    reference into one {!Bw_machine.Reuse} profile per distinct
+    granularity: nothing is stored, and each profile equals
+    {!reuse_of_capture} of a capture at that granularity.  Engine
+    metrics are published as for any run.  [engine] as in {!simulate}
+    (default [`Compiled]). *)
+val reuse_pass :
+  ?engine:[ `Compiled | `Interpreted ] ->
+  granularities:int list ->
+  Bw_ir.Ast.program ->
+  reuse_pass
+
 (** Profile the program's reuse distances at the given block granularity
-    (no cache model involved; one pass over the address stream).  The
-    resulting curve predicts the miss ratio of any fully associative LRU
-    cache — see {!Bw_machine.Reuse}. *)
+    (no cache model involved; one engine run streamed into the profile,
+    as {!reuse_pass} does, but with the arrays packed back to back rather
+    than at canonical bases).  The resulting curve predicts the miss
+    ratio of any fully associative LRU cache — see {!Bw_machine.Reuse}. *)
 val reuse_profile :
   ?granularity:int ->
   ?engine:[ `Compiled | `Interpreted ] ->

@@ -30,8 +30,9 @@ type storage = {
   meta : int array;
   dirty : Bytes.t; (* '\001' = dirty *)
   (* the slots whose tag went from invalid to valid since the last
-     reset, in fill order; each slot appears at most once, so the log
-     never outgrows the slot count *)
+     reset: every valid slot, each once, so the log never outgrows the
+     slot count.  Fill order until [flush] sorts it; [reset_storage]
+     needs only the set *)
   mutable fills : int array;
   mutable n_fills : int;
 }
@@ -546,11 +547,51 @@ let boundary_bytes t i =
   (s.read_misses + s.write_misses + s.writebacks)
   * t.levels.(i).geometry.line_bytes
 
+(* Sort [a.(0) .. a.(n - 1)] ascending in place: a heapsort, so the
+   flush of a short fill log allocates nothing. *)
+let sort_prefix (a : int array) n =
+  let rec sift root limit =
+    let child = (2 * root) + 1 in
+    if child < limit then begin
+      let child =
+        if child + 1 < limit && a.(child + 1) > a.(child) then child + 1
+        else child
+      in
+      if a.(child) > a.(root) then begin
+        let x = a.(root) in
+        a.(root) <- a.(child);
+        a.(child) <- x;
+        sift child limit
+      end
+    end
+  in
+  for root = (n / 2) - 1 downto 0 do
+    sift root n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
+(* A fill log under 1/64 of a level's slots is sorted and walked.  On
+   Origin2000's 32 K-slot L2 the two flushes cost about the same at 512
+   filled lines (25 us); at 16 the walk takes 0.7 us and the scan 15,
+   while at 1,024 the sort alone outweighs the scan. *)
+let log_walk_share = 64
+
 let flush t =
-  (* Evict dirty lines top-down so L1 dirt propagates through L2.  The
-     dirty bytes are scanned a 64-bit word at a time: flush visits every
-     slot of every level — tens of thousands on a multi-megabyte L2
-     model — and almost all of them are clean. *)
+  (* Evict dirty lines top-down so L1 dirt propagates through L2, each
+     level in slot order.  Every valid slot, hence every dirty one, is in
+     the level's fill log, so the fast model walks the sorted log when
+     it is short and visits the dirty slots the scan of the dirty bytes
+     would, in the same order: a small run's flush then follows the
+     lines it filled, not the slots it models.  Otherwise, and always in
+     the reference model, the dirty bytes are scanned a 64-bit word at a
+     time, since almost all of them are clean.  Write-backs only reach
+     the levels below, so a level's log does not move while it is
+     walked. *)
   check_live t;
   for i = 0 to Array.length t.levels - 1 do
     let level = t.levels.(i) in
@@ -568,16 +609,25 @@ let flush t =
           ~is_write:true
       end
     in
-    let words = slots / 8 in
-    for w = 0 to words - 1 do
-      if Bytes.get_int64_le dirty (w * 8) <> 0L then
-        for slot = w * 8 to (w * 8) + 7 do
-          flush_slot slot
-        done
-    done;
-    for slot = words * 8 to slots - 1 do
-      flush_slot slot
-    done
+    let st = level.store in
+    if t.fast && st.n_fills * log_walk_share < slots then begin
+      sort_prefix st.fills st.n_fills;
+      for k = 0 to st.n_fills - 1 do
+        flush_slot (Array.unsafe_get st.fills k)
+      done
+    end
+    else begin
+      let words = slots / 8 in
+      for w = 0 to words - 1 do
+        if Bytes.get_int64_le dirty (w * 8) <> 0L then
+          for slot = w * 8 to (w * 8) + 7 do
+            flush_slot slot
+          done
+      done;
+      for slot = words * 8 to slots - 1 do
+        flush_slot slot
+      done
+    end
   done
 
 let forget_hot_lines t =

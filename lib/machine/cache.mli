@@ -106,8 +106,13 @@ val memory_bytes_out : t -> int
 val boundary_bytes : t -> int -> int
 
 (** Write back every dirty line, charging the traffic to the levels
-    below.  Call at most once, at the end of a run, when modelling
-    programs whose results must reach memory.
+    below, level by level and in slot order within a level.  Call at
+    most once, at the end of a run, when modelling programs whose
+    results must reach memory.  With [fast], a level whose fill log
+    holds under 1/64 of its slots is flushed by walking the sorted log,
+    so a small run's flush costs what it filled, not what the level
+    models; otherwise the dirty bytes are scanned.  Both visit the same
+    slots in the same order.
     @raise Invalid_argument on a retired cache. *)
 val flush : t -> unit
 

@@ -23,15 +23,19 @@ type t = {
   mutable finite_counts : int array; (* log2-bucket histogram *)
 }
 
+(* Every table starts under OCaml's 256-word [Max_young_wosize], so a
+   profile of a small program is allocated and collected on the minor
+   heap; [grow_table] and [ensure_capacity] size the tables by the
+   footprint from there. *)
 let create ~granularity () =
   if granularity <= 0 || granularity land (granularity - 1) <> 0 then
     invalid_arg "Reuse.create: granularity must be a positive power of two";
   { granularity;
-    keys = Array.make 4096 (-1);
-    stamps = Array.make 4096 0;
+    keys = Array.make 128 (-1);
+    stamps = Array.make 128 0;
     entries = 0;
-    bits = Bytes.make 1024 '\000';
-    fen = Array.make 1025 0;
+    bits = Bytes.make 128 '\000';
+    fen = Array.make 129 0;
     time = 0;
     accesses = 0;
     repeats = 0;

@@ -2,9 +2,15 @@
 
 let slot_width = 3
 
+(* 85 records are 255 words, within OCaml's [Max_young_wosize] (256):
+   the largest record-aligned buffer the runtime allocates on the minor
+   heap.  A short run's sink and re-based copies are therefore born and
+   collected young, and the records stay resident in the host's L1
+   between drains. *)
+let capacity = 85
+
 type t = {
   data : int array; (* slot_width ints per record: kind, addr, bytes *)
-  capacity : int; (* in records *)
   mutable len : int;
   on_full : t -> unit;
   mutable flushes : int;
@@ -13,14 +19,8 @@ type t = {
 let kind_load = 0
 let kind_store = 1
 
-(* Default sized so the flat array (capacity * 3 words) stays resident in
-   the host CPU's L1/L2 while still amortising the drain call: bigger
-   buffers measurably slow the simulator down because every record write
-   becomes a streaming store to cold memory. *)
-let create ?(capacity = 1_024) ~on_full () =
-  if capacity <= 0 then invalid_arg "Trace_buffer.create: capacity <= 0";
+let create ~on_full () =
   { data = Array.make (capacity * slot_width) 0;
-    capacity;
     len = 0;
     on_full;
     flushes = 0 }
@@ -29,7 +29,7 @@ let length t = t.len
 let reset t = t.len <- 0
 
 let[@inline] record t kind addr bytes =
-  if t.len = t.capacity then begin
+  if t.len = capacity then begin
     t.flushes <- t.flushes + 1;
     t.on_full t;
     t.len <- 0

@@ -13,9 +13,16 @@
 (** Number of [int] slots per record in {!t.data}: kind, address, bytes. *)
 val slot_width : int
 
+(** Records per buffer: 85, so [data] is 255 words, under OCaml's
+    256-word [Max_young_wosize].  Every buffer is allocated on the minor
+    heap, so the buffer of a run that ends before the next minor
+    collection never reaches the major heap.  Draining every 85 records
+    costs one handler call per 85 references and keeps the records
+    resident in the host's L1 cache. *)
+val capacity : int
+
 type t = {
   data : int array;  (** [slot_width] ints per record: kind, addr, bytes *)
-  capacity : int;  (** in records *)
   mutable len : int;  (** records currently buffered *)
   on_full : t -> unit;
       (** drain handler, invoked when an append finds the buffer full and
@@ -29,10 +36,9 @@ type t = {
 val kind_load : int
 val kind_store : int
 
-(** [create ~on_full ()] allocates a buffer of [capacity] records
-    (default 1024 — 24 KB of ints, small enough to stay hot in the host
-    CPU's cache while still amortising the drain call). *)
-val create : ?capacity:int -> on_full:(t -> unit) -> unit -> t
+(** [create ~on_full ()] allocates an empty buffer of {!capacity}
+    records. *)
+val create : on_full:(t -> unit) -> unit -> t
 
 (** Append a load/store record, draining first if the buffer is full. *)
 val load : t -> addr:int -> bytes:int -> unit

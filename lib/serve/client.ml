@@ -77,12 +77,16 @@ let connect_error addr e =
   in
   Format.asprintf "cannot connect to %a: %s" Server.pp_addr addr cause
 
-(* [f] on a fresh connection, closed on every way out. *)
-let with_connection ?timeout_s addr f =
+let try_connect ?timeout_s addr =
   match connect ?timeout_s addr with
   | exception ((Unix.Unix_error _ | Failure _) as e) ->
     Error (connect_error addr e)
-  | t -> Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+  | t -> Ok t
+
+(* [f] on a fresh connection, closed on every way out. *)
+let with_connection ?timeout_s addr f =
+  Result.bind (try_connect ?timeout_s addr) (fun t ->
+      Fun.protect ~finally:(fun () -> close t) (fun () -> f t))
 
 let one_shot ?timeout_s addr req =
   with_connection ?timeout_s addr (fun t -> request t req)

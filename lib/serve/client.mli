@@ -16,6 +16,10 @@ type t
     unresolvable host) on failure. *)
 val connect : ?timeout_s:float -> Server.addr -> t
 
+(** {!connect}, with a failed connect as an [Error] of one line naming
+    the address and the cause, as {!one_shot} reports it. *)
+val try_connect : ?timeout_s:float -> Server.addr -> (t, string) result
+
 val close : t -> unit
 
 (** Send an already-encoded request line and parse the response line.

@@ -8,8 +8,8 @@
    program, through [execute]: analyze, simulate and the exact predict
    tier stream one run into every requested machine
    ([Run.simulate_many]), optimize simulates its input and, when the
-   pipeline changed it, its output, and the reuse tier takes a private
-   capture for its reuse pass. *)
+   pipeline changed it, its output, and the reuse tier streams one run
+   into a reuse profile per distinct line size ([Run.reuse_pass]). *)
 
 module Json = Bw_core.Json
 
@@ -96,9 +96,10 @@ let simulate ?deadline req ~machines p =
 
 (* --- predict --------------------------------------------------------------- *)
 
-(* The analytic tier never executes; the reuse tier takes one capture
-   and prices every machine from it; the exact tier streams one run
-   into every machine. *)
+(* The analytic tier never executes; the reuse tier streams one run
+   into a profile per distinct last-level line size and prices every
+   machine from those; the exact tier streams one run into every
+   machine. *)
 let predict ?deadline (req : Protocol.request) ~machines p =
   let engine = req.Protocol.engine in
   let each evaluate =
@@ -108,8 +109,14 @@ let predict ?deadline (req : Protocol.request) ~machines p =
     match req.Protocol.budget with
     | `Analytic -> each (fun machine -> Bw_exec.Evaluate.of_program ~machine p)
     | `Reuse ->
-      let c = execute ?deadline (fun () -> Bw_exec.Run.capture ~engine p) in
-      each (fun machine -> Bw_exec.Evaluate.of_reuse ~machine c)
+      let pass =
+        execute ?deadline (fun () ->
+            Bw_exec.Run.reuse_pass ~engine
+              ~granularities:
+                (List.map Bw_exec.Evaluate.reuse_granularity machines)
+              p)
+      in
+      each (fun machine -> Bw_exec.Evaluate.of_reuse ~machine pass)
     | `Exact ->
       List.map Bw_exec.Evaluate.of_result
         (execute ?deadline (fun () ->

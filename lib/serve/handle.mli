@@ -13,9 +13,9 @@
     budget stream one run into every requested machine
     ({!Bw_exec.Run.simulate_many}), optimize simulates its input and,
     when the pipeline changed it, its output, and predict at the [reuse]
-    budget takes one private
-    {!Bw_exec.Run.capture} for its reuse pass.  Each engine run first
-    crosses the [serve.execute] fault site.
+    budget streams one run into a reuse profile per distinct last-level
+    line size ({!Bw_exec.Run.reuse_pass}); no op stores a trace.  Each
+    engine run first crosses the [serve.execute] fault site.
 
     [deadline] is an absolute [Unix.gettimeofday] instant.  It is
     checked at tier boundaries — before each engine run, each
@@ -43,8 +43,8 @@ val analyze :
   Json.t
 
 (** Evaluates each machine at the request's budget: the analytic model
-    ({!Bw_exec.Evaluate.of_program}, no execution), a reuse pass over
-    one capture ({!Bw_exec.Evaluate.of_reuse}) or one simulation run
+    ({!Bw_exec.Evaluate.of_program}, no execution), reuse profiles of one
+    streamed run ({!Bw_exec.Evaluate.of_reuse}) or one simulation run
     streamed into every machine ({!Bw_exec.Evaluate.of_result}). *)
 val predict :
   ?deadline:float ->

@@ -177,18 +177,19 @@ let client_run (spec : spec) ~client_id ~count =
               let reply = Client.resilient_request rc req in
               (reply, Client.retry_count rc - before))
         done;
-        samples)
+        Ok samples)
   end
-  else begin
-    let client = Client.connect spec.addr in
-    Fun.protect
-      ~finally:(fun () -> Client.close client)
-      (fun () ->
-        for i = 0 to count - 1 do
-          sample_one i ~send:(fun req -> (Client.request client req, 0))
-        done;
-        samples)
-  end
+  else
+    Result.map
+      (fun client ->
+        Fun.protect
+          ~finally:(fun () -> Client.close client)
+          (fun () ->
+            for i = 0 to count - 1 do
+              sample_one i ~send:(fun req -> (Client.request client req, 0))
+            done;
+            samples))
+      (Client.try_connect spec.addr)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -214,24 +215,7 @@ let outcome_name = function
   | Error_reply -> "error"
   | No_answer -> "failed"
 
-let run (spec : spec) =
-  if spec.clients < 1 then invalid_arg "Loadgen.run: clients < 1";
-  if spec.requests < 1 then invalid_arg "Loadgen.run: requests < 1";
-  let per_client = spec.requests / spec.clients in
-  let counts =
-    (* distribute the remainder over the first few clients *)
-    Array.init spec.clients (fun i ->
-        per_client + if i < spec.requests mod spec.clients then 1 else 0)
-  in
-  let t0 = Unix.gettimeofday () in
-  let domains =
-    Array.mapi
-      (fun i count ->
-        Domain.spawn (fun () -> client_run spec ~client_id:i ~count))
-      counts
-  in
-  let samples = Array.concat (Array.to_list (Array.map Domain.join domains)) in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+let stats_of (spec : spec) ~wall_seconds samples =
   let latencies =
     Array.map (fun s -> s.latency_ms) (Array.copy samples)
   in
@@ -280,6 +264,33 @@ let run (spec : spec) =
     failed;
     retried;
     by_outcome }
+
+let run (spec : spec) =
+  if spec.clients < 1 then invalid_arg "Loadgen.run: clients < 1";
+  if spec.requests < 1 then invalid_arg "Loadgen.run: requests < 1";
+  let per_client = spec.requests / spec.clients in
+  let counts =
+    (* distribute the remainder over the first few clients *)
+    Array.init spec.clients (fun i ->
+        per_client + if i < spec.requests mod spec.clients then 1 else 0)
+  in
+  let t0 = Unix.gettimeofday () in
+  let domains =
+    Array.mapi
+      (fun i count ->
+        Domain.spawn (fun () -> client_run spec ~client_id:i ~count))
+      counts
+  in
+  let outcomes = Array.to_list (Array.map Domain.join domains) in
+  let wall_seconds = Unix.gettimeofday () -. t0 in
+  match
+    List.find_map (function Error msg -> Some msg | Ok _ -> None) outcomes
+  with
+  | Some msg -> Error msg
+  | None ->
+    Ok
+      (stats_of spec ~wall_seconds
+         (Array.concat (List.map Result.get_ok outcomes)))
 
 let json_of_bucket b =
   Json.Obj

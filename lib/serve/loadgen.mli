@@ -64,7 +64,10 @@ type stats = {
           [rejected]/[error]/[failed] *)
 }
 
-(** Run the load; blocks until every client finishes. *)
-val run : spec -> stats
+(** Run the load; blocks until every client finishes.  A plain
+    (non-chaos) client that cannot connect makes the run an [Error] of
+    the one line {!Client.one_shot} would give, e.g. [cannot connect to
+    unix:/tmp/bwc.sock: No such file or directory]. *)
+val run : spec -> (stats, string) result
 
 val json_of_stats : stats -> Bw_core.Json.t

@@ -86,8 +86,8 @@ let assert_same ?(names = ("fast", "reference")) ~what fast reference =
       b
       (Cache.memory_lines_out reference)
 
-let equiv_property ~name ?write_policy ~with_clear geometries =
-  QCheck.Test.make ~count:300 ~name (trace_arb ~with_clear) (fun ops ->
+let equiv_property ~name ?write_policy ?(count = 300) ~trace geometries =
+  QCheck.Test.make ~count ~name trace (fun ops ->
       let fast = Cache.create ?write_policy ~fast:true geometries in
       let reference = Cache.create ?write_policy ~fast:false geometries in
       List.iter
@@ -163,24 +163,80 @@ let two_level_mixed =
     { Cache.size_bytes = 768; line_bytes = 32; associativity = 2 }
   ]
 
+(* --- flush: fill-log walk and dirty-byte scan ------------------------------ *)
+
+(* Two levels of many slots: 1,024 (512 sets x 2 ways x 32 B) over
+   4,096 (1,024 sets x 4 ways x 64 B).  The fast model's flush walks a
+   level's sorted fill log when the log holds under 1/64 of its slots
+   and scans the dirty bytes otherwise; the reference model always
+   scans.  [few_lines] fills at most 8 lines per level (under 1/128 of
+   either level), [every_slot] fills every slot of both, so each flush
+   path is held to the reference scan. *)
+let roomy =
+  [ { Cache.size_bytes = 32 * 1024; line_bytes = 32; associativity = 2 };
+    { Cache.size_bytes = 256 * 1024; line_bytes = 64; associativity = 4 }
+  ]
+
+(* Up to 8 one-line accesses, 64 KB apart plus a small offset: they
+   share an L2 set or two (and a few L1 sets), so 5 or more evict there
+   and write-backs cascade during the flush. *)
+let few_lines =
+  let open QCheck.Gen in
+  let access =
+    map3
+      (fun k (j, bytes) write ->
+        let addr = (k * 64 * 1024) + (j * 8) in
+        if write then Write (addr, bytes) else Read (addr, bytes))
+      (int_range 0 9)
+      (pair (int_range 0 15) (int_range 1 8))
+      bool
+  in
+  QCheck.make ~print:trace_print (list_size (int_range 0 8) access)
+
+(* A sweep of 8,192 consecutive 32-byte lines (256 KB: four lines per L2
+   set, sixteen per L1 set), each read or written, then a tail of mixed
+   accesses. *)
+let every_slot =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+    (map3
+       (fun base writes tail ->
+         List.mapi
+           (fun k write ->
+             let addr = base + (32 * k) in
+             if write then Write (addr, 8) else Read (addr, 8))
+           writes
+         @ tail)
+       (map (fun x -> x * 8) (int_range 0 512))
+       (list_repeat 8192 bool)
+       (list_size (int_range 0 100) (op_gen ~with_clear:false)))
+
+let mixed = trace_arb ~with_clear:false
+let mixed_with_clear = trace_arb ~with_clear:true
+
 let properties =
-  [ equiv_property ~name:"direct-mapped, write-back" ~with_clear:false
+  [ equiv_property ~name:"direct-mapped, write-back" ~trace:mixed
       direct_mapped;
-    equiv_property ~name:"2-way, write-back" ~with_clear:false two_way;
+    equiv_property ~name:"2-way, write-back" ~trace:mixed two_way;
     equiv_property ~name:"2-way, write-through"
-      ~write_policy:Cache.Write_through ~with_clear:false two_way;
-    equiv_property ~name:"non-pow2 sets, write-back" ~with_clear:false
+      ~write_policy:Cache.Write_through ~trace:mixed two_way;
+    equiv_property ~name:"non-pow2 sets, write-back" ~trace:mixed
       non_pow2_sets;
     equiv_property ~name:"non-pow2 sets, write-through"
-      ~write_policy:Cache.Write_through ~with_clear:false non_pow2_sets;
-    equiv_property ~name:"4-way, write-back" ~with_clear:false four_way;
-    equiv_property ~name:"two-level, write-back" ~with_clear:false two_level;
+      ~write_policy:Cache.Write_through ~trace:mixed non_pow2_sets;
+    equiv_property ~name:"4-way, write-back" ~trace:mixed four_way;
+    equiv_property ~name:"two-level, write-back" ~trace:mixed two_level;
     equiv_property ~name:"two-level mixed pow2/non-pow2, write-back"
-      ~with_clear:false two_level_mixed;
+      ~trace:mixed two_level_mixed;
     equiv_property ~name:"two-level, write-back, mid-trace clear"
-      ~with_clear:true two_level;
+      ~trace:mixed_with_clear two_level;
     equiv_property ~name:"2-way, write-through, mid-trace clear"
-      ~write_policy:Cache.Write_through ~with_clear:true two_way
+      ~write_policy:Cache.Write_through ~trace:mixed_with_clear two_way;
+    equiv_property ~name:"roomy two-level, few lines filled (log walk)"
+      ~count:1000 ~trace:few_lines roomy;
+    equiv_property ~name:"roomy two-level, every slot filled (dirty scan)"
+      ~count:40 ~trace:every_slot roomy
   ]
 
 let recycle_properties =

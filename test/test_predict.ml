@@ -163,7 +163,12 @@ let test_evaluate_tiers () =
   in
   let a = Bw_exec.Evaluate.of_program ~machine p in
   let c = Bw_exec.Run.capture p in
-  let r = Bw_exec.Evaluate.of_reuse ~machine c in
+  let r =
+    Bw_exec.Evaluate.of_reuse ~machine
+      (Bw_exec.Run.reuse_pass
+         ~granularities:[ Bw_exec.Evaluate.reuse_granularity machine ]
+         p)
+  in
   let x = Bw_exec.Evaluate.of_result (Bw_exec.Run.replay ~machine c) in
   Alcotest.(check string) "analytic tag" "analytic"
     (Bw_exec.Evaluate.fidelity_name a.Bw_exec.Evaluate.fidelity);
@@ -195,7 +200,12 @@ let test_evaluate_capture () =
   let e = Option.get (Bw_workloads.Registry.find "convolution") in
   let p = e.Bw_workloads.Registry.build ~scale:1 in
   let c = Bw_exec.Run.capture p in
-  let r = Bw_exec.Evaluate.of_reuse ~machine c in
+  let r =
+    Bw_exec.Evaluate.of_reuse ~machine
+      (Test_trace_store.reuse_pass_of_capture
+         ~granularities:[ Bw_exec.Evaluate.reuse_granularity machine ]
+         c)
+  in
   let x = Bw_exec.Evaluate.of_result (Bw_exec.Run.replay ~machine c) in
   Alcotest.(check bool) "reuse tier from capture" true
     (r.Bw_exec.Evaluate.fidelity = Bw_exec.Evaluate.Reuse_pass);

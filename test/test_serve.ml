@@ -315,12 +315,37 @@ let test_server_repeat_does_zero_engine_work () =
       check bool "second cached" true (Protocol.response_cached r2);
       check int "the hit did zero engine work" after_first (runs ()))
 
+(* The payload predict answers with for [p] at [budget], one row per
+   machine from [evaluate]: what [Handle.predict] must render. *)
+let predict_payload (p : Bw_ir.Ast.program) ~budget ~machines evaluate =
+  Json.Obj
+    [ ("program", Json.String p.Bw_ir.Ast.prog_name);
+      ("budget", Json.String budget);
+      ( "results",
+        Json.List
+          (List.map
+             (fun machine ->
+               let e : Bw_exec.Evaluate.t = evaluate machine in
+               Json.Obj
+                 [ ("machine", Json.String e.Bw_exec.Evaluate.machine_name);
+                   ( "fidelity",
+                     Json.String
+                       (Bw_exec.Evaluate.fidelity_name
+                          e.Bw_exec.Evaluate.fidelity) );
+                   ("seconds", Json.Float e.Bw_exec.Evaluate.seconds);
+                   ( "memory_mb",
+                     Json.Float (Bw_exec.Evaluate.memory_bytes e /. 1e6) );
+                   ( "binding_resource",
+                     Json.String e.Bw_exec.Evaluate.binding_resource ) ])
+             machines) ) ]
+
 (* Every executing miss runs the engine once per program it executes —
    analyze, simulate and predict at the exact budget stream one run into
-   both machines, the reuse budget takes one capture, the analytic
-   budget runs nothing, and optimize simulates its input and, when the
-   pipeline changed it, its output — and every payload equals the one a
-   direct simulation and {!Bw_exec.Evaluate} give.  Inputs: two registry
+   both machines, the reuse budget streams one run into its reuse
+   profiles, the analytic budget runs nothing, and optimize simulates
+   its input and, when the pipeline changed it, its output — and every
+   payload equals the one a direct simulation and {!Bw_exec.Evaluate}
+   give (the reuse tier's priced from a capture).  Inputs: two registry
    programs and one generated program sent as inline source, each with
    the engine runs its optimize takes: the pipeline returns read_loop
    unchanged and rewrites the other two. *)
@@ -385,29 +410,13 @@ let test_server_miss_runs_engine_per_program () =
     in
     let program = ("program", Json.String p.Bw_ir.Ast.prog_name) in
     let results rows = Json.Obj [ program; ("results", Json.List rows) ] in
-    let evaluated name evaluate =
-      Json.Obj
-        [ program;
-          ("budget", Json.String name);
-          ( "results",
-            Json.List
-              (List.map
-                 (fun machine ->
-                   let e : Bw_exec.Evaluate.t = evaluate machine in
-                   Json.Obj
-                     [ ("machine", Json.String e.Bw_exec.Evaluate.machine_name);
-                       ( "fidelity",
-                         Json.String
-                           (Bw_exec.Evaluate.fidelity_name
-                              e.Bw_exec.Evaluate.fidelity) );
-                       ("seconds", f e.Bw_exec.Evaluate.seconds);
-                       ( "memory_mb",
-                         f (Bw_exec.Evaluate.memory_bytes e /. 1e6) );
-                       ( "binding_resource",
-                         Json.String e.Bw_exec.Evaluate.binding_resource ) ])
-                 machines) ) ]
-    in
+    let evaluated budget = predict_payload p ~budget ~machines in
     let capture = Bw_exec.Run.capture p in
+    let capture_pass =
+      Test_trace_store.reuse_pass_of_capture
+        ~granularities:(List.map Bw_exec.Evaluate.reuse_granularity machines)
+        capture
+    in
     (* optimize: the before/after figures are direct simulations of the
        input and of the pipeline's output on origin2000 *)
     let machine = List.hd machines in
@@ -441,7 +450,7 @@ let test_server_miss_runs_engine_per_program () =
         1,
         `Payload
           (evaluated "reuse" (fun machine ->
-               Bw_exec.Evaluate.of_reuse ~machine capture)) );
+               Bw_exec.Evaluate.of_reuse ~machine capture_pass)) );
       ( predict `Analytic,
         0,
         `Payload
@@ -598,6 +607,125 @@ let test_handle_optimized_exact_over_limit () =
   check int "fused loops" 0
     o.Bw_serve.Handle.report.Bw_transform.Strategy.fused_loops
 
+(* --- the reuse tier streams -------------------------------------------------- *)
+
+(* Two line sizes in one request: 128 bytes for origin2000 and its
+   random-page twin, 32 for exemplar. *)
+let reuse_machine_names = [ "origin2000"; "exemplar"; "origin-rp" ]
+
+(* Predict at the reuse budget runs the engine once, streamed into one
+   profile per distinct line size, and answers what a capture priced by
+   the capture path answers: each profile from [Run.reuse_of_capture],
+   the loads and stores from [Trace_store.iter]. *)
+let streamed_reuse_matches_capture (p : Bw_ir.Ast.program) =
+  let req =
+    { (Protocol.default_request Protocol.Predict) with
+      Protocol.budget = `Reuse;
+      machines = reuse_machine_names }
+  in
+  let machines = Result.get_ok (Protocol.resolve_machines req) in
+  let granularities =
+    List.map Bw_exec.Evaluate.reuse_granularity machines
+  in
+  let runs0 = counter "engine.compiled.runs" in
+  let payload = Bw_serve.Handle.predict req ~machines p in
+  let runs = counter "engine.compiled.runs" - runs0 in
+  let streamed = Bw_exec.Run.reuse_pass ~granularities p in
+  let captured =
+    Test_trace_store.reuse_pass_of_capture ~granularities
+      (Bw_exec.Run.capture p)
+  in
+  let profile (pass : Bw_exec.Run.reuse_pass) g =
+    let r = List.assoc g pass.Bw_exec.Run.profiles in
+    Bw_machine.Reuse.
+      (total r, cold r, footprint_blocks r, histogram r)
+  in
+  let expected =
+    predict_payload p ~budget:"reuse" ~machines (fun machine ->
+        Bw_exec.Evaluate.of_reuse ~machine captured)
+  in
+  runs = 1
+  && List.length streamed.Bw_exec.Run.profiles = 2
+  && streamed.Bw_exec.Run.pass_flops = captured.Bw_exec.Run.pass_flops
+  && streamed.Bw_exec.Run.pass_loads = captured.Bw_exec.Run.pass_loads
+  && streamed.Bw_exec.Run.pass_stores = captured.Bw_exec.Run.pass_stores
+  && List.for_all
+       (fun g -> profile streamed g = profile captured g)
+       granularities
+  && Json.to_string payload = Json.to_string expected
+
+let test_reuse_streams_like_capture_registry () =
+  List.iter
+    (fun e ->
+      let p = e.Bw_workloads.Registry.build ~scale:1 in
+      check bool e.Bw_workloads.Registry.name true
+        (streamed_reuse_matches_capture p))
+    Bw_workloads.Registry.all
+
+let qcheck_reuse_streams_like_capture =
+  QCheck.Test.make ~count:40
+    ~name:"predict at reuse streams what a capture prices (generated programs)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    (fun seed ->
+      streamed_reuse_matches_capture (Bw_qa.Gen.generate ~seed ~size:5))
+
+(* --- cold-miss allocation --------------------------------------------------- *)
+
+(* Major words one cold request takes through [Handle.compute], counted
+   as test_transform.ml's small-simulation budget counts them: after a
+   warm-up request, with the minor heap emptied before and after, so the
+   count is the request's direct major allocations and what it
+   promoted.  The program is Gen seed 9 at size 5 (35 references).
+   Each budget is 10% above the figure counted when it was set; before
+   trace buffers and reuse tables started on the minor heap and the
+   reuse tier stopped capturing, the three took about 20,500, 29,700
+   and 9,200 words. *)
+let cold_request_major_words ~op ?budget machine_names =
+  let p = Bw_qa.Gen.generate ~seed:9 ~size:5 in
+  let req =
+    { (Protocol.default_request op) with
+      Protocol.source = Some (Bw_ir.Pretty.program_to_string p);
+      machines = machine_names }
+  in
+  let req =
+    match budget with Some budget -> { req with Protocol.budget } | None -> req
+  in
+  let machines = Result.get_ok (Protocol.resolve_machines req) in
+  let major_words () =
+    Gc.minor ();
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let compute () =
+    let payload = Bw_serve.Handle.compute req ~machines (Some p) in
+    ignore (Sys.opaque_identity payload)
+  in
+  compute ();
+  let words = major_words () in
+  compute ();
+  major_words () -. words
+
+let allocation_budget ~what ~budget used =
+  if used > budget then
+    Alcotest.failf "one cold %s allocated %.0f major words, budget %.1f" what
+      used budget
+
+let test_cold_reuse_one_machine_allocation () =
+  allocation_budget ~what:"reuse predict on origin2000" ~budget:2.2
+    (cold_request_major_words ~op:Protocol.Predict ~budget:`Reuse
+       [ "origin2000" ])
+
+let test_cold_reuse_two_machines_allocation () =
+  allocation_budget ~what:"reuse predict on origin2000 + exemplar"
+    ~budget:2.2
+    (cold_request_major_words ~op:Protocol.Predict ~budget:`Reuse
+       [ "origin2000"; "exemplar" ])
+
+let test_cold_rebased_simulate_allocation () =
+  allocation_budget ~what:"simulate on origin2000 + exemplar" ~budget:12.1
+    (cold_request_major_words ~op:Protocol.Simulate
+       [ "origin2000"; "exemplar" ])
+
 let test_server_metrics_endpoint () =
   with_server (fun addr ->
       ignore
@@ -685,7 +813,7 @@ let test_loadgen_against_live_server () =
           requests = 60;
           seed = 3 }
       in
-      let stats = Loadgen.run spec in
+      let stats = Result.get_ok (Loadgen.run spec) in
       check int "every request answered" 60 stats.Loadgen.requests;
       check int "no errors" 0 stats.Loadgen.errors;
       check int "no transport failures" 0 stats.Loadgen.failed;
@@ -1152,6 +1280,32 @@ let test_resilient_client_fails_fast_without_server () =
   check bool (Printf.sprintf "returned in %.3f s, under 1 s" elapsed) true
     (elapsed < 1.0)
 
+(* A plain load run has no retry budget to wait out: a client that
+   cannot connect ends the run with the one line a single request
+   gives, which [bwc client --load] prints after "bwc: ". *)
+let test_load_run_names_a_failed_connect () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bwc-missing-load-%d.sock" (Unix.getpid ()))
+  in
+  let addr = Server.Unix_sock path in
+  let spec =
+    { (Loadgen.default_spec addr) with Loadgen.clients = 1; requests = 5 }
+  in
+  let expected =
+    Printf.sprintf "cannot connect to unix:%s: %s" path
+      (Unix.error_message Unix.ENOENT)
+  in
+  (match Loadgen.run spec with
+  | Ok _ -> Alcotest.fail "a load run against a missing socket"
+  | Error msg ->
+    check string "the error names the path and the cause" expected msg);
+  check
+    (Alcotest.result Alcotest.reject string)
+    "the same line as a single request" (Error expected)
+    (Client.one_shot addr (Protocol.default_request Protocol.Ping))
+
 let test_chaos_load_run_is_clean () =
   with_server
     ~tweak:(fun c ->
@@ -1174,7 +1328,7 @@ let test_chaos_load_run_is_clean () =
               timeout_s = 5.0;
               retries = 4 }
           in
-          let stats = Loadgen.run spec in
+          let stats = Result.get_ok (Loadgen.run spec) in
           check int "every request accounted for" 80 stats.Loadgen.requests;
           (* THE chaos pass criterion: answered or cleanly rejected,
              nothing hung, nothing unexplained *)
@@ -1212,7 +1366,18 @@ let suites =
         Alcotest.test_case "the op reports an exact search over its limit"
           `Quick test_handle_optimized_exact_over_limit;
         Alcotest.test_case "optimize answers what bwc optimize does" `Quick
-          test_handle_optimize_matches_cli ] );
+          test_handle_optimize_matches_cli;
+        Alcotest.test_case
+          "predict at reuse streams what a capture prices (registry)" `Quick
+          test_reuse_streams_like_capture_registry;
+        QCheck_alcotest.to_alcotest ~long:false
+          qcheck_reuse_streams_like_capture;
+        Alcotest.test_case "cold reuse predict, one machine: major words"
+          `Quick test_cold_reuse_one_machine_allocation;
+        Alcotest.test_case "cold reuse predict, two machines: major words"
+          `Quick test_cold_reuse_two_machines_allocation;
+        Alcotest.test_case "cold re-based simulate: major words" `Quick
+          test_cold_rebased_simulate_allocation ] );
     ( "serve.daemon",
       [ Alcotest.test_case "cache hit is byte-identical" `Quick
           test_server_hit_is_byte_identical;
@@ -1257,5 +1422,7 @@ let suites =
           test_resilient_client_outlasts_max_retries;
         Alcotest.test_case "a missing socket fails fast" `Quick
           test_resilient_client_fails_fast_without_server;
+        Alcotest.test_case "a load run names a failed connect in words" `Quick
+          test_load_run_names_a_failed_connect;
         Alcotest.test_case "chaos load run: zero unanswered" `Quick
           test_chaos_load_run_is_clean ] ) ]

@@ -166,6 +166,22 @@ let test_replay_many_parallel_deterministic () =
 
 (* --- reuse fast path vs exact simulator ------------------------------------- *)
 
+(* The reuse tier's oracle: a pass priced from a capture, each profile
+   by [Run.reuse_of_capture] and the loads and stores counted by
+   [Trace_store.iter].  Past the engine run it shares no code with the
+   streamed [Run.reuse_pass]. *)
+let reuse_pass_of_capture ~granularities (c : Run.capture) =
+  let loads = ref 0 and stores = ref 0 in
+  Trace_store.iter c.Run.store ~f:(fun kind _ _ ->
+      if kind = Trace_buffer.kind_load then incr loads else incr stores);
+  { Run.pass_flops = c.Run.captured_flops;
+    pass_loads = !loads;
+    pass_stores = !stores;
+    profiles =
+      List.map
+        (fun granularity -> (granularity, Run.reuse_of_capture ~granularity c))
+        (List.sort_uniq compare granularities) }
+
 let l2_machine l2_kb =
   { Machine.origin2000 with
     Machine.name = Printf.sprintf "L2=%dKB" l2_kb;
