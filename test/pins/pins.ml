@@ -35,10 +35,19 @@ let gen_programs () =
       let seed = i + 1 in
       (Printf.sprintf "gen%d" seed, Bw_qa.Gen.generate ~seed ~size:6))
 
+(* The -rp machines place pages at random, which the predictor prices
+   with the all-or-nothing hit share. *)
+let loader_machine name =
+  match Bw_core.Loader.machine name with
+  | Ok m -> m
+  | Error msg -> failwith msg
+
 let machines =
   [ ("origin2000", Bw_machine.Machine.origin2000);
     ("exemplar", Bw_machine.Machine.exemplar);
-    ("origin_scaled", Bw_core.Accuracy.origin_scaled) ]
+    ("origin_scaled", Bw_core.Accuracy.origin_scaled);
+    ("origin-rp", loader_machine "origin-rp");
+    ("exemplar-rp", loader_machine "exemplar-rp") ]
 
 (* ---- predictor ---------------------------------------------------- *)
 
