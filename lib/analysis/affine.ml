@@ -24,8 +24,17 @@ let merge f a b =
   (* [go] keeps the operands' name order; only cancelled terms go *)
   List.filter (fun (_, c) -> c <> 0) (go a.terms b.terms)
 
-let add a b = { const = a.const + b.const; terms = merge ( + ) a b }
-let sub a b = { const = a.const - b.const; terms = merge ( - ) a b }
+(* A side without terms leaves the other's terms as they are: they hold
+   no zero coefficient, so [merge] would rebuild the same list. *)
+let add a b =
+  match (a.terms, b.terms) with
+  | terms, [] | [], terms -> { const = a.const + b.const; terms }
+  | _ -> { const = a.const + b.const; terms = merge ( + ) a b }
+
+let sub a b =
+  match b.terms with
+  | [] -> { const = a.const - b.const; terms = a.terms }
+  | _ -> { const = a.const - b.const; terms = merge ( - ) a b }
 
 (* Keeps the name order; drops the products that come out zero *)
 let rec scale_terms k = function

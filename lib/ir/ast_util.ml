@@ -62,6 +62,34 @@ let rec push_reads acc = function
 
 let expr_reads e = List.rev (push_reads [] e)
 
+(* Conses every array reference of [e], as (array, subscripts), onto
+   [acc], last first. *)
+let rec push_refs acc = function
+  | Int_lit _ | Float_lit _ | Scalar _ -> acc
+  | Element (a, idxs) -> List.fold_left push_refs ((a, idxs) :: acc) idxs
+  | Unary (_, x) -> push_refs acc x
+  | Binary (_, x, y) -> push_refs (push_refs acc x) y
+  | Call (_, args) -> List.fold_left push_refs acc args
+
+let push_lvalue_refs acc = function
+  | Lscalar _ -> acc
+  | Lelement (a, idxs) -> List.fold_left push_refs ((a, idxs) :: acc) idxs
+
+let array_refs stmts =
+  let rec stmt acc = function
+    | Assign (lv, e) -> push_lvalue_refs (push_refs acc e) lv
+    | Read_input lv -> push_lvalue_refs acc lv
+    | Print e -> push_refs acc e
+    | If (c, t, e) ->
+      List.fold_left stmt
+        (List.fold_left stmt (fold_cond_exprs push_refs acc c) t)
+        e
+    | For l ->
+      let acc = push_refs (push_refs (push_refs acc l.lo) l.hi) l.step in
+      List.fold_left stmt acc l.body
+  in
+  List.fold_left stmt [] stmts
+
 let rec expr_array_reads = function
   | Int_lit _ | Float_lit _ | Scalar _ -> []
   | Element (a, idxs) -> a :: List.concat_map expr_array_reads idxs

@@ -33,6 +33,11 @@ val fold_stmts : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a
 (** Names of variables read by an expression (scalars and arrays). *)
 val expr_reads : expr -> string list
 
+(** Every array reference in the statements, reads and writes alike —
+    lvalues, loop bounds and conditions included — as
+    [(array, subscripts)], last first. *)
+val array_refs : stmt list -> (string * expr list) list
+
 (** Names of arrays referenced (read) by an expression. *)
 val expr_array_reads : expr -> string list
 

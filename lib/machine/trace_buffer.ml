@@ -25,9 +25,6 @@ let create ~on_full () =
     on_full;
     flushes = 0 }
 
-let length t = t.len
-let reset t = t.len <- 0
-
 let[@inline] record t kind addr bytes =
   if t.len = capacity then begin
     t.flushes <- t.flushes + 1;
@@ -43,20 +40,6 @@ let[@inline] record t kind addr bytes =
 
 let[@inline] load t ~addr ~bytes = record t kind_load addr bytes
 let[@inline] store t ~addr ~bytes = record t kind_store addr bytes
-
-let iter t ~f =
-  let data = t.data in
-  for r = 0 to t.len - 1 do
-    let i = r * slot_width in
-    f
-      (Array.unsafe_get data i)
-      (Array.unsafe_get data (i + 1))
-      (Array.unsafe_get data (i + 2))
-  done
-
-let drain t ~f =
-  iter t ~f;
-  t.len <- 0
 
 let flush t =
   if t.len > 0 then begin

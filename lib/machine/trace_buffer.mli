@@ -6,8 +6,8 @@
     into the cache simulator and counters ({!Bw_exec.Run.simulate}), into
     a reuse profiler, or nowhere (pure observation runs).
 
-    The record layout is exposed ([data], [length], {!slot_width}) so
-    batch consumers can walk the buffer with a tight loop instead of a
+    The record layout is exposed ([data], [len], {!slot_width}) so
+    batch consumers walk the buffer with a tight loop instead of a
     per-record callback. *)
 
 (** Number of [int] slots per record in {!t.data}: kind, address, bytes. *)
@@ -45,20 +45,9 @@ val load : t -> addr:int -> bytes:int -> unit
 
 val store : t -> addr:int -> bytes:int -> unit
 
-val length : t -> int
-
-(** Call [f kind addr bytes] on each buffered record, oldest first. *)
-val iter : t -> f:(int -> int -> int -> unit) -> unit
-
-(** [iter] then empty the buffer. *)
-val drain : t -> f:(int -> int -> int -> unit) -> unit
-
 (** Drain any buffered records through [on_full].  Call once at the end
     of a run; appends made after a [flush] are buffered as usual. *)
 val flush : t -> unit
-
-(** Discard buffered records without draining them. *)
-val reset : t -> unit
 
 (** Times the drain handler has run (overflow drains plus {!flush}). *)
 val flushes : t -> int

@@ -56,59 +56,6 @@ let rec rw_stmt rw = function
         step = rw_expr rw l.step;
         body = List.map (rw_stmt rw) l.body }
 
-(* --- reference collection ----------------------------------------------
-   Every array reference in the body, reads and writes alike, as
-   [(name, subscripts)]; lvalues are included (Refs/fold_stmt_exprs only
-   see read-side [Element] nodes). *)
-
-let collect_refs body =
-  let acc = ref [] in
-  let rec expr e =
-    match e with
-    | Int_lit _ | Float_lit _ | Scalar _ -> ()
-    | Element (a, idxs) ->
-      acc := (a, idxs) :: !acc;
-      List.iter expr idxs
-    | Unary (_, x) -> expr x
-    | Binary (_, x, y) ->
-      expr x;
-      expr y
-    | Call (_, args) -> List.iter expr args
-  in
-  let rec cond = function
-    | Cmp (_, x, y) ->
-      expr x;
-      expr y
-    | And (x, y) | Or (x, y) ->
-      cond x;
-      cond y
-    | Not x -> cond x
-  in
-  let lvalue = function
-    | Lscalar _ -> ()
-    | Lelement (a, idxs) ->
-      acc := (a, idxs) :: !acc;
-      List.iter expr idxs
-  in
-  let rec stmt = function
-    | Assign (lv, e) ->
-      lvalue lv;
-      expr e
-    | Read_input lv -> lvalue lv
-    | Print e -> expr e
-    | If (c, t, e) ->
-      cond c;
-      List.iter stmt t;
-      List.iter stmt e
-    | For l ->
-      expr l.lo;
-      expr l.hi;
-      expr l.step;
-      List.iter stmt l.body
-  in
-  List.iter stmt body;
-  List.rev !acc
-
 let written_arrays body =
   let acc = ref [] in
   let note = function
@@ -184,7 +131,9 @@ let split (p : program) array lanes =
         Error (Printf.sprintf "'%s' is live-out" array)
       else begin
         let refs =
-          List.filter (fun (a, _) -> a = array) (collect_refs p.body)
+          List.filter
+            (fun (a, _) -> a = array)
+            (Bw_ir.Ast_util.array_refs p.body)
         in
         let constant_lane = function
           | (_, Int_lit c :: _) when c >= 1 && c <= f -> true
@@ -344,7 +293,7 @@ let transpose_candidates (p : program) =
                     if mentions_index innermost e1 then bump good a
                     else if mentions_index innermost e2 then bump bad a
                   | _ -> ())
-                (collect_refs [ s ])))
+                (Bw_ir.Ast_util.array_refs [ s ])))
         stmts
     in
     walk [] p.body;
@@ -358,7 +307,7 @@ let transpose_candidates (p : program) =
   end
 
 let split_candidates (p : program) =
-  let refs = collect_refs p.body in
+  let refs = Bw_ir.Ast_util.array_refs p.body in
   List.filter_map
     (fun d ->
       match d.dims with

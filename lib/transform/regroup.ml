@@ -2,18 +2,23 @@ open Bw_ir.Ast
 
 let mem_name = Bw_ir.Ast_util.mem_name
 
+let compare_subscripts = List.compare compare_expr
+let equal_subscripts = List.equal equal_expr
+
 (* One top-level statement's references: per array, its subscript
    lists, sorted so that two arrays used through the same multiset of
    subscripts compare equal. *)
 let subscripts_by_array stmt =
-  let tbl = Hashtbl.create 8 in
+  let tbl = Bw_ir.Ast_util.Names.create 8 in
   List.iter
-    (fun (r : Bw_analysis.Refs.t) ->
-      let subs = Option.value ~default:[] (Hashtbl.find_opt tbl r.array) in
-      Hashtbl.replace tbl r.array (r.subscripts :: subs))
-    (Bw_analysis.Refs.collect [ stmt ]);
-  Hashtbl.filter_map_inplace
-    (fun _ subs -> Some (List.sort compare (List.rev subs)))
+    (fun (a, subs) ->
+      let others =
+        Option.value ~default:[] (Bw_ir.Ast_util.Names.find_opt tbl a)
+      in
+      Bw_ir.Ast_util.Names.replace tbl a (subs :: others))
+    (Bw_ir.Ast_util.array_refs [ stmt ]);
+  Bw_ir.Ast_util.Names.filter_map_inplace
+    (fun _ subs -> Some (List.sort compare_subscripts subs))
     tbl;
   tbl
 
@@ -24,15 +29,19 @@ let candidates (p : program) =
   in
   (* built on the first same-shape pair: most programs have none *)
   let stmts = lazy (List.map subscripts_by_array p.body) in
-  let subs_of name tbl = Option.value ~default:[] (Hashtbl.find_opt tbl name) in
+  let subs_of name tbl =
+    Option.value ~default:[] (Bw_ir.Ast_util.Names.find_opt tbl name)
+  in
   (* Are [a] and [b] co-accessed?  At top-level statement granularity
      (simple and conservative), each loop nest must use the two arrays
      through the same multiset of subscript lists. *)
   let co_accessed a b =
-    List.for_all (fun tbl -> subs_of a tbl = subs_of b tbl) (Lazy.force stmts)
+    List.for_all
+      (fun tbl -> List.equal equal_subscripts (subs_of a tbl) (subs_of b tbl))
+      (Lazy.force stmts)
   in
   let referenced a =
-    List.exists (fun tbl -> Hashtbl.mem tbl a) (Lazy.force stmts)
+    List.exists (fun tbl -> Bw_ir.Ast_util.Names.mem tbl a) (Lazy.force stmts)
   in
   let rec pairs = function
     | [] -> []

@@ -10,13 +10,14 @@ let counters_of run p =
   let c = Bw_machine.Counters.create () in
   let sink =
     Bw_exec.Interp.make_sink
-      ~on_trace:
-        (Bw_machine.Trace_buffer.drain ~f:(fun kind _addr _bytes ->
-             if kind = Bw_machine.Trace_buffer.kind_load then
-               c.Bw_machine.Counters.loads <- c.Bw_machine.Counters.loads + 1
-             else
-               c.Bw_machine.Counters.stores <-
-                 c.Bw_machine.Counters.stores + 1))
+      ~on_trace:(fun (buf : Bw_machine.Trace_buffer.t) ->
+        for r = 0 to buf.len - 1 do
+          let kind = buf.data.(r * Bw_machine.Trace_buffer.slot_width) in
+          if kind = Bw_machine.Trace_buffer.kind_load then
+            c.Bw_machine.Counters.loads <- c.Bw_machine.Counters.loads + 1
+          else
+            c.Bw_machine.Counters.stores <- c.Bw_machine.Counters.stores + 1
+        done)
       ()
   in
   let obs = run ~sink p in
