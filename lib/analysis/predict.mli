@@ -8,11 +8,12 @@
     a runtime bound as the max over the CPU rate and every hierarchy
     boundary's bandwidth.  Nothing executes, so a query's cost does not
     depend on trip counts or array sizes.  It grows with the program
-    text instead: with the number of references times their loop depth
-    (each reference group is described again at every enclosing loop,
-    and each loop body's footprint is summed once per cache line size).
-    A kernel of a few references takes microseconds, a program of
-    hundreds of references in deep nests a fraction of a millisecond;
+    text instead: each reference group is built once, at its first
+    reference, and every enclosing loop adds one slot to it as the walk
+    leaves the loop; each loop body's footprint is summed once per cache
+    line size, and only groups of one array are compared for a shared
+    shape.  A kernel of a few references takes microseconds, a program
+    of hundreds of references in deep nests well under a millisecond;
     either way fusion searches and capacity sweeps can triage thousands
     of candidates before paying for a single trace replay.
 
