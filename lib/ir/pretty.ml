@@ -45,6 +45,9 @@ let rec pp_expr_prec prec ppf e =
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
          (pp_expr_prec 0))
       idxs
+  | Unary (Neg, ((Int_lit _ | Float_lit _) as a)) ->
+    (* "-1" re-parses as the literal -1 *)
+    Format.fprintf ppf "-(%a)" (pp_expr_prec 0) a
   | Unary (Neg, a) -> Format.fprintf ppf "-%a" (pp_expr_prec 9) a
   | Unary (Abs, a) -> Format.fprintf ppf "abs(%a)" (pp_expr_prec 0) a
   | Unary (Sqrt, a) -> Format.fprintf ppf "sqrt(%a)" (pp_expr_prec 0) a

@@ -132,7 +132,18 @@ and parse_factor st =
   match t.Lexer.token with
   | Lexer.INT n -> Int_lit n
   | Lexer.FLOAT x -> Float_lit x
-  | Lexer.MINUS -> Unary (Neg, parse_factor st)
+  | Lexer.MINUS -> (
+    (* a '-' directly before a literal negates the literal itself, the
+       way Bw_ir.Builder writes one; Pretty prints a negated literal
+       as -(1) *)
+    match (peek st).Lexer.token with
+    | Lexer.INT n ->
+      advance st;
+      Int_lit (-n)
+    | Lexer.FLOAT x ->
+      advance st;
+      Float_lit (-.x)
+    | _ -> Unary (Neg, parse_factor st))
   | Lexer.LPAREN ->
     let e = parse_expression st in
     expect st Lexer.RPAREN;
