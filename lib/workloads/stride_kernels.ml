@@ -44,7 +44,7 @@ let kernel ~writes ~reads ~n =
   let live_out =
     if writes = 0 then [ "s" ] else List.init writes array_name
   in
-  program (name ~writes ~reads) ~decls ~live_out
+  program ("stride_" ^ name ~writes ~reads) ~decls ~live_out
     [ for_ "i" (int 1) (int n) body ]
 
 let all =
