@@ -2,8 +2,9 @@
 
    - positioned parser: accepts the .bw grammar, reports every
      diagnostic with an exact line and column (pinned strings below);
-   - round trip: generated programs print and re-parse to an equal AST
-     (QCheck over 100 seeds);
+   - round trip: generated programs (QCheck over 100 seeds), every
+     registry program at scales 1-3 and every DAG-family instance print
+     and re-parse to an equal AST, negative literals included;
    - golden renderer: deterministic, byte-identical re-rendering;
    - layout pass: padding/splitting/transposition preserve observable
      behaviour (differential validation + Preserve lint) and cut
@@ -133,10 +134,53 @@ let test_float_literals_stay_floats () =
   in
   let printed = Pretty.program_to_string p in
   check Alcotest.bool "roundtrips equal" true
-    (Ast.equal_program p (parse_ok printed));
-  let fft = (Option.get (Bw_workloads.Registry.find "fft")).build ~scale:1 in
-  check Alcotest.bool "fft roundtrips equal" true
-    (Ast.equal_program fft (parse_ok (Pretty.program_to_string fft)))
+    (Ast.equal_program p (parse_ok printed))
+
+let test_negative_literals () =
+  (* "-1" is the literal Builder writes as [int (-1)]; a negated
+     literal prints as "-(1)" and stays a negation *)
+  let rhs =
+    Builder.(
+      (fl (-6.0) *: ("a" $ [ v "i" +: int (-1) ]))
+      +: neg (fl 1.0) +: neg (v "s"))
+  in
+  check Alcotest.string "printed" "-6.0 * a[i + -1] + -(1.0) + -s"
+    (Pretty.expr_to_string rhs);
+  let p =
+    Builder.(
+      program "neg"
+        ~decls:[ array "a" [ 4 ]; scalar "s" ]
+        ~live_out:[ "s" ]
+        [ for_ "i" (int 2) (int 4) [ sc "s" <-- rhs ] ])
+  in
+  check Alcotest.bool "roundtrips equal" true
+    (Ast.equal_program p (parse_ok (Pretty.program_to_string p)))
+
+let test_registry_roundtrips () =
+  (* every program the registry and the DAG family build prints to a
+     source that re-parses to an equal AST *)
+  let programs scale =
+    List.map
+      (fun (e : Bw_workloads.Registry.entry) -> (e.name, e.build ~scale))
+      Bw_workloads.Registry.all
+    @ Bw_workloads.Dag_family.instances ~scale
+  in
+  let broken =
+    List.concat_map
+      (fun scale ->
+        List.filter_map
+          (fun (name, p) ->
+            match Parse.parse_program (Pretty.program_to_string p) with
+            | Ok q when Ast.equal_program p q -> None
+            | Ok _ -> Some (Printf.sprintf "%s@%d: differs" name scale)
+            | Error e ->
+              Some
+                (Printf.sprintf "%s@%d: %s" name scale
+                   (Parse.error_to_string e)))
+          (programs scale))
+      [ 1; 2; 3 ]
+  in
+  check Alcotest.(list string) "programs that do not round-trip" [] broken
 
 (* --- golden rendering ------------------------------------------------------ *)
 
@@ -411,6 +455,10 @@ let suites =
         Alcotest.test_case "parenthesized conditions" `Quick
           test_parenthesized_conditions;
         QCheck_alcotest.to_alcotest roundtrip_prop;
+        Alcotest.test_case "registry and DAG programs round-trip" `Quick
+          test_registry_roundtrips;
+        Alcotest.test_case "negative literals round-trip" `Quick
+          test_negative_literals;
         Alcotest.test_case "float literals stay floats" `Quick
           test_float_literals_stay_floats ] );
     ( "lang.golden",
