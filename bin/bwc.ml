@@ -7,7 +7,8 @@
                                    (--check: report only, print nothing)
      bwc fmt <file>                canonical formatting of a .bw file
                                    (--write rewrites in place; --check exits 1
-                                   when the file is not canonical)
+                                   when the file is not canonical; a source
+                                   that declares a param is refused)
      bwc corpus [dir]              run the golden-file corpus: parse every
                                    *.bw, render its golden artifact and diff
                                    against the committed *.golden
@@ -253,6 +254,21 @@ let fmt_cmd =
       | Ok s -> s
       | Error msg -> or_die (Error msg)
     in
+    (* the canonical form has every param substituted: formatting a
+       source that declares one would write its values in *)
+    (match
+       List.find_opt
+         (fun (t : Bw_lang.Lexer.t) -> t.token = Bw_lang.Lexer.KW "param")
+         (Bw_lang.Lexer.tokenize current)
+     with
+    | Some { pos = { line; col }; _ } ->
+      or_die
+        (Error
+           (Printf.sprintf
+              "%s:%d:%d: fmt would substitute this param; it formats only \
+               sources without params"
+              file line col))
+    | None -> ());
     if check then begin
       if String.trim current <> String.trim canonical then begin
         Format.eprintf "bwc: %s is not canonically formatted@." file;
@@ -274,7 +290,9 @@ let fmt_cmd =
     (Cmd.info "fmt"
        ~doc:
          "Canonically format a .bw source file (the same rendering the \
-          pretty-printer round-trips through the parser).")
+          pretty-printer round-trips through the parser).  A source that \
+          declares a param is refused, exit 1: its canonical form would \
+          have the param's value written in.")
     Term.(
       const run $ bw_file_arg
       $ check_flag ~doc:"Exit 1 if the file differs from its canonical form."

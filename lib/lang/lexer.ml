@@ -31,7 +31,7 @@ exception Lex_error of string * pos
 let is_keyword = function
   | "program" | "end" | "for" | "endfor" | "if" | "endif" | "else" | "read"
   | "print" | "real" | "integer" | "live_out" | "and" | "or" | "not" | "zero"
-  | "linear" | "hash" | "lanes" | "init" ->
+  | "linear" | "hash" | "lanes" | "init" | "param" ->
     true
   | _ -> false
 

@@ -16,6 +16,8 @@ type state = {
   mutable tokens : Lexer.t list;
   decl_dims : (string, int) Hashtbl.t;  (** declared name -> dimensions *)
   mutable indices : string list;  (** active loop indices, innermost first *)
+  params : (string, int) Hashtbl.t;  (** declared param -> its value *)
+  overrides : (string * int) list;  (** values that replace the defaults *)
 }
 
 let fail_at (pos : Lexer.pos) fmt =
@@ -58,28 +60,13 @@ let expect_int st =
   | other ->
     fail_at t.pos "expected integer, found %s" (Lexer.token_to_string other)
 
-let expect_number st =
-  let t = next st in
-  match t.Lexer.token with
-  | Lexer.FLOAT x -> x
-  | Lexer.INT n -> float_of_int n
-  | Lexer.MINUS -> (
-    let t2 = next st in
-    match t2.Lexer.token with
-    | Lexer.FLOAT x -> -.x
-    | Lexer.INT n -> float_of_int (-n)
-    | other ->
-      fail_at t2.pos "expected number after '-', found %s"
-        (Lexer.token_to_string other))
-  | other ->
-    fail_at t.pos "expected number, found %s" (Lexer.token_to_string other)
-
 let builtin_unops = [ ("abs", Abs); ("sqrt", Sqrt); ("float", Int_to_float) ]
 
 (* --- scope checks ------------------------------------------------------- *)
 
 let check_scalar_ref st name pos =
-  if not (Bw_ir.Ast_util.mem_name name st.indices) then
+  if not (Bw_ir.Ast_util.mem_name name st.indices || Hashtbl.mem st.params name)
+  then
     match Hashtbl.find_opt st.decl_dims name with
     | Some 0 -> ()
     | Some _ -> fail_at pos "array '%s' used without subscripts" name
@@ -93,6 +80,51 @@ let check_element_ref st name pos n_subscripts =
       n_subscripts
   | Some _ -> ()
   | None -> fail_at pos "undeclared array '%s'" name
+
+(* --- params ------------------------------------------------------------ *)
+
+(* A param reference parses as [Scalar name] (no declaration or loop
+   index may share its name) and is folded away at the root of the
+   expression it stands in: every integer subexpression made of
+   literals and at least one param becomes one literal.  [fold] returns
+   the folded expression and, for such a constant, its value and
+   whether a param is in it; a source without params keeps every node
+   it wrote. *)
+let int_binop op a b =
+  match op with
+  | Add -> Some (a + b)
+  | Sub -> Some (a - b)
+  | Mul -> Some (a * b)
+  | Div -> if b = 0 then None else Some (a / b)
+  | Mod -> if b = 0 then None else Some (a mod b)
+  | Min -> Some (min a b)
+  | Max -> Some (max a b)
+
+let rec fold st e =
+  match e with
+  | Int_lit n -> (e, Some (n, false))
+  | Scalar name -> (
+    match Hashtbl.find_opt st.params name with
+    | Some v -> (Int_lit v, Some (v, true))
+    | None -> (e, None))
+  | Unary (Neg, a) -> (
+    match fold st a with
+    | _, Some (v, true) -> (Int_lit (-v), Some (-v, true))
+    | a, c -> (Unary (Neg, a), Option.map (fun (v, p) -> (-v, p)) c))
+  | Unary (op, a) -> (Unary (op, folded st a), None)
+  | Binary (op, a, b) -> (
+    let a, ca = fold st a and b, cb = fold st b in
+    match (ca, cb) with
+    | Some (x, p), Some (y, q) -> (
+      match int_binop op x y with
+      | Some v when p || q -> (Int_lit v, Some (v, true))
+      | v -> (Binary (op, a, b), Option.map (fun v -> (v, false)) v))
+    | _ -> (Binary (op, a, b), None))
+  | Element (a, idxs) -> (Element (a, List.map (folded st) idxs), None)
+  | Call (f, args) -> (Call (f, List.map (folded st) args), None)
+  | Float_lit _ -> (e, None)
+
+and folded st e = if Hashtbl.length st.params = 0 then e else fst (fold st e)
 
 (* --- expressions ------------------------------------------------------- *)
 
@@ -197,6 +229,10 @@ and parse_expr_list st closing =
     loop [ first ]
   end
 
+(* An expression that stands alone: a statement's, a bound, a
+   comparison operand, a subscript of an assigned element. *)
+let expression st = folded st (parse_expression st)
+
 (* --- conditions -------------------------------------------------------- *)
 
 let rec parse_cond st =
@@ -255,7 +291,7 @@ and parse_comparison st =
         fail_at t.Lexer.pos "expected a comparison operator, found %s"
           (Lexer.token_to_string other)
     in
-    Cmp (op, lhs, parse_expression st)
+    Cmp (op, folded st lhs, expression st)
 
 (* --- statements -------------------------------------------------------- *)
 
@@ -275,18 +311,18 @@ and parse_stmt st =
   | Lexer.KW "for" ->
     advance st;
     let index, ipos = expect_ident st in
-    if Hashtbl.mem st.decl_dims index then
+    if Hashtbl.mem st.decl_dims index || Hashtbl.mem st.params index then
       fail_at ipos "loop index '%s' shadows a declaration" index;
     expect st Lexer.ASSIGN;
     (* bounds and step are parsed in the enclosing scope: the loop's own
        index is not visible in them *)
-    let lo = parse_expression st in
+    let lo = expression st in
     expect st Lexer.COMMA;
-    let hi = parse_expression st in
+    let hi = expression st in
     let step =
       if (peek st).Lexer.token = Lexer.COMMA then begin
         advance st;
-        parse_expression st
+        expression st
       end
       else Int_lit 1
     in
@@ -318,11 +354,11 @@ and parse_stmt st =
     Read_input lv
   | Lexer.KW "print" ->
     advance st;
-    Print (parse_expression st)
+    Print (expression st)
   | Lexer.IDENT _ ->
     let lv = parse_lvalue st in
     expect st Lexer.ASSIGN;
-    Assign (lv, parse_expression st)
+    Assign (lv, expression st)
   | other ->
     fail_at t.Lexer.pos "expected a statement, found %s"
       (Lexer.token_to_string other)
@@ -333,11 +369,13 @@ and parse_lvalue st =
     advance st;
     let idxs = parse_expr_list st Lexer.RBRACKET in
     check_element_ref st name pos (List.length idxs);
-    Lelement (name, idxs)
+    Lelement (name, List.map (folded st) idxs)
   end
   else begin
     if Bw_ir.Ast_util.mem_name name st.indices then
       fail_at pos "loop index '%s' cannot be assigned" name;
+    if Hashtbl.mem st.params name then
+      fail_at pos "param '%s' cannot be assigned" name;
     check_scalar_ref st name pos;
     Lscalar name
   end
@@ -357,27 +395,43 @@ and close_block st ~short ~long =
 
 (* --- declarations and program ------------------------------------------ *)
 
+(* A number in a declaration: an extent, a seed or a lane count takes
+   an integer, a [linear] coefficient any number; a param may stand for
+   an integer in either. *)
+let header_int st =
+  let pos = (peek st).Lexer.pos in
+  match expression st with
+  | Int_lit n -> n
+  | _ -> fail_at pos "expected an integer"
+
+let header_number st =
+  let pos = (peek st).Lexer.pos in
+  match expression st with
+  | Int_lit n -> float_of_int n
+  | Float_lit x -> x
+  | _ -> fail_at pos "expected a number"
+
 let rec parse_init st =
   let t = next st in
   match t.Lexer.token with
   | Lexer.KW "zero" -> Init_zero
   | Lexer.KW "linear" ->
     expect st Lexer.LPAREN;
-    let a = expect_number st in
+    let a = header_number st in
     expect st Lexer.COMMA;
-    let b = expect_number st in
+    let b = header_number st in
     expect st Lexer.RPAREN;
     Init_linear (a, b)
   | Lexer.KW "hash" ->
     expect st Lexer.LPAREN;
-    let seed = expect_int st in
+    let seed = header_int st in
     expect st Lexer.RPAREN;
     Init_hash seed
   | Lexer.KW "lanes" ->
     expect st Lexer.LPAREN;
     let inner = parse_init st in
     expect st Lexer.COMMA;
-    let l = expect_int st in
+    let l = header_int st in
     expect st Lexer.RPAREN;
     Init_lanes (inner, l)
   | other ->
@@ -387,17 +441,17 @@ let rec parse_init st =
 
 let parse_decl st dtype =
   let var_name, npos = expect_ident st in
-  if Hashtbl.mem st.decl_dims var_name then
+  if Hashtbl.mem st.decl_dims var_name || Hashtbl.mem st.params var_name then
     fail_at npos "duplicate declaration of '%s'" var_name;
   let dims =
     if (peek st).Lexer.token = Lexer.LBRACKET then begin
       advance st;
-      let first = expect_int st in
+      let first = header_int st in
       let rec loop acc =
         let t = next st in
         match t.Lexer.token with
         | Lexer.RBRACKET -> List.rev acc
-        | Lexer.COMMA -> loop (expect_int st :: acc)
+        | Lexer.COMMA -> loop (header_int st :: acc)
         | other ->
           fail_at t.Lexer.pos "expected ',' or ']', found %s"
             (Lexer.token_to_string other)
@@ -417,6 +471,16 @@ let parse_decl st dtype =
   Hashtbl.replace st.decl_dims var_name (List.length dims);
   { var_name; dtype; dims; init }
 
+(* [param NAME = INT]: the value, unless the caller overrides it. *)
+let parse_param st =
+  let name, pos = expect_ident st in
+  if Hashtbl.mem st.decl_dims name || Hashtbl.mem st.params name then
+    fail_at pos "duplicate declaration of '%s'" name;
+  expect st Lexer.ASSIGN;
+  let default = expect_int st in
+  Hashtbl.replace st.params name
+    (Option.value ~default (Bw_ir.Ast_util.assoc_name name st.overrides))
+
 let parse_program_tokens st =
   let header = peek st in
   expect st (Lexer.KW "program");
@@ -431,6 +495,10 @@ let parse_program_tokens st =
     | Lexer.KW "integer" ->
       advance st;
       decls := parse_decl st I64 :: !decls;
+      parse_header ()
+    | Lexer.KW "param" ->
+      advance st;
+      parse_param st;
       parse_header ()
     | Lexer.KW "live_out" ->
       advance st;
@@ -447,6 +515,13 @@ let parse_program_tokens st =
     | _ -> ()
   in
   parse_header ();
+  List.iter
+    (fun (name, _) ->
+      if not (Hashtbl.mem st.params name) then
+        fail_at header.Lexer.pos "unknown param '%s'" name;
+      if List.length (List.filter (fun (n, _) -> n = name) st.overrides) > 1
+      then fail_at header.Lexer.pos "param '%s' is given twice" name)
+    st.overrides;
   List.iter
     (fun (name, pos) ->
       if not (Hashtbl.mem st.decl_dims name) then
@@ -475,12 +550,14 @@ let parse_program_tokens st =
          (List.map (fun e -> Format.asprintf "%a" Bw_ir.Check.pp_error e) es)));
   program
 
-let parse_program src =
+let parse_program ?(params = []) src =
   match
     let st =
       { tokens = Lexer.tokenize src;
         decl_dims = Hashtbl.create 16;
-        indices = [] }
+        indices = [];
+        params = Hashtbl.create 4;
+        overrides = params }
     in
     parse_program_tokens st
   with

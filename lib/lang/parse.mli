@@ -13,6 +13,14 @@
     end
     v}
 
+    A header line [param NAME = INT] declares a size: NAME may then
+    stand wherever an integer literal may (extents, seeds, bounds,
+    subscripts, expressions), and every integer subexpression made of
+    literals and at least one param folds to one literal, so the
+    program holds no trace of it.  A source without params parses
+    exactly as it would without this rule.  A [-] directly before a
+    literal is part of it: [-1] is the literal [-1].
+
     Accepts everything {!Bw_ir.Pretty.pp_program} prints.  Comparison
     inside conditions uses [==] (or a single [=], as in the paper's
     pseudo-code), [<>], [<], [<=], [>], [>=].  [for] loops take
@@ -24,8 +32,12 @@
     - undeclared variables and arrays, at the offending reference;
     - a scalar subscripted, or an array used bare / with the wrong
       number of subscripts;
-    - duplicate declarations, undeclared [live_out] names;
-    - a loop index that shadows a declaration or is assigned.
+    - duplicate declarations (params included), undeclared [live_out]
+      names;
+    - a loop index that shadows a declaration or is assigned, an
+      assigned param;
+    - a [~params] name the source does not declare, or one given
+      twice (anchored at the [program] keyword).
 
     Anything the parse-time scope checks cannot see (operand typing,
     bounds) is caught by the {!Bw_ir.Check} backstop that runs on every
@@ -42,8 +54,10 @@ val pp_error : Format.formatter -> error -> unit
     rendering otherwise. *)
 val error_to_string : ?file:string -> error -> string
 
-(** Parse and check a whole program. *)
-val parse_program : string -> (Bw_ir.Ast.program, error) result
+(** Parse and check a whole program.  [params] (default none) replace
+    the values of the params the source declares. *)
+val parse_program :
+  ?params:(string * int) list -> string -> (Bw_ir.Ast.program, error) result
 
 (** @raise Invalid_argument with the rendered error on failure. *)
 val parse_program_exn : string -> Bw_ir.Ast.program

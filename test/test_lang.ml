@@ -23,8 +23,8 @@ let parse_ok src =
   | Ok p -> p
   | Error e -> Alcotest.failf "parse failed: %s" (Parse.error_to_string e)
 
-let expect_error src expected =
-  match Parse.parse_program src with
+let expect_error ?params src expected =
+  match Parse.parse_program ?params src with
   | Ok _ -> Alcotest.failf "expected %S, parse succeeded" expected
   | Error e ->
     check Alcotest.string "pinned rendering" expected (Parse.error_to_string e)
@@ -106,6 +106,54 @@ let test_parenthesized_conditions () =
             [] ])
   in
   check Alcotest.bool "same AST" true (Ast.equal_program expected p)
+
+let test_params () =
+  (* a param stands for its value; integer subexpressions of literals
+     and params fold to one literal, literal-only ones keep their shape *)
+  let src =
+    "program p\n\
+    \  param n = 8\n\
+    \  param t = 3\n\
+    \  real a[n + t] = hash(t)\n\
+    \  integer s\n\
+    \  live_out a, s\n\
+     s = 1 + 2\n\
+     for i = 1, n - 1, t\n\
+    \  a[i + (t - 1)] = a[i + t - 1] + 2.0\n\
+     end for\n\
+     end"
+  in
+  let expected n t =
+    Builder.(
+      program "p"
+        ~decls:[ array ~init:(Init_hash t) "a" [ n + t ]; int_scalar "s" ]
+        ~live_out:[ "a"; "s" ]
+        [ sc "s" <-- (int 1 +: int 2);
+          for_ "i" (int 1) (int (n - 1)) ~step:(int t)
+            [ ("a" $. [ v "i" +: int (t - 1) ])
+              <-- (("a" $ [ v "i" +: int t -: int 1 ]) +: fl 2.0) ] ])
+  in
+  check Alcotest.bool "defaults" true
+    (Ast.equal_program (expected 8 3) (parse_ok src));
+  (match Parse.parse_program ~params:[ ("t", 4); ("n", 20) ] src with
+  | Ok p ->
+    check Alcotest.bool "overridden" true
+      (Ast.equal_program (expected 20 4) p)
+  | Error e -> Alcotest.failf "override: %s" (Parse.error_to_string e));
+  expect_error ~params:[ ("m", 1) ] src "1:1: unknown param 'm'";
+  expect_error ~params:[ ("n", 1); ("n", 2) ] src
+    "1:1: param 'n' is given twice";
+  expect_error "program p\n  param n = 1\n  param n = 2\nend"
+    "3:9: duplicate declaration of 'n'";
+  expect_error "program p\n  param n = 1\n  real n\nend"
+    "3:8: duplicate declaration of 'n'";
+  expect_error "program p\n  param n = 1\n  real s\n  live_out s\nn = 2\nend"
+    "5:1: param 'n' cannot be assigned";
+  expect_error
+    "program p\n  param n = 1\n  real s\n  live_out s\nfor n = 1, 2\nend for\nend"
+    "5:5: loop index 'n' shadows a declaration";
+  expect_error "program p\n  integer m\n  real a[m]\n  live_out a\nend"
+    "3:10: expected an integer"
 
 (* --- print/parse round trip ----------------------------------------------- *)
 
@@ -452,6 +500,7 @@ let suites =
         Alcotest.test_case "lex error position" `Quick test_lex_error_position;
         Alcotest.test_case "file errors are total" `Quick
           test_file_errors_are_total;
+        Alcotest.test_case "params fold to literals" `Quick test_params;
         Alcotest.test_case "parenthesized conditions" `Quick
           test_parenthesized_conditions;
         QCheck_alcotest.to_alcotest roundtrip_prop;
