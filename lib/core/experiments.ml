@@ -282,6 +282,25 @@ let fig8 ?(scale = 2) () =
 
 (* --- SP utilisation ----------------------------------------------------------------- *)
 
+(* nas_sp's ten top-level nests, in order, are SP's seven subroutines:
+   each line solve is a forward and a backward nest. *)
+let sp_subroutines ~n =
+  let full = Bw_workloads.Registry.with_params "nas_sp" [ ("n", n) ] in
+  let rec slice nests = function
+    | [] -> []
+    | (name, k) :: rest ->
+      let body = List.filteri (fun i _ -> i < k) nests in
+      ( name,
+        { full with
+          Bw_ir.Ast.prog_name = "sp_" ^ name;
+          body;
+          live_out = [ "u1"; "u5"; "rhs1" ] } )
+      :: slice (List.filteri (fun i _ -> i >= k) nests) rest
+  in
+  slice full.Bw_ir.Ast.body
+    [ ("compute_aux", 1); ("compute_rhs", 1); ("txinvr", 1); ("x_solve", 2);
+      ("y_solve", 2); ("z_solve", 2); ("add", 1) ]
+
 let sp_utilisation ?(scale = 2) () =
   let n = pick scale 16 36 in
   let machine = origin_scaled in

@@ -44,6 +44,12 @@ val fig6 : ?scale:int -> unit -> Table.t
 (** E8, Figures 7-8: store elimination timings on both machines. *)
 val fig8 : ?scale:int -> unit -> Table.t
 
+(** NAS/SP's seven subroutines over an [n^3] grid, in order —
+    compute_aux, compute_rhs, txinvr, x_solve, y_solve, z_solve, add —
+    each a slice of [corpus/nas_sp.bw]'s ten top-level nests (a line
+    solve is two) with the whole program's declarations. *)
+val sp_subroutines : n:int -> (string * Bw_ir.Ast.program) list
+
 (** E9, Section 2.3: per-subroutine memory-bandwidth utilisation of the
     SP-like application. *)
 val sp_utilisation : ?scale:int -> unit -> Table.t

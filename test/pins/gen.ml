@@ -2,6 +2,7 @@
 
      dune exec test/pins/gen.exe -- predict > test/pins/predict.pins
      dune exec test/pins/gen.exe -- optimize > test/pins/optimize.pins
+     dune exec test/pins/gen.exe -- paper > test/pins/paper.pins
 
    Only regenerate when a change is meant to move the predictor or the
    optimizer; the diff is then the review record of what moved. *)
@@ -12,6 +13,7 @@ let () =
   match Sys.argv with
   | [| _; "predict" |] -> print (Pins.predict_lines ~corpus)
   | [| _; "optimize" |] -> print (Pins.optimize_lines ~corpus)
+  | [| _; "paper" |] -> print (Pins.paper_lines ())
   | _ ->
-    prerr_endline "usage: gen.exe predict|optimize";
+    prerr_endline "usage: gen.exe predict|optimize|paper";
     exit 1

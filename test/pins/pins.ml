@@ -177,3 +177,98 @@ let optimize_programs ~corpus =
 
 let optimize_lines ~corpus =
   List.map (fun (name, p) -> optimize_line name p) (optimize_programs ~corpus)
+
+(* ---- the paper's programs ----------------------------------------- *)
+
+(* Every size at which the experiments, the tests and the examples build
+   a paper program, besides the registry's three scales. *)
+let paper_sizes =
+  let n sizes = List.map (fun n -> [ ("n", n) ]) sizes in
+  [ ( "convolution",
+      [ [ ("n", 60_000); ("taps", 3) ]; [ ("n", 400_000); ("taps", 3) ];
+        [ ("n", 150_000); ("taps", 3) ]; [ ("n", 64); ("taps", 4) ] ] );
+    ("dmxpy", n [ 256; 768; 1024; 96; 128 ]);
+    ("mm_jki", n [ 128; 256; 64; 144; 6; 10; 12; 20; 48; 96 ]);
+    ( "mm_blocked",
+      [ [ ("n", 128); ("tile", 32) ]; [ ("n", 256); ("tile", 48) ];
+        [ ("n", 20); ("tile", 6) ]; [ ("n", 96); ("tile", 24) ] ] );
+    ( "fft",
+      List.map (fun log2n -> [ ("n", 1 lsl log2n); ("log2n", log2n) ]) [ 13; 15; 6 ] );
+    ("nas_sp", n [ 16; 36; 4; 5 ]);
+    ("sweep3d", n [ 16; 36; 6; 12 ]) ]
+
+let sp_sizes = [ 16; 36; 4; 5 ]
+
+let paper_label name params =
+  String.concat " "
+    (name :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) params)
+
+(* The builders the sources replace: the registry's calls, then the
+   same calls at each size. *)
+let registry_builder name ~scale =
+  let open Bw_workloads in
+  let pick a b c = match scale with 1 -> a | 2 -> b | _ -> c in
+  match name with
+  | "convolution" -> Kernels.convolution ~n:(pick 5_000 200_000 1_000_000) ~taps:8
+  | "dmxpy" -> Kernels.dmxpy ~n:(pick 64 512 1024)
+  | "mm_jki" -> Kernels.mm ~order:Kernels.Jki ~n:(pick 32 144 256) ()
+  | "mm_blocked" -> Kernels.mm_blocked ~n:(pick 32 144 256) ~tile:(pick 8 24 32)
+  | "fft" -> Fft.fft ~log2n:(pick 10 16 18)
+  | "nas_sp" -> Nas_sp.full ~n:(pick 8 24 32)
+  | "sweep3d" -> Sweep3d.sweep ~n:(pick 8 24 40) ~octants:2
+  | _ -> invalid_arg name
+
+let sized_builder name params =
+  let open Bw_workloads in
+  let get k = List.assoc k params in
+  match name with
+  | "convolution" -> Kernels.convolution ~n:(get "n") ~taps:(get "taps")
+  | "dmxpy" -> Kernels.dmxpy ~n:(get "n")
+  | "mm_jki" -> Kernels.mm ~order:Kernels.Jki ~n:(get "n") ()
+  | "mm_blocked" -> Kernels.mm_blocked ~n:(get "n") ~tile:(get "tile")
+  | "fft" -> Fft.fft ~log2n:(get "log2n")
+  | "nas_sp" -> Nas_sp.full ~n:(get "n")
+  | "sweep3d" -> Sweep3d.sweep ~n:(get "n") ~octants:2
+  | _ -> invalid_arg name
+
+(* [(label, parsed from its source, built by its builder)] for every
+   case: the registry's entries at scales 1-3, every other size, and
+   SP's subroutines as sp_utilisation slices them. *)
+let paper_cases () =
+  let registry =
+    List.concat_map
+      (fun (name, _) ->
+        List.map
+          (fun scale ->
+            ( Printf.sprintf "%s@%d" name scale,
+              (Option.get (Bw_workloads.Registry.find name)).build ~scale,
+              registry_builder name ~scale ))
+          [ 1; 2; 3 ])
+      paper_sizes
+  in
+  let sized =
+    List.concat_map
+      (fun (name, sizes) ->
+        List.map
+          (fun params ->
+            ( paper_label name params,
+              Bw_workloads.Registry.with_params name params,
+              sized_builder name params ))
+          sizes)
+      paper_sizes
+  in
+  let subroutines =
+    List.concat_map
+      (fun n ->
+        List.map2
+          (fun (sub, p) (_, b) -> (Printf.sprintf "nas_sp n=%d %s" n sub, p, b))
+          (Bw_core.Experiments.sp_subroutines ~n)
+          (Bw_workloads.Nas_sp.subroutines ~n))
+      sp_sizes
+  in
+  registry @ sized @ subroutines
+
+(* One line per case: its label and the digest of the builder's
+   program. *)
+let paper_lines () =
+  List.map (fun (label, _, b) -> label ^ " " ^ Digest.program b) (paper_cases ())

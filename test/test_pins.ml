@@ -32,7 +32,16 @@ let test_optimize () =
   compare_lines "optimize" ~expected:"pins/optimize.pins"
     (Pins.optimize_lines ~corpus)
 
+let test_paper () =
+  List.iter
+    (fun (label, source, builder) ->
+      if not (Bw_ir.Ast.equal_program source builder) then
+        Alcotest.failf "%s: the source differs from its builder" label)
+    (Pins.paper_cases ());
+  compare_lines "paper" ~expected:"pins/paper.pins" (Pins.paper_lines ())
+
 let suites =
   [ ( "pins",
       [ Alcotest.test_case "predictor bit-exact" `Quick test_predict;
-        Alcotest.test_case "optimizer outputs" `Quick test_optimize ] ) ]
+        Alcotest.test_case "optimizer outputs" `Quick test_optimize;
+        Alcotest.test_case "paper programs" `Quick test_paper ] ) ]
