@@ -9,8 +9,9 @@
 let kernels =
   [ ("1w1r update", Bw_workloads.Stride_kernels.kernel ~writes:1 ~reads:1 ~n:200_000);
     ("0w2r dot product", Bw_workloads.Stride_kernels.kernel ~writes:0 ~reads:2 ~n:200_000);
-    ("convolution (3 taps)", Bw_workloads.Kernels.convolution ~n:150_000 ~taps:3);
-    ("dmxpy", Bw_workloads.Kernels.dmxpy ~n:1024) ]
+    ( "convolution (3 taps)",
+      Bw_workloads.Registry.with_params "convolution" [ ("n", 150_000); ("taps", 3) ] );
+    ("dmxpy", Bw_workloads.Registry.with_params "dmxpy" [ ("n", 1024) ]) ]
 
 let factors = [ 1.0; 2.0; 4.0; 8.0; 16.0 ]
 
@@ -40,7 +41,7 @@ let () =
     "@.(the paper: applications need 3.4x-10.5x the Origin2000's memory \
      bandwidth@. to stop being memory-bound -- 1.02 to 3.15 GB/s)@.";
   (* quantify one crossover precisely *)
-  let p = Bw_workloads.Kernels.dmxpy ~n:1024 in
+  let p = Bw_workloads.Registry.with_params "dmxpy" [ ("n", 1024) ] in
   let rec search lo hi iters =
     if iters = 0 then (lo +. hi) /. 2.0
     else begin

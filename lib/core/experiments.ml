@@ -35,20 +35,21 @@ let simple_example ?(scale = 2) () =
 
 (* --- Figure 1 workloads ----------------------------------------------------- *)
 
+(* The paper's programs at a size: their corpus sources, with [params]
+   in place of the sizes they declare. *)
+let paper = Bw_workloads.Registry.with_params
+
 (* Sizes keep every array well beyond the scaled 256 KB L2 at scale 2. *)
 let fig1_workloads scale =
-  [ ("convolution",
-     Bw_workloads.Kernels.convolution ~n:(pick scale 60_000 400_000) ~taps:3);
-    ("dmxpy", Bw_workloads.Kernels.dmxpy ~n:(pick scale 256 768));
-    ("mm (-O2, jki)",
-     Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki
-       ~n:(pick scale 128 256) ());
-    ("mm (-O3, blocked)",
-     Bw_workloads.Kernels.mm_blocked ~n:(pick scale 128 256)
-       ~tile:(pick scale 32 48));
-    ("FFT", Bw_workloads.Fft.fft ~log2n:(pick scale 13 15));
-    ("NAS/SP", Bw_workloads.Nas_sp.full ~n:(pick scale 16 36));
-    ("Sweep3D", Bw_workloads.Sweep3d.sweep ~n:(pick scale 16 36) ~octants:2) ]
+  let log2n = pick scale 13 15 in
+  [ ("convolution", paper "convolution" [ ("n", pick scale 60_000 400_000); ("taps", 3) ]);
+    ("dmxpy", paper "dmxpy" [ ("n", pick scale 256 768) ]);
+    ("mm (-O2, jki)", paper "mm_jki" [ ("n", pick scale 128 256) ]);
+    ( "mm (-O3, blocked)",
+      paper "mm_blocked" [ ("n", pick scale 128 256); ("tile", pick scale 32 48) ] );
+    ("FFT", paper "fft" [ ("n", 1 lsl log2n); ("log2n", log2n) ]);
+    ("NAS/SP", paper "nas_sp" [ ("n", pick scale 16 36) ]);
+    ("Sweep3D", paper "sweep3d" [ ("n", pick scale 16 36) ]) ]
 
 let fig1 ?(scale = 2) () =
   let machine = origin_scaled in
@@ -285,7 +286,7 @@ let fig8 ?(scale = 2) () =
 (* nas_sp's ten top-level nests, in order, are SP's seven subroutines:
    each line solve is a forward and a backward nest. *)
 let sp_subroutines ~n =
-  let full = Bw_workloads.Registry.with_params "nas_sp" [ ("n", n) ] in
+  let full = paper "nas_sp" [ ("n", n) ] in
   let rec slice nests = function
     | [] -> []
     | (name, k) :: rest ->
@@ -314,7 +315,7 @@ let sp_utilisation ?(scale = 2) () =
         in
         [ name; Table.pct u;
           r.Bw_exec.Run.breakdown.Bw_machine.Timing.binding_resource ])
-      (Bw_workloads.Nas_sp.subroutines ~n)
+      (sp_subroutines ~n)
   in
   Table.make
     ~title:"Section 2.3: NAS/SP memory-bandwidth utilisation by subroutine"
@@ -373,7 +374,7 @@ let ablation_pipeline ?(scale = 2) () =
 
 let ablation_cache ?(scale = 2) () =
   let n = pick scale 64 144 in
-  let p = Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n () in
+  let p = paper "mm_jki" [ ("n", n) ] in
   let l2_sizes_kb = [ 16; 32; 64; 128; 256; 1024 ] in
   let line_bytes = 128 in
   (* One engine execution covers the whole sweep: the capture is replayed

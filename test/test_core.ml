@@ -284,7 +284,7 @@ let test_advisor_suggests_tiling_for_mm () =
             line_bytes = 128;
             associativity = 2 } ] }
   in
-  let p = Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:96 () in
+  let p = Bw_workloads.Registry.with_params "mm_jki" [ ("n", 96) ] in
   let r = Bw_core.Advisor.diagnose ~machine p in
   check bool "tiling suggested" true
     (List.exists

@@ -202,9 +202,9 @@ let test_streaming_program_profile () =
 let test_blocked_mm_shifts_curve () =
   (* blocking moves reuse distances below the block working set *)
   let plain = Bw_exec.Run.reuse_profile ~granularity:32
-      (Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:96 ()) in
+      (Bw_workloads.Registry.with_params "mm_jki" [ ("n", 96) ]) in
   let blocked = Bw_exec.Run.reuse_profile ~granularity:32
-      (Bw_workloads.Kernels.mm_blocked ~n:96 ~tile:24) in
+      (Bw_workloads.Registry.with_params "mm_blocked" [ ("n", 96); ("tile", 24) ]) in
   (* at a capacity holding ~3 tiles but not 3 matrices, blocked mm hits *)
   let capacity = 1024 (* blocks of 32B = 32 KB *) in
   let mr_plain = Reuse.miss_ratio plain ~capacity_blocks:capacity in
@@ -215,7 +215,7 @@ let test_blocked_mm_shifts_curve () =
     (mr_blocked < 0.5 *. mr_plain)
 
 let test_curve_shape () =
-  let p = Bw_workloads.Kernels.dmxpy ~n:96 in
+  let p = Bw_workloads.Registry.with_params "dmxpy" [ ("n", 96) ] in
   let t = Bw_exec.Run.reuse_profile ~granularity:32 p in
   let curve = Reuse.curve t ~sizes:[ 1024; 32 * 1024; 1024 * 1024 ] in
   match curve with

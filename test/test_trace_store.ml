@@ -152,7 +152,7 @@ let qcheck_replay_variants =
       && streamed (List.filteri (fun i _ -> i < 3) variant_machines))
 
 let test_replay_many_parallel_deterministic () =
-  let p = Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:48 () in
+  let p = Bw_workloads.Registry.with_params "mm_jki" [ ("n", 48) ] in
   let ms = variant_machines @ [ Machine.exemplar ] in
   let c = Run.capture p in
   let serial = List.map (fun machine -> Run.replay ~machine c) ms in
@@ -190,7 +190,7 @@ let l2_machine l2_kb =
         { Cache.size_bytes = l2_kb * 1024; line_bytes = 128; associativity = 2 } ] }
 
 let test_reuse_fast_path_vs_exact () =
-  let p = Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:64 () in
+  let p = Bw_workloads.Registry.with_params "mm_jki" [ ("n", 64) ] in
   let c = Run.capture p in
   let reuse = Run.reuse_of_capture ~granularity:128 c in
   let exact_lines l2_kb =

@@ -16,6 +16,7 @@ let same_semantics ?(tol = 0.0) name p1 p2 =
       Bw_exec.Interp.pp_observation o1 Bw_exec.Interp.pp_observation o2
 
 let parse = Bw_lang.Parse.parse_program_exn
+let paper = Bw_workloads.Registry.with_params
 
 (* --- Toplevel dependences ---------------------------------------------- *)
 
@@ -152,7 +153,7 @@ let test_fuse_plan_rejects_illegal () =
 (* --- Interchange / tiling -------------------------------------------------- *)
 
 let test_interchange_mm () =
-  let p = Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:12 () in
+  let p = paper "mm_jki" [ ("n", 12) ] in
   match p.Ast.body with
   | [ Ast.For nest ] -> (
     match Tile.interchange nest with
@@ -195,8 +196,8 @@ let test_strip_mine () =
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_tile_mm_semantics () =
-  let p = Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:20 () in
-  let tiled = Bw_workloads.Kernels.mm_blocked ~n:20 ~tile:6 in
+  let p = paper "mm_jki" [ ("n", 20) ] in
+  let tiled = paper "mm_blocked" [ ("n", 20); ("tile", 6) ] in
   same_semantics "tiled mm" p tiled
 
 let test_tile_mm_reduces_traffic () =
@@ -215,8 +216,8 @@ let test_tile_mm_reduces_traffic () =
     let r = Bw_exec.Run.simulate ~machine:small_cache p in
     Bw_machine.Timing.memory_bytes r.Bw_exec.Run.cache
   in
-  let plain = traffic (Bw_workloads.Kernels.mm ~order:Bw_workloads.Kernels.Jki ~n:96 ()) in
-  let tiled = traffic (Bw_workloads.Kernels.mm_blocked ~n:96 ~tile:24) in
+  let plain = traffic (paper "mm_jki" [ ("n", 96) ]) in
+  let tiled = traffic (paper "mm_blocked" [ ("n", 96); ("tile", 24) ]) in
   check bool
     (Printf.sprintf "tiled %d << plain %d" tiled plain)
     true
@@ -661,10 +662,10 @@ let test_strategy_preserves_workloads () =
       let p', _ = Strategy.run p in
       same_semantics name p p')
     [ ("fig4", Bw_workloads.Fig4.program ~n:40);
-      ("sweep3d", Bw_workloads.Sweep3d.sweep ~n:6 ~octants:2);
-      ("sp", Bw_workloads.Nas_sp.full ~n:5);
+      ("sweep3d", paper "sweep3d" [ ("n", 6) ]);
+      ("sp", paper "nas_sp" [ ("n", 5) ]);
       ("stride 2w3r", Bw_workloads.Stride_kernels.kernel ~writes:2 ~reads:3 ~n:64);
-      ("conv", Bw_workloads.Kernels.convolution ~n:64 ~taps:4) ]
+      ("conv", paper "convolution" [ ("n", 64); ("taps", 4) ]) ]
 
 (* --- Guarded pipeline ------------------------------------------------------------------ *)
 

@@ -41,16 +41,11 @@ let test_fig7_fused_equals_original () =
   let o = run (Fig7.original ~n:500) and f = run (Fig7.fused_by_hand ~n:500) in
   check bool "equal" true (Bw_exec.Interp.equal_observation o f)
 
-let test_mm_orders_agree () =
-  let a = run (Kernels.mm ~order:Kernels.Ijk ~n:10 ()) in
-  let b = run (Kernels.mm ~order:Kernels.Jki ~n:10 ()) in
-  check bool "same product" true (Bw_exec.Interp.equal_observation a b)
-
 let test_mm_known_product () =
   (* with Init_zero c and hash inits, verify one cell against a direct
      OCaml computation of the same deterministic inputs *)
   let n = 6 in
-  let p = Kernels.mm ~order:Kernels.Jki ~n () in
+  let p = Registry.with_params "mm_jki" [ ("n", n) ] in
   let obs = run p in
   match Lazy.force obs.Bw_exec.Interp.finals with
   | [ ("c", cells) ] ->
@@ -84,7 +79,7 @@ let test_fft_is_permutation_plus_butterflies () =
   (* The bit-reversal pass must be a permutation: running only stage 0
      (impossible to isolate here) is overkill; instead check the whole
      FFT is deterministic and touches every element. *)
-  let p = Fft.fft ~log2n:6 in
+  let p = Registry.with_params "fft" [ ("n", 64); ("log2n", 6) ] in
   let o1 = run p and o2 = run p in
   check bool "deterministic" true (Bw_exec.Interp.equal_observation o1 o2);
   let _, c = Bw_exec.Run.observe p in
@@ -101,21 +96,22 @@ let test_sp_subroutines_run () =
       match Bw_ir.Check.check p with
       | Ok () -> ignore (run p)
       | Error _ -> Alcotest.failf "%s ill-formed" name)
-    (Nas_sp.subroutines ~n:5)
+    (Bw_core.Experiments.sp_subroutines ~n:5)
 
 let test_sp_has_seven_subroutines () =
-  check int "seven" 7 (List.length (Nas_sp.subroutines ~n:4))
+  check int "seven" 7 (List.length (Bw_core.Experiments.sp_subroutines ~n:4))
 
 let test_sweep3d_wavefront_traffic () =
   (* the 2-D angular flux planes are reused heavily; 3-D arrays stream *)
-  let p = Sweep3d.sweep ~n:12 ~octants:1 in
+  let p = Registry.with_params "sweep3d" [ ("n", 12) ] in
   let _, c = Bw_exec.Run.observe p in
-  (* per cell: psi reads src, sigt and the 3 incoming phis = 5, and the
-     flux update re-reads flux = 6; writes are flux, the stored angular
-     flux and the 3 outgoing phis = 5 *)
-  let cells = 12 * 12 * 12 in
-  check int "loads" (6 * cells) c.Bw_machine.Counters.loads;
-  check int "stores" (5 * cells) c.Bw_machine.Counters.stores
+  (* per cell and octant (the source sweeps two): psi reads src, sigt
+     and the 3 incoming phis = 5, and the flux update re-reads flux = 6;
+     writes are flux, the stored angular flux and the 3 outgoing
+     phis = 5 *)
+  let cell_visits = 2 * 12 * 12 * 12 in
+  check int "loads" (6 * cell_visits) c.Bw_machine.Counters.loads;
+  check int "stores" (5 * cell_visits) c.Bw_machine.Counters.stores
 
 let test_workload_balance_ordering () =
   (* dmxpy demands more memory bytes/flop than blocked mm -- the Figure 1
@@ -135,8 +131,10 @@ let test_workload_balance_ordering () =
     | (_, mem) :: _ -> mem
     | [] -> Alcotest.fail "no balance"
   in
-  let dmxpy = mem_balance (Kernels.dmxpy ~n:128) in
-  let blocked = mem_balance (Kernels.mm_blocked ~n:96 ~tile:24) in
+  let dmxpy = mem_balance (Registry.with_params "dmxpy" [ ("n", 128) ]) in
+  let blocked =
+    mem_balance (Registry.with_params "mm_blocked" [ ("n", 96); ("tile", 24) ])
+  in
   check bool
     (Printf.sprintf "dmxpy %.2f > blocked mm %.2f" dmxpy blocked)
     true (dmxpy > 4.0 *. blocked)
@@ -199,8 +197,7 @@ let suites =
       [ Alcotest.test_case "fig6 fused = original" `Quick test_fig6_fused_equals_original;
         Alcotest.test_case "fig7 fused = original" `Quick test_fig7_fused_equals_original ] );
     ( "workloads.kernels",
-      [ Alcotest.test_case "mm orders agree" `Quick test_mm_orders_agree;
-        Alcotest.test_case "mm product sane" `Quick test_mm_known_product;
+      [ Alcotest.test_case "mm product sane" `Quick test_mm_known_product;
         Alcotest.test_case "stride kernel counts" `Quick test_stride_kernel_counts;
         Alcotest.test_case "stride kernel validation" `Quick test_stride_kernel_rejects_bad;
         Alcotest.test_case "fft structure" `Quick test_fft_is_permutation_plus_butterflies ] );
