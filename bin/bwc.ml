@@ -120,8 +120,8 @@ let or_die = function
     Format.eprintf "bwc: %s@." msg;
     exit 1
 
-(* Checked before any command runs: the builders would otherwise build
-   the stress size for every scale but 1 and 2. *)
+(* Checked before any command runs: a workload's build would otherwise
+   give the stress size for every scale but 1 and 2. *)
 let scale_arg =
   Term.(
     const (fun s -> or_die (Bw_workloads.Registry.check_scale s))

@@ -9,7 +9,7 @@ type entry = {
 }
 
 (** [check_scale s] is [Ok s] for 1, 2 and 3, and a one-line error
-    otherwise.  The builders here and {!Dag_family.extent} build the
+    otherwise.  Every entry's [build] and {!Dag_family.extent} give the
     stress size for any scale but 1 and 2, so every driver that takes a
     scale from a user — the CLI's [--scale] and serve's ["scale"] field
     — checks it with this first. *)

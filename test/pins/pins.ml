@@ -203,46 +203,18 @@ let paper_label name params =
   String.concat " "
     (name :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) params)
 
-(* The builders the sources replace: the registry's calls, then the
-   same calls at each size. *)
-let registry_builder name ~scale =
-  let open Bw_workloads in
-  let pick a b c = match scale with 1 -> a | 2 -> b | _ -> c in
-  match name with
-  | "convolution" -> Kernels.convolution ~n:(pick 5_000 200_000 1_000_000) ~taps:8
-  | "dmxpy" -> Kernels.dmxpy ~n:(pick 64 512 1024)
-  | "mm_jki" -> Kernels.mm ~order:Kernels.Jki ~n:(pick 32 144 256) ()
-  | "mm_blocked" -> Kernels.mm_blocked ~n:(pick 32 144 256) ~tile:(pick 8 24 32)
-  | "fft" -> Fft.fft ~log2n:(pick 10 16 18)
-  | "nas_sp" -> Nas_sp.full ~n:(pick 8 24 32)
-  | "sweep3d" -> Sweep3d.sweep ~n:(pick 8 24 40) ~octants:2
-  | _ -> invalid_arg name
-
-let sized_builder name params =
-  let open Bw_workloads in
-  let get k = List.assoc k params in
-  match name with
-  | "convolution" -> Kernels.convolution ~n:(get "n") ~taps:(get "taps")
-  | "dmxpy" -> Kernels.dmxpy ~n:(get "n")
-  | "mm_jki" -> Kernels.mm ~order:Kernels.Jki ~n:(get "n") ()
-  | "mm_blocked" -> Kernels.mm_blocked ~n:(get "n") ~tile:(get "tile")
-  | "fft" -> Fft.fft ~log2n:(get "log2n")
-  | "nas_sp" -> Nas_sp.full ~n:(get "n")
-  | "sweep3d" -> Sweep3d.sweep ~n:(get "n") ~octants:2
-  | _ -> invalid_arg name
-
-(* [(label, parsed from its source, built by its builder)] for every
-   case: the registry's entries at scales 1-3, every other size, and
-   SP's subroutines as sp_utilisation slices them. *)
-let paper_cases () =
+(* [(label, program)] for every case: the registry's entries at scales
+   1-3, every other size, and SP's subroutines as sp_utilisation slices
+   them.  The pinned digests are those of the builders the sources
+   replaced. *)
+let paper_programs () =
   let registry =
     List.concat_map
       (fun (name, _) ->
         List.map
           (fun scale ->
             ( Printf.sprintf "%s@%d" name scale,
-              (Option.get (Bw_workloads.Registry.find name)).build ~scale,
-              registry_builder name ~scale ))
+              (Option.get (Bw_workloads.Registry.find name)).build ~scale ))
           [ 1; 2; 3 ])
       paper_sizes
   in
@@ -251,24 +223,20 @@ let paper_cases () =
       (fun (name, sizes) ->
         List.map
           (fun params ->
-            ( paper_label name params,
-              Bw_workloads.Registry.with_params name params,
-              sized_builder name params ))
+            (paper_label name params, Bw_workloads.Registry.with_params name params))
           sizes)
       paper_sizes
   in
   let subroutines =
     List.concat_map
       (fun n ->
-        List.map2
-          (fun (sub, p) (_, b) -> (Printf.sprintf "nas_sp n=%d %s" n sub, p, b))
-          (Bw_core.Experiments.sp_subroutines ~n)
-          (Bw_workloads.Nas_sp.subroutines ~n))
+        List.map
+          (fun (sub, p) -> (Printf.sprintf "nas_sp n=%d %s" n sub, p))
+          (Bw_core.Experiments.sp_subroutines ~n))
       sp_sizes
   in
   registry @ sized @ subroutines
 
-(* One line per case: its label and the digest of the builder's
-   program. *)
+(* One line per case: its label and its program's digest. *)
 let paper_lines () =
-  List.map (fun (label, _, b) -> label ^ " " ^ Digest.program b) (paper_cases ())
+  List.map (fun (label, p) -> label ^ " " ^ Digest.program p) (paper_programs ())

@@ -33,11 +33,6 @@ let test_optimize () =
     (Pins.optimize_lines ~corpus)
 
 let test_paper () =
-  List.iter
-    (fun (label, source, builder) ->
-      if not (Bw_ir.Ast.equal_program source builder) then
-        Alcotest.failf "%s: the source differs from its builder" label)
-    (Pins.paper_cases ());
   compare_lines "paper" ~expected:"pins/paper.pins" (Pins.paper_lines ())
 
 let suites =

@@ -128,8 +128,8 @@ let test_protocol_rejects_garbage () =
   expect_error
     "{\"v\":1,\"op\":\"optimize\",\"program\":\"fig7\",\"pipeline\":{\"fuel\":-1}}";
   (* serve refuses a scale with the CLI's message: both call
-     Registry.check_scale, since the builders would otherwise build the
-     stress size for it *)
+     Registry.check_scale, since a workload's build would otherwise give
+     the stress size for it *)
   List.iter
     (fun scale ->
       let msg = Printf.sprintf "scale must be 1, 2 or 3 (got %d)" scale in
