@@ -28,6 +28,22 @@ let test_registry_find () =
   check bool "finds fft" true (Registry.find "fft" <> None);
   check bool "missing" true (Registry.find "nope" = None)
 
+let test_paper_programs_parsed_once () =
+  (* a paper program is parsed on its first build at a scale, by one of
+     the domains that race for it, and every build returns that program
+     (no earlier suite builds nas_sp at scale 3) *)
+  let build name ~scale = (Option.get (Registry.find name)).build ~scale in
+  check bool "same program" true
+    (build "convolution" ~scale:1 == build "convolution" ~scale:1);
+  let racers =
+    List.init 3 (fun _ -> Domain.spawn (fun () -> build "nas_sp" ~scale:3))
+  in
+  match List.map Domain.join racers with
+  | p :: rest ->
+    check bool "one program across domains" true
+      (List.for_all (fun q -> q == p) rest && build "nas_sp" ~scale:3 == p)
+  | [] -> assert false
+
 let test_fig6_fused_equals_original () =
   (* the hand fusion reproduces (a) exactly, input stream included *)
   List.iter
@@ -192,7 +208,9 @@ let suites =
     ( "workloads.registry",
       [ Alcotest.test_case "all type-check and run" `Slow test_all_check;
         Alcotest.test_case "unique names" `Quick test_registry_names_unique;
-        Alcotest.test_case "find" `Quick test_registry_find ] );
+        Alcotest.test_case "find" `Quick test_registry_find;
+        Alcotest.test_case "paper programs parsed once" `Quick
+          test_paper_programs_parsed_once ] );
     ( "workloads.figures",
       [ Alcotest.test_case "fig6 fused = original" `Quick test_fig6_fused_equals_original;
         Alcotest.test_case "fig7 fused = original" `Quick test_fig7_fused_equals_original ] );
