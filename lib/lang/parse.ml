@@ -107,10 +107,11 @@ let rec fold st e =
     match Hashtbl.find_opt st.params name with
     | Some v -> (Int_lit v, Some (v, true))
     | None -> (e, None))
-  | Unary (Neg, a) -> (
+  | Unary (((Neg | Abs) as op), a) -> (
+    let f = if op = Neg then Int.neg else Int.abs in
     match fold st a with
-    | _, Some (v, true) -> (Int_lit (-v), Some (-v, true))
-    | a, c -> (Unary (Neg, a), Option.map (fun (v, p) -> (-v, p)) c))
+    | _, Some (v, true) -> (Int_lit (f v), Some (f v, true))
+    | a, c -> (Unary (op, a), Option.map (fun (v, p) -> (f v, p)) c))
   | Unary (op, a) -> (Unary (op, folded st a), None)
   | Binary (op, a, b) -> (
     let a, ca = fold st a and b, cb = fold st b in

@@ -118,6 +118,7 @@ let test_params () =
     \  integer s\n\
     \  live_out a, s\n\
      s = 1 + 2\n\
+     s = -abs(t - n) * s\n\
      for i = 1, n - 1, t\n\
     \  a[i + (t - 1)] = a[i + t - 1] + 2.0\n\
      end for\n\
@@ -129,6 +130,7 @@ let test_params () =
         ~decls:[ array ~init:(Init_hash t) "a" [ n + t ]; int_scalar "s" ]
         ~live_out:[ "a"; "s" ]
         [ sc "s" <-- (int 1 +: int 2);
+          sc "s" <-- (int (-abs (t - n)) *: v "s");
           for_ "i" (int 1) (int (n - 1)) ~step:(int t)
             [ ("a" $. [ v "i" +: int (t - 1) ])
               <-- (("a" $ [ v "i" +: int t -: int 1 ]) +: fl 2.0) ] ])
