@@ -35,51 +35,45 @@ let dag_programs () = Bw_workloads.Dag_family.instances ~scale:1
    (two terms never would: float addition is commutative).  A symbolic
    step makes a loop's trip count sqrt(span + 1), and strides under a
    line cover part of one; each program sums at least three such arrays
-   in one scope.  [sealed_and_families] puts references both directly
-   in a loop's body and in a loop inside it, in one scope. *)
+   in one scope.  The two [order_nest*] programs put references both
+   directly in a loop's body and in a loop inside it, in one scope, and
+   differ only in their arrays' names, hence in the order a [Names]
+   table folds them.  Summing the per-array maxima in first-appearance
+   order moves [order_strides] and [order_nest_renamed]; putting a
+   scope's sealed groups before its families moves both nests. *)
 let order_programs () =
   let open Builder in
-  let strided ?(extent = 1_000) stride name =
-    array ~init:(Init_hash stride) name [ extent * stride ]
+  let strided stride name =
+    array ~init:(Init_hash stride) name [ 1_000 * stride ]
   in
   let at stride name =
     name $ [ (if stride = 1 then v "i" else int stride *: v "i") ]
   in
-  let sweep ?(hi = 1_000) body =
-    for_ "i" (int 1) (int hi) ~step:(v "s") body
+  let sweep hi body = for_ "i" (int 1) (int hi) ~step:(v "s") body in
+  let nest name (x, y, z) (a, b, c, d) =
+    ( name,
+      program name
+        ~decls:
+          [ strided 1 x; strided 2 y; strided 3 z; strided 1 a; strided 2 b;
+            strided 3 c; strided 5 d; int_scalar "s" ]
+        ~live_out:[ x; a ]
+        [ sc "s" <-- int 5;
+          for_ "t" (int 1) (int 20) ~step:(v "s")
+            [ (x $. [ v "t" ]) <-- ((y $ [ int 2 *: v "t" ]) +: (z $ [ int 3 *: v "t" ]));
+              sweep 1_000 [ (a $. [ v "i" ]) <-- (at 2 b +: at 3 c +: at 5 d) ] ] ] )
   in
   [ ( "order_strides",
       program "order_strides"
         ~decls:
-          [ strided 1 "a"; strided 2 "b"; strided 3 "c"; strided 5 "d";
-            strided 7 "e"; int_scalar "s" ]
-        ~live_out:[ "a" ]
+          [ strided 1 "k"; strided 2 "j"; strided 3 "h"; strided 5 "g";
+            strided 7 "f"; int_scalar "s" ]
+        ~live_out:[ "k" ]
         [ sc "s" <-- int 3;
-          sweep
-            [ ("a" $. [ v "i" ])
-              <-- (at 2 "b" +: at 3 "c" +: at 5 "d" +: at 7 "e") ] ] );
-    ( "order_names",
-      program "order_names"
-        ~decls:
-          [ strided 3 "zeta"; strided 1 "alpha"; strided 2 "mid";
-            strided 5 "q9"; strided 3 "x_1"; strided 2 "w"; int_scalar "s" ]
-        ~live_out:[ "zeta"; "w" ]
-        [ sc "s" <-- int 7;
-          sweep ~hi:950
-            [ ("zeta" $. [ int 3 *: v "i" ])
-              <-- (at 1 "alpha" +: at 2 "mid" +: at 5 "q9");
-              ("w" $. [ int 2 *: v "i" ]) <-- (at 3 "x_1" +: at 3 "zeta") ] ] );
-    ( "order_sealed_and_families",
-      program "order_sealed_and_families"
-        ~decls:
-          [ strided 1 "x"; strided 2 "y"; strided 3 "z"; strided 1 "a";
-            strided 2 "b"; strided 3 "c"; strided 5 "d"; int_scalar "s" ]
-        ~live_out:[ "x"; "a" ]
-        [ sc "s" <-- int 5;
-          for_ "t" (int 1) (int 20) ~step:(v "s")
-            [ ("x" $. [ v "t" ])
-              <-- (("y" $ [ int 2 *: v "t" ]) +: ("z" $ [ int 3 *: v "t" ]));
-              sweep [ ("a" $. [ v "i" ]) <-- (at 2 "b" +: at 3 "c" +: at 5 "d") ] ] ] ) ]
+          sweep 1_234
+            [ ("k" $. [ v "i" ])
+              <-- (at 2 "j" +: at 3 "h" +: at 5 "g" +: at 7 "f") ] ] );
+    nest "order_nest" ("x", "y", "z") ("a", "b", "c", "d");
+    nest "order_nest_renamed" ("u", "v", "w") ("e", "f", "g2", "h2") ]
 
 let gen_programs () =
   List.init 200 (fun i ->
