@@ -4,8 +4,9 @@
      dune exec test/pins/gen.exe -- optimize > test/pins/optimize.pins
      dune exec test/pins/gen.exe -- paper > test/pins/paper.pins
 
-   Only regenerate when a change is meant to move the predictor or the
-   optimizer; the diff is then the review record of what moved. *)
+   Only regenerate when a change is meant to move the predictor, the
+   optimizer or a paper program; the diff is then the review record of
+   what moved. *)
 
 let () =
   let corpus = "corpus" in
