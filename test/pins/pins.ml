@@ -1,4 +1,4 @@
-(* Bit-exact pins of the analytic predictor and of the optimizer.
+(* Bit-exact pins of the three pricing tiers and of the optimizer.
 
    The corpus goldens print predictions rounded to six digits, so a
    last-bit change in [Predict] — which can flip the 2% layout gate or
@@ -132,6 +132,48 @@ let predict_lines ~corpus =
   List.concat_map
     (fun (name, p) -> List.map (fun m -> predict_line name m p) machines)
     (predict_programs ~corpus)
+
+(* ---- exact and reuse tiers ---------------------------------------- *)
+
+(* Per program, one [simulate_many] over the six machines gives the
+   exact tier's time terms and program balance; one [reuse_pass] at
+   their distinct last-level line sizes gives the reuse tier's traffic
+   and time on each.  Two lines per (program, machine). *)
+let timing_lines ~corpus =
+  let named = Bw_core.Loader.machines in
+  let machines = List.map snd named in
+  let granularities = List.map Bw_exec.Evaluate.reuse_granularity machines in
+  let terms = List.map (fun (n, v) -> Printf.sprintf "%s:%s" n (hex v)) in
+  let programs =
+    corpus_programs ~corpus @ registry_programs ~scale:1
+    @ List.filteri (fun i _ -> i < 60) (gen_programs ())
+  in
+  List.concat_map
+    (fun (name, p) ->
+      let runs = Bw_exec.Run.simulate_many ~machines p in
+      let pass = Bw_exec.Run.reuse_pass ~granularities p in
+      List.concat
+        (List.map2
+           (fun (mname, machine) (r : Bw_exec.Run.result) ->
+             let b = r.breakdown in
+             let e = Bw_exec.Evaluate.of_reuse ~machine pass in
+             [ String.concat " "
+                 ([ name; mname; "exact";
+                    "cpu=" ^ hex b.cpu_time;
+                    "reg=" ^ hex b.register_time ]
+                 @ terms b.boundary_times
+                 @ [ "total=" ^ hex b.total;
+                     "bind=" ^ b.binding_resource;
+                     "balance=" ^ String.concat ","
+                                    (terms (Bw_exec.Run.program_balance r)) ]);
+               String.concat " "
+                 [ name; mname; "reuse";
+                   "in=" ^ hex e.memory_bytes_in;
+                   "out=" ^ hex e.memory_bytes_out;
+                   "s=" ^ hex e.seconds;
+                   "bind=" ^ e.binding_resource ] ])
+           named runs))
+    programs
 
 (* ---- optimizer ---------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
-(* The committed pins (test/pins/*.pins) against the predictor and the
-   optimizer as they are now.  Any difference is a behaviour change: a
+(* The committed pins (test/pins/*.pins) against the three pricing tiers
+   and the optimizer as they are now.  Any difference is a behaviour change: a
    refactoring must leave every line as it was; a change meant to move
    results regenerates the file with test/pins/gen.exe. *)
 
@@ -28,6 +28,10 @@ let test_predict () =
   compare_lines "predict" ~expected:"pins/predict.pins"
     (Pins.predict_lines ~corpus)
 
+let test_timing () =
+  compare_lines "timing" ~expected:"pins/timing.pins"
+    (Pins.timing_lines ~corpus)
+
 let test_optimize () =
   compare_lines "optimize" ~expected:"pins/optimize.pins"
     (Pins.optimize_lines ~corpus)
@@ -38,5 +42,7 @@ let test_paper () =
 let suites =
   [ ( "pins",
       [ Alcotest.test_case "predictor bit-exact" `Quick test_predict;
+        Alcotest.test_case "exact and reuse tiers bit-exact" `Quick
+          test_timing;
         Alcotest.test_case "optimizer outputs" `Quick test_optimize;
         Alcotest.test_case "paper programs" `Quick test_paper ] ) ]
