@@ -941,11 +941,7 @@ type t = {
   levels : level list;
   memory_bytes_in : float;
   memory_bytes_out : float;
-  cpu_seconds : float;
-  register_seconds : float;
-  boundary_seconds : (string * float) list;
-  seconds : float;
-  binding_resource : string;
+  time : Bw_machine.Timing.breakdown;
 }
 
 let memory_bytes t = t.memory_bytes_in +. t.memory_bytes_out
@@ -1056,49 +1052,22 @@ let predict ~(machine : Bw_machine.Machine.t) (p : Ast.program) =
           lines_out })
       machine.Bw_machine.Machine.caches
   in
-  let memory_bytes_in, memory_bytes_out =
-    match List.rev levels with
-    | last :: _ ->
-      ( last.lines_in *. float_of_int last.line_bytes,
-        last.lines_out *. float_of_int last.line_bytes )
-    | [] -> (loads *. elem_bytes, stores *. elem_bytes)
-  in
-  let cpu_seconds = flops /. machine.Bw_machine.Machine.flops_per_sec in
-  let register_seconds =
-    (loads +. stores) *. elem_bytes
-    /. machine.Bw_machine.Machine.register_bandwidth
-  in
-  let n_levels = List.length levels in
-  let boundary_name i =
-    if i = n_levels - 1 then "Mem-L" ^ string_of_int (i + 1)
-    else "L" ^ string_of_int (i + 2) ^ "-L" ^ string_of_int (i + 1)
-  in
-  let bandwidths = Array.of_list machine.Bw_machine.Machine.cache_bandwidths in
-  let boundary_seconds =
-    List.mapi
-      (fun i lvl ->
+  let level_bytes =
+    List.map
+      (fun lvl ->
         let linef = float_of_int lvl.line_bytes in
-        let bytes =
-          if i = n_levels - 1 then
-            (lvl.lines_in *. linef)
-            +. machine.Bw_machine.Machine.writeback_penalty
-               *. lvl.lines_out *. linef
-          else (lvl.lines_in +. lvl.lines_out) *. linef
-        in
-        let bw =
-          if i < Array.length bandwidths then bandwidths.(i)
-          else machine.Bw_machine.Machine.register_bandwidth
-        in
-        (boundary_name i, bytes /. bw))
+        (lvl.lines_in *. linef, lvl.lines_out *. linef))
       levels
   in
-  let all =
-    ("CPU", cpu_seconds) :: ("L1-Reg", register_seconds) :: boundary_seconds
+  let memory_bytes_in, memory_bytes_out =
+    match List.rev level_bytes with
+    | last :: _ -> last
+    | [] -> (loads *. elem_bytes, stores *. elem_bytes)
   in
-  let binding_resource, seconds =
-    List.fold_left
-      (fun (bn, bt) (n, t) -> if t > bt then (n, t) else (bn, bt))
-      ("CPU", cpu_seconds) all
+  let time =
+    Bw_machine.Timing.bound machine ~flops
+      ~register_bytes:((loads +. stores) *. elem_bytes)
+      ~levels:level_bytes
   in
   { flops;
     loads;
@@ -1107,11 +1076,7 @@ let predict ~(machine : Bw_machine.Machine.t) (p : Ast.program) =
     levels;
     memory_bytes_in;
     memory_bytes_out;
-    cpu_seconds;
-    register_seconds;
-    boundary_seconds;
-    seconds;
-    binding_resource }
+    time }
 
 let pp ppf t =
   Format.fprintf ppf
@@ -1124,5 +1089,5 @@ let pp ppf t =
     t.levels;
   Format.fprintf ppf "memory %.3e B in, %.3e B out@," t.memory_bytes_in
     t.memory_bytes_out;
-  Format.fprintf ppf "predicted %.6f s (bound by %s)@]" t.seconds
-    t.binding_resource
+  Format.fprintf ppf "predicted %.6f s (bound by %s)@]" t.time.total
+    t.time.binding_resource

@@ -78,11 +78,10 @@ type t = {
   levels : level list;  (** CPU-closest first, one per machine cache *)
   memory_bytes_in : float;
   memory_bytes_out : float;
-  cpu_seconds : float;
-  register_seconds : float;
-  boundary_seconds : (string * float) list;
-  seconds : float;  (** max over CPU and all bandwidth terms *)
-  binding_resource : string;
+  time : Bw_machine.Timing.breakdown;
+      (** {!Bw_machine.Timing.bound} of the flops, the register bytes
+          and each level's lines in and out times its line size: the
+          same record the exact tier's simulation gives *)
 }
 
 (** Total predicted memory-bus traffic, in + out. *)

@@ -52,8 +52,9 @@ let of_program ~(machine : Bw_machine.Machine.t) program =
     stores = p.Bw_analysis.Predict.stores;
     memory_bytes_in = p.Bw_analysis.Predict.memory_bytes_in;
     memory_bytes_out = p.Bw_analysis.Predict.memory_bytes_out;
-    seconds = p.Bw_analysis.Predict.seconds;
-    binding_resource = p.Bw_analysis.Predict.binding_resource }
+    seconds = p.Bw_analysis.Predict.time.Bw_machine.Timing.total;
+    binding_resource =
+      p.Bw_analysis.Predict.time.Bw_machine.Timing.binding_resource }
 
 let reuse_granularity (machine : Bw_machine.Machine.t) =
   match List.rev machine.Bw_machine.Machine.caches with
@@ -62,8 +63,8 @@ let reuse_granularity (machine : Bw_machine.Machine.t) =
 
 (* Reuse tier: one stack-distance profile of the reference stream at the
    machine's last-level line granularity prices every fully associative
-   capacity; the timing model is then evaluated from the per-level miss
-   counts.  Writebacks are apportioned by the stream's store fraction —
+   capacity; [Bw_machine.Timing.bound] then prices the per-level miss
+   traffic.  Writebacks are apportioned by the stream's store fraction —
    the profile does not track dirtiness. *)
 let of_reuse ~(machine : Bw_machine.Machine.t) (pass : Run.reuse_pass) =
   let granularity = reuse_granularity machine in
@@ -79,69 +80,32 @@ let of_reuse ~(machine : Bw_machine.Machine.t) (pass : Run.reuse_pass) =
   let loads = float_of_int pass.Run.pass_loads in
   let stores = float_of_int pass.Run.pass_stores in
   let flops = float_of_int pass.Run.pass_flops in
-  let caches = machine.Bw_machine.Machine.caches in
   let write_frac =
     if loads +. stores <= 0.0 then 0.0 else stores /. (loads +. stores)
   in
-  let level_lines =
+  let levels =
     List.map
       (fun (geo : Bw_machine.Cache.geometry) ->
         let capacity_blocks =
           max 1 (geo.Bw_machine.Cache.size_bytes / granularity)
         in
-        let misses =
-          float_of_int (Bw_machine.Reuse.misses reuse ~capacity_blocks)
+        (* each miss fetches one [granularity]-byte profile block *)
+        let bytes_in =
+          float_of_int
+            (Bw_machine.Reuse.misses reuse ~capacity_blocks * granularity)
         in
-        (* profile blocks are [granularity] bytes; rescale to this
-           level's own line size for byte traffic *)
-        let scale =
-          float_of_int granularity
-          /. float_of_int geo.Bw_machine.Cache.line_bytes
-        in
-        (geo, misses *. scale))
-      caches
+        (bytes_in, bytes_in *. write_frac))
+      machine.Bw_machine.Machine.caches
   in
   let memory_bytes_in, memory_bytes_out =
-    match List.rev level_lines with
-    | (geo, lines) :: _ ->
-      let b = lines *. float_of_int geo.Bw_machine.Cache.line_bytes in
-      (b, b *. write_frac)
+    match List.rev levels with
+    | last :: _ -> last
     | [] -> (loads *. 8.0, stores *. 8.0)
   in
-  let cpu = flops /. machine.Bw_machine.Machine.flops_per_sec in
-  let register_seconds =
-    (loads +. stores) *. 8.0 /. machine.Bw_machine.Machine.register_bandwidth
-  in
-  let bandwidths = Array.of_list machine.Bw_machine.Machine.cache_bandwidths in
-  let n_levels = List.length caches in
-  let boundary_times =
-    List.mapi
-      (fun i (geo, lines) ->
-        let linef = float_of_int geo.Bw_machine.Cache.line_bytes in
-        let bytes_in = lines *. linef in
-        let bytes_out = bytes_in *. write_frac in
-        let bytes =
-          if i = n_levels - 1 then
-            bytes_in
-            +. (machine.Bw_machine.Machine.writeback_penalty *. bytes_out)
-          else bytes_in +. bytes_out
-        in
-        let name =
-          if i = n_levels - 1 then Printf.sprintf "Mem-L%d" (i + 1)
-          else Printf.sprintf "L%d-L%d" (i + 2) (i + 1)
-        in
-        let bw =
-          if i < Array.length bandwidths then bandwidths.(i)
-          else machine.Bw_machine.Machine.register_bandwidth
-        in
-        (name, bytes /. bw))
-      level_lines
-  in
-  let all = ("CPU", cpu) :: ("L1-Reg", register_seconds) :: boundary_times in
-  let binding_resource, seconds =
-    List.fold_left
-      (fun (bn, bt) (n, t) -> if t > bt then (n, t) else (bn, bt))
-      ("CPU", cpu) all
+  let time =
+    Bw_machine.Timing.bound machine ~flops
+      ~register_bytes:((loads +. stores) *. 8.0)
+      ~levels
   in
   { fidelity = Reuse_pass;
     machine_name = machine.Bw_machine.Machine.name;
@@ -150,8 +114,8 @@ let of_reuse ~(machine : Bw_machine.Machine.t) (pass : Run.reuse_pass) =
     stores;
     memory_bytes_in;
     memory_bytes_out;
-    seconds;
-    binding_resource }
+    seconds = time.Bw_machine.Timing.total;
+    binding_resource = time.Bw_machine.Timing.binding_resource }
 
 let pp ppf t =
   Format.fprintf ppf

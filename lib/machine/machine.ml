@@ -22,15 +22,13 @@ let fresh_translation t =
 
 let boundary_names t =
   let n = List.length t.caches in
-  let cache_name i = Printf.sprintf "L%d" (i + 1) in
+  let cache_name i = "L" ^ string_of_int (i + 1) in
   let rec boundaries i =
     if i >= n then []
-    else if i = n - 1 then [ Printf.sprintf "Mem-%s" (cache_name i) ]
-    else Printf.sprintf "%s-%s" (cache_name (i + 1)) (cache_name i)
-         :: boundaries (i + 1)
+    else if i = n - 1 then [ "Mem-" ^ cache_name i ]
+    else (cache_name (i + 1) ^ "-" ^ cache_name i) :: boundaries (i + 1)
   in
-  ("L1-Reg" :: boundaries 0)
-  |> fun names -> if t.caches = [] then [ "Mem-Reg" ] else names
+  if t.caches = [] then [ "Mem-Reg" ] else "L1-Reg" :: boundaries 0
 
 let balance t =
   let bws =

@@ -9,40 +9,50 @@ type breakdown = {
 let memory_bytes cache =
   Cache.memory_bytes_in cache + Cache.memory_bytes_out cache
 
-let predict (machine : Machine.t) cache counters =
-  let cpu_time = float_of_int counters.Counters.flops /. machine.flops_per_sec in
-  let register_time =
-    float_of_int (Counters.register_bytes counters)
-    /. machine.register_bandwidth
+let bound (machine : Machine.t) ~flops ~register_bytes ~levels =
+  let rec boundaries bandwidths levels =
+    match (bandwidths, levels) with
+    | [], [] -> []
+    | bw :: bandwidths, (bytes_in, bytes_out) :: levels ->
+      (* the last boundary is the memory bus, where a written-back byte
+         costs [writeback_penalty] *)
+      let bytes_out =
+        if levels = [] then machine.writeback_penalty *. bytes_out
+        else bytes_out
+      in
+      ((bytes_in +. bytes_out) /. bw) :: boundaries bandwidths levels
+    | _ ->
+      invalid_arg "Timing.bound: machine bandwidths do not match cache levels"
   in
-  let n_levels = Cache.level_count cache in
-  let boundary_name i =
-    if i = n_levels - 1 then Printf.sprintf "Mem-L%d" (i + 1)
-    else Printf.sprintf "L%d-L%d" (i + 2) (i + 1)
+  let cpu_time = flops /. machine.flops_per_sec in
+  let register_time = register_bytes /. machine.register_bandwidth in
+  let terms =
+    List.combine
+      (Machine.boundary_names machine)
+      (register_time :: boundaries machine.cache_bandwidths levels)
   in
-  let bandwidths = Array.of_list machine.cache_bandwidths in
-  if Array.length bandwidths <> n_levels then
-    invalid_arg "Timing.predict: machine bandwidths do not match cache levels";
-  let boundary_times =
-    List.init n_levels (fun i ->
-        let bytes =
-          if i = n_levels - 1 then
-            float_of_int (Cache.memory_bytes_in cache)
-            +. (machine.writeback_penalty
-               *. float_of_int (Cache.memory_bytes_out cache))
-          else float_of_int (Cache.boundary_bytes cache i)
-        in
-        (boundary_name i, bytes /. bandwidths.(i)))
+  let pick best term = if snd term > snd best then term else best in
+  let binding_resource, total = List.fold_left pick ("CPU", cpu_time) terms in
+  { cpu_time; register_time; boundary_times = List.tl terms; total;
+    binding_resource }
+
+let predict machine cache counters =
+  let n = Cache.level_count cache in
+  let levels =
+    List.init n (fun i ->
+        if i = n - 1 then
+          ( float_of_int (Cache.memory_bytes_in cache),
+            float_of_int (Cache.memory_bytes_out cache) )
+        else
+          let s = Cache.stats cache i in
+          let line = (Cache.geometry cache i).Cache.line_bytes in
+          ( float_of_int ((s.Cache.read_misses + s.Cache.write_misses) * line),
+            float_of_int (s.Cache.writebacks * line) ))
   in
-  let all =
-    ("CPU", cpu_time) :: ("L1-Reg", register_time) :: boundary_times
-  in
-  let binding_resource, total =
-    List.fold_left
-      (fun (bn, bt) (n, t) -> if t > bt then (n, t) else (bn, bt))
-      ("CPU", cpu_time) all
-  in
-  { cpu_time; register_time; boundary_times; total; binding_resource }
+  bound machine
+    ~flops:(float_of_int counters.Counters.flops)
+    ~register_bytes:(float_of_int (Counters.register_bytes counters))
+    ~levels
 
 let effective_bandwidth machine cache counters =
   let b = predict machine cache counters in

@@ -11,7 +11,12 @@
     The predicted time is the maximum of these — the paper's thesis that
     actual latency is the inverse of consumed bandwidth, so a saturated
     channel determines the execution time.  The per-resource terms are
-    exposed so experiments can report which resource binds. *)
+    exposed so experiments can report which resource binds.
+
+    {!bound} is the one implementation of the model: the exact tier
+    ({!predict}), the analytic tier ([Bw_analysis.Predict]) and the
+    reuse tier ([Bw_exec.Evaluate.of_reuse]) each count their traffic
+    and price it through {!bound}. *)
 
 type breakdown = {
   cpu_time : float;
@@ -23,8 +28,26 @@ type breakdown = {
   binding_resource : string;  (** name of the term achieving the max *)
 }
 
+(** [bound machine ~flops ~register_bytes ~levels] evaluates the model
+    on counts.  [levels] gives, for each of [machine]'s caches
+    (CPU-closest first), the bytes fetched into it and the bytes written
+    back out of it: the traffic over the boundary below it, which for
+    the last level is the memory bus, where each written-back byte costs
+    [machine.writeback_penalty].  The register term and the boundaries
+    are named by {!Machine.boundary_names}.
+    @raise Invalid_argument unless [levels] and
+    [machine.cache_bandwidths] both have one entry per cache. *)
+val bound :
+  Machine.t ->
+  flops:float ->
+  register_bytes:float ->
+  levels:(float * float) list ->
+  breakdown
+
 (** [predict machine cache counters] evaluates the model after a
-    simulation run on [cache]. *)
+    simulation run on [cache]: {!bound} of the counters' flops and
+    register bytes, each level's fetched and written-back bytes, and
+    the memory bus's for the last level. *)
 val predict : Machine.t -> Cache.t -> Counters.t -> breakdown
 
 (** Total memory traffic in bytes (both directions, unweighted). *)

@@ -106,7 +106,8 @@ let predict_line name (mname, machine) p =
       t.levels
   in
   let boundaries =
-    List.map (fun (b, s) -> Printf.sprintf "%s:%s" b (hex s)) t.boundary_seconds
+    List.map (fun (b, s) -> Printf.sprintf "%s:%s" b (hex s))
+      t.time.boundary_times
   in
   String.concat " "
     ([ name; mname;
@@ -116,10 +117,10 @@ let predict_line name (mname, machine) p =
        "fp=" ^ hex t.footprint_bytes;
        "in=" ^ hex t.memory_bytes_in;
        "out=" ^ hex t.memory_bytes_out;
-       "cpu=" ^ hex t.cpu_seconds;
-       "reg=" ^ hex t.register_seconds;
-       "s=" ^ hex t.seconds;
-       "bind=" ^ t.binding_resource ]
+       "cpu=" ^ hex t.time.cpu_time;
+       "reg=" ^ hex t.time.register_time;
+       "s=" ^ hex t.time.total;
+       "bind=" ^ t.time.binding_resource ]
     @ levels @ boundaries)
 
 let predict_programs ~corpus =

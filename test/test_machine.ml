@@ -289,6 +289,41 @@ let test_timing_memory_bound () =
   (* effective bandwidth approaches the 312 MB/s configured supply *)
   check bool "near machine bandwidth" true (bw > 280e6 && bw <= 315e6)
 
+(* The write-back penalty applies on the memory bus only, and each term
+   is named by [Machine.boundary_names]. *)
+let test_timing_bound_terms () =
+  let b =
+    Timing.bound Machine.origin2000 ~flops:390e6 ~register_bytes:0.0
+      ~levels:[ (1560e6, 1560e6); (312e6, 312e6) ]
+  in
+  check flt "cpu" 1.0 b.Timing.cpu_time;
+  check (Alcotest.list Alcotest.string) "names" [ "L2-L1"; "Mem-L2" ]
+    (List.map fst b.Timing.boundary_times);
+  check (Alcotest.list flt) "boundaries" [ 2.0; 2.15 ]
+    (List.map snd b.Timing.boundary_times);
+  check Alcotest.string "binding" "Mem-L2" b.Timing.binding_resource;
+  check flt "total" 2.15 b.Timing.total
+
+(* Every tier prices time through [Timing.bound], so each refuses a
+   machine whose bandwidths do not match its caches instead of pricing
+   a boundary at a stand-in bandwidth. *)
+let test_timing_bound_mismatch () =
+  let m = { Machine.origin2000 with Machine.cache_bandwidths = [ 312e6 ] } in
+  let p = (Option.get (Bw_workloads.Registry.find "dmxpy")).build ~scale:1 in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s priced one bandwidth for two caches" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "bound" (fun () ->
+      Timing.bound m ~flops:1.0 ~register_bytes:8.0
+        ~levels:[ (32.0, 0.0); (128.0, 0.0) ]);
+  refused "the analytic tier" (fun () -> Bw_exec.Evaluate.of_program ~machine:m p);
+  refused "the reuse tier" (fun () ->
+      Bw_exec.Evaluate.of_reuse ~machine:m
+        (Bw_exec.Run.reuse_pass ~granularities:[ 128 ] p));
+  refused "the exact tier" (fun () -> Bw_exec.Run.simulate ~machine:m p)
+
 let test_timing_utilisation_capped () =
   let m = Machine.origin2000 in
   let cache = Machine.fresh_cache m in
@@ -416,6 +451,9 @@ let suites =
     ( "machine.timing",
       [ Alcotest.test_case "cpu bound" `Quick test_timing_cpu_bound;
         Alcotest.test_case "memory bound" `Quick test_timing_memory_bound;
+        Alcotest.test_case "bound's terms" `Quick test_timing_bound_terms;
+        Alcotest.test_case "every tier refuses mismatched bandwidths" `Quick
+          test_timing_bound_mismatch;
         Alcotest.test_case "utilisation capped" `Quick test_timing_utilisation_capped ] );
     ( "machine.probes",
       [ Alcotest.test_case "stream calibration" `Slow test_stream_calibration;
