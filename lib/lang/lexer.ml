@@ -92,8 +92,18 @@ let tokenize src =
         done
       end;
       let text = String.sub src start (!pos - start) in
-      if !is_float then emit_at start_pos (FLOAT (float_of_string text))
-      else emit_at start_pos (INT (int_of_string text))
+      let refuse kind why =
+        raise (Lex_error (kind ^ " " ^ text ^ " " ^ why, start_pos))
+      in
+      if !is_float then
+        match float_of_string_opt text with
+        | Some x when Float.is_finite x -> emit_at start_pos (FLOAT x)
+        | Some _ -> refuse "float" "is beyond the double range"
+        | None -> refuse "float" "has no exponent digits"
+      else
+        match int_of_string_opt text with
+        | Some i -> emit_at start_pos (INT i)
+        | None -> refuse "integer" "is beyond max_int"
     end
     else if is_alpha c then begin
       let start_pos = here () in
@@ -120,7 +130,7 @@ let tokenize src =
       in
       match (c, if !pos + 1 < n then src.[!pos + 1] else '\000') with
       | '=', '=' -> two EQ
-      | '<', '>' | '!', '=' -> two NE
+      | '<', '>' -> two NE
       | '<', '=' -> two LE
       | '>', '=' -> two GE
       | _ -> (

@@ -37,7 +37,9 @@ type t = { token : token; pos : pos }
 exception Lex_error of string * pos
 
 (** Tokenize the whole input; the final element is always [EOF].
-    @raise Lex_error on an unexpected character. *)
+    @raise Lex_error on an unexpected character, an integer literal
+    beyond [max_int], or a float literal that overflows the double
+    range or has no exponent digits. *)
 val tokenize : string -> t list
 
 (** Human-readable rendering used in error messages, e.g.

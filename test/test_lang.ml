@@ -72,7 +72,14 @@ let test_error_positions () =
 
 let test_lex_error_position () =
   expect_error "program p\n  real a[4]\n  live_out a\na[1] = @\nend"
-    "4:8: unexpected character '@'"
+    "4:8: unexpected character '@'";
+  (* a literal out of range is refused where it stands, so no program
+     holds a literal the printer could not write back *)
+  let literal lit = "program p\n  real s\n  live_out s\ns = " ^ lit ^ "\nend" in
+  expect_error (literal "99999999999999999999")
+    "4:5: integer 99999999999999999999 is beyond max_int";
+  expect_error (literal "1e999") "4:5: float 1e999 is beyond the double range";
+  expect_error (literal "2.5e") "4:5: float 2.5e has no exponent digits"
 
 let test_file_errors_are_total () =
   (match Parse.parse_file "/no/such/place.bw" with

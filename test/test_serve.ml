@@ -143,7 +143,21 @@ let test_protocol_rejects_garbage () =
       with
       | Ok _ -> Alcotest.failf "serve accepted scale %d" scale
       | Error e -> check string "serve's message" msg e)
-    [ 0; 4 ]
+    [ 0; 4 ];
+  (* an inline source with an out-of-range literal gets the parser's
+     LINE:COL message, as `bwc parse` prints it *)
+  List.iter
+    (fun (literal, msg) ->
+      let source = "program p\n  real s\n  live_out s\ns = " ^ literal ^ "\nend\n" in
+      match
+        Protocol.load_program
+          { (Protocol.default_request Protocol.Analyze) with
+            Protocol.source = Some source }
+      with
+      | Ok _ -> Alcotest.failf "serve accepted %s" literal
+      | Error e -> check string "the parser's message" msg e)
+    [ ("99999999999999999999", "4:5: integer 99999999999999999999 is beyond max_int");
+      ("1e999", "4:5: float 1e999 is beyond the double range") ]
 
 let test_protocol_roundtrip () =
   let req =
