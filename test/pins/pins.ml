@@ -11,6 +11,9 @@ open Bw_ir
 
 let hex = Printf.sprintf "%h"
 
+(* [name:hex] for each named term *)
+let terms = List.map (fun (n, v) -> Printf.sprintf "%s:%s" n (hex v))
+
 (* The programs, named.  [corpus] is the directory of [*.bw] sources. *)
 
 let corpus_programs ~corpus =
@@ -105,10 +108,6 @@ let predict_line name (mname, machine) p =
           (hex l.lines_in) (hex l.lines_out))
       t.levels
   in
-  let boundaries =
-    List.map (fun (b, s) -> Printf.sprintf "%s:%s" b (hex s))
-      t.time.boundary_times
-  in
   String.concat " "
     ([ name; mname;
        "flops=" ^ hex t.flops;
@@ -121,7 +120,7 @@ let predict_line name (mname, machine) p =
        "reg=" ^ hex t.time.register_time;
        "s=" ^ hex t.time.total;
        "bind=" ^ t.time.binding_resource ]
-    @ levels @ boundaries)
+    @ levels @ terms t.time.boundary_times)
 
 let predict_programs ~corpus =
   corpus_programs ~corpus
@@ -136,6 +135,25 @@ let predict_lines ~corpus =
 
 (* ---- exact and reuse tiers ---------------------------------------- *)
 
+let exact_line name mname (r : Bw_exec.Run.result) =
+  let b = r.breakdown in
+  String.concat " "
+    ([ name; mname; "exact";
+       "cpu=" ^ hex b.cpu_time;
+       "reg=" ^ hex b.register_time ]
+    @ terms b.boundary_times
+    @ [ "total=" ^ hex b.total;
+        "bind=" ^ b.binding_resource;
+        "balance=" ^ String.concat "," (terms (Bw_exec.Run.program_balance r)) ])
+
+let reuse_line name mname (e : Bw_exec.Evaluate.t) =
+  String.concat " "
+    [ name; mname; "reuse";
+      "in=" ^ hex e.memory_bytes_in;
+      "out=" ^ hex e.memory_bytes_out;
+      "s=" ^ hex e.seconds;
+      "bind=" ^ e.binding_resource ]
+
 (* Per program, one [simulate_many] over the six machines gives the
    exact tier's time terms and program balance; one [reuse_pass] at
    their distinct last-level line sizes gives the reuse tier's traffic
@@ -144,7 +162,6 @@ let timing_lines ~corpus =
   let named = Bw_core.Loader.machines in
   let machines = List.map snd named in
   let granularities = List.map Bw_exec.Evaluate.reuse_granularity machines in
-  let terms = List.map (fun (n, v) -> Printf.sprintf "%s:%s" n (hex v)) in
   let programs =
     corpus_programs ~corpus @ registry_programs ~scale:1
     @ List.filteri (fun i _ -> i < 60) (gen_programs ())
@@ -155,24 +172,9 @@ let timing_lines ~corpus =
       let pass = Bw_exec.Run.reuse_pass ~granularities p in
       List.concat
         (List.map2
-           (fun (mname, machine) (r : Bw_exec.Run.result) ->
-             let b = r.breakdown in
-             let e = Bw_exec.Evaluate.of_reuse ~machine pass in
-             [ String.concat " "
-                 ([ name; mname; "exact";
-                    "cpu=" ^ hex b.cpu_time;
-                    "reg=" ^ hex b.register_time ]
-                 @ terms b.boundary_times
-                 @ [ "total=" ^ hex b.total;
-                     "bind=" ^ b.binding_resource;
-                     "balance=" ^ String.concat ","
-                                    (terms (Bw_exec.Run.program_balance r)) ]);
-               String.concat " "
-                 [ name; mname; "reuse";
-                   "in=" ^ hex e.memory_bytes_in;
-                   "out=" ^ hex e.memory_bytes_out;
-                   "s=" ^ hex e.seconds;
-                   "bind=" ^ e.binding_resource ] ])
+           (fun (mname, machine) r ->
+             [ exact_line name mname r;
+               reuse_line name mname (Bw_exec.Evaluate.of_reuse ~machine pass) ])
            named runs))
     programs
 

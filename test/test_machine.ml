@@ -321,7 +321,8 @@ let test_timing_bound_mismatch () =
   refused "the analytic tier" (fun () -> Bw_exec.Evaluate.of_program ~machine:m p);
   refused "the reuse tier" (fun () ->
       Bw_exec.Evaluate.of_reuse ~machine:m
-        (Bw_exec.Run.reuse_pass ~granularities:[ 128 ] p));
+        (Bw_exec.Run.reuse_pass
+           ~granularities:[ Bw_exec.Evaluate.reuse_granularity m ] p));
   refused "the exact tier" (fun () -> Bw_exec.Run.simulate ~machine:m p)
 
 let test_timing_utilisation_capped () =
