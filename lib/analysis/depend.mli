@@ -47,12 +47,6 @@ val conformable : Bw_ir.Ast.loop -> Bw_ir.Ast.loop -> bool
 (** Constant bounds [(lo, hi, step)] of a loop, when they are literals. *)
 val constant_bounds : Bw_ir.Ast.loop -> (int * int * int) option
 
-(** Does any statement (at any depth) consume the [read()] input
-    stream?  The stream is a sequential resource: code motion that
-    interleaves or reorders two consumers changes which value each
-    receives. *)
-val consumes_input : Bw_ir.Ast.stmt list -> bool
-
 (** [fusable l1 l2] decides whether the adjacent loops [l1; l2] may be
     fused into one loop over [l1]'s index:
     - bounds must be conformable, or both constant with equal step (the

@@ -90,7 +90,7 @@ let median_memory_rel_err rows =
     if n mod 2 = 1 then nth (n / 2)
     else (nth ((n / 2) - 1) +. nth (n / 2)) /. 2.0
 
-let check ?(envelope = documented_envelope) rows =
+let check rows =
   let cell_violations =
     List.concat_map
       (fun r ->
@@ -101,17 +101,17 @@ let check ?(envelope = documented_envelope) rows =
                 what v lo hi ]
           else []
         in
-        out "memory" (memory_ratio r) envelope.memory_ratio_min
-          envelope.memory_ratio_max
-        @ out "seconds" (seconds_ratio r) envelope.seconds_ratio_min
-            envelope.seconds_ratio_max)
+        out "memory" (memory_ratio r) documented_envelope.memory_ratio_min
+          documented_envelope.memory_ratio_max
+        @ out "seconds" (seconds_ratio r) documented_envelope.seconds_ratio_min
+            documented_envelope.seconds_ratio_max)
       rows
   in
   let med = median_memory_rel_err rows in
-  if med > envelope.median_memory_rel_err_max then
+  if med > documented_envelope.median_memory_rel_err_max then
     cell_violations
     @ [ Printf.sprintf "median memory relative error %.3f exceeds %.3f" med
-          envelope.median_memory_rel_err_max ]
+          documented_envelope.median_memory_rel_err_max ]
   else cell_violations
 
 let table rows =

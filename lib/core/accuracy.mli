@@ -20,30 +20,6 @@ type row = {
   sim_memory_bytes : float;  (** exact simulator memory-bus traffic *)
 }
 
-(** predicted / simulated; [infinity] when the simulated value is 0 but
-    the prediction is not, 1.0 when both are 0. *)
-val seconds_ratio : row -> float
-
-val memory_ratio : row -> float
-
-(** The documented error envelope: per-cell ratio bounds plus a bound on
-    the median relative memory error across all cells.  The constants
-    live in one place so EXPERIMENTS.md, the tests and the CI gate
-    cannot drift apart. *)
-type envelope = {
-  memory_ratio_min : float;
-  memory_ratio_max : float;
-  seconds_ratio_min : float;
-  seconds_ratio_max : float;
-  median_memory_rel_err_max : float;
-}
-
-(** Bounds with headroom over the measured worst cases (see
-    EXPERIMENTS.md for the measured table and the divergence classes:
-    associativity conflicts, cross-phase reuse, runtime-computed loop
-    structure). *)
-val documented_envelope : envelope
-
 (** The Origin2000 variant with a 256 KB L2 used by the figure drivers
     (laptop-scale arrays stay well beyond L2). *)
 val origin_scaled : Bw_machine.Machine.t
@@ -72,10 +48,15 @@ val measure :
 (** Median of |pred - sim| / sim over the rows' memory traffic. *)
 val median_memory_rel_err : row list -> float
 
-(** [check ?envelope rows] returns the violations — one human-readable
-    line per out-of-envelope cell, plus one for the median bound if
-    exceeded.  Empty means the envelope holds. *)
-val check : ?envelope:envelope -> row list -> string list
+(** [check rows] returns the violations of the documented error
+    envelope — one human-readable line per cell whose predicted /
+    simulated memory or seconds ratio falls outside its bounds, plus one
+    for the bound on the median relative memory error if exceeded.
+    Empty means the envelope holds.  The bounds add headroom over the
+    measured worst cases (see EXPERIMENTS.md for the measured table and
+    the divergence classes: associativity conflicts, cross-phase reuse,
+    runtime-computed loop structure). *)
+val check : row list -> string list
 
 (** Predicted-vs-simulated table with per-cell relative error. *)
 val table : row list -> Table.t

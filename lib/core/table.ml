@@ -43,7 +43,6 @@ let to_string t = Format.asprintf "%a" render t
 
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
-let f3 x = Printf.sprintf "%.3f" x
 let mb_s x = Printf.sprintf "%.0f MB/s" (x /. 1e6)
 let ms x = Printf.sprintf "%.2f ms" (x *. 1e3)
 let pct x = Printf.sprintf "%.0f%%" (100.0 *. x)

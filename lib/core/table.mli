@@ -19,8 +19,6 @@ val f1 : float -> string  (** one decimal *)
 
 val f2 : float -> string  (** two decimals *)
 
-val f3 : float -> string
-
 val mb_s : float -> string  (** bytes/s rendered as MB/s *)
 
 val ms : float -> string  (** seconds rendered as milliseconds *)

@@ -4,7 +4,7 @@ let json_of_value : Bw_obs.Trace.value -> Json.t = function
   | Bw_obs.Trace.Str s -> Json.String s
   | Bw_obs.Trace.Bool b -> Json.Bool b
 
-let json_of_span ~pid (s : Bw_obs.Trace.span) =
+let json_of_span (s : Bw_obs.Trace.span) =
   Json.Obj
     [ ("name", Json.String s.Bw_obs.Trace.name);
       ("cat", Json.String
@@ -12,7 +12,7 @@ let json_of_span ~pid (s : Bw_obs.Trace.span) =
       ("ph", Json.String "X");
       ("ts", Json.Float s.Bw_obs.Trace.start_us);
       ("dur", Json.Float s.Bw_obs.Trace.dur_us);
-      ("pid", Json.Int pid);
+      ("pid", Json.Int 1);
       ("tid", Json.Int s.Bw_obs.Trace.tid);
       ( "args",
         Json.Obj
@@ -21,9 +21,9 @@ let json_of_span ~pid (s : Bw_obs.Trace.span) =
                (fun (k, v) -> (k, json_of_value v))
                s.Bw_obs.Trace.attrs) ) ]
 
-let json_of_spans ?(pid = 1) spans =
+let json_of_spans spans =
   Json.Obj
-    [ ("traceEvents", Json.List (List.map (json_of_span ~pid) spans));
+    [ ("traceEvents", Json.List (List.map json_of_span spans));
       ("displayTimeUnit", Json.String "ms") ]
 
 let pp_span_tree ppf spans =

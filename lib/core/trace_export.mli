@@ -7,11 +7,9 @@
     durations in microseconds, the recording domain as ["tid"], and
     span attributes under ["args"]. *)
 
-val json_of_value : Bw_obs.Trace.value -> Json.t
-
 (** [json_of_spans spans] is a complete Chrome trace document:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
-val json_of_spans : ?pid:int -> Bw_obs.Trace.span list -> Json.t
+val json_of_spans : Bw_obs.Trace.span list -> Json.t
 
 (** Pretty tree of the span forest (indented by depth, durations in
     ms), for terminal consumption by [bwc profile]. *)

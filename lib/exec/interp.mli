@@ -20,8 +20,6 @@ exception Runtime_error of string
 
 type value = V_int of int | V_float of float
 
-val pp_value : Format.formatter -> value -> unit
-
 type observation = {
   prints : value list;
   finals : (string * value array) list Lazy.t;
@@ -94,12 +92,9 @@ val run :
 
 val intrinsic : string -> float list -> float
 
-(** [init_value init dtype k] is the initial value of element [k]. *)
-val init_value : Bw_ir.Ast.init -> Bw_ir.Ast.dtype -> int -> value
-
-(** Bulk unboxed initialisation: [init_float_array init size] equals
-    [Array.init size (fun k -> init_value init F64 k)] element for
-    element, without boxing a {!value} per element.  Shared by both
+(** Bulk unboxed initialisation: [init_float_array init size] holds, at
+    each [k], the initial value {!run} gives element [k] of a float
+    array, without boxing a {!value} per element.  Shared by both
     execution engines so their storage is bit-identical. *)
 val init_float_array : Bw_ir.Ast.init -> int -> float array
 

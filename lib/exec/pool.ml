@@ -167,12 +167,6 @@ let create ?jobs () =
 
 let jobs pool = pool.pool_jobs
 
-let pending pool =
-  Mutex.lock pool.m;
-  let n = Queue.length pool.queue in
-  Mutex.unlock pool.m;
-  n
-
 let submit pool f =
   let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
   Mutex.lock pool.m;

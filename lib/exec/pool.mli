@@ -81,9 +81,6 @@ val create : ?jobs:int -> unit -> t
 (** Worker domains of this pool. *)
 val jobs : t -> int
 
-(** Tasks currently queued (claimed-but-running tasks not included). *)
-val pending : t -> int
-
 (** Enqueue [f]; it runs on the first free worker.  An exception from
     [f] is captured into the future, never kills the worker.
     @raise Invalid_argument after {!shutdown}. *)

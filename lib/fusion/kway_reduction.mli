@@ -6,12 +6,6 @@
     the total edge weight (every edge has length >= 1; cut edges have
     length 2). *)
 
-val instance_of_kway :
-  Bw_graph.Undirected.t -> terminals:int list -> Hyper_fusion.instance
-
-(** Total edge weight of the graph ([W] above). *)
-val total_weight : Bw_graph.Undirected.t -> int
-
 (** [optimal_cut_via_fusion g ~terminals] solves the k-way cut by solving
     the fusion instance exhaustively and subtracting [W] — the round trip
     the NP-completeness proof relies on. *)

@@ -35,7 +35,6 @@ val pred : t -> int -> int list
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
-val iter_nodes : t -> (int -> unit) -> unit
 val iter_succ : t -> int -> (int -> unit) -> unit
 val iter_edges : t -> (int -> int -> unit) -> unit
 val fold_edges : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a

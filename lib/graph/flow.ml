@@ -65,11 +65,6 @@ let arc t id =
   if a < 0 || a >= t.arcs then invalid_arg "Flow.arc";
   (t.head.(a + 1), t.head.(a), t.cap0.(a))
 
-let flow_on t id =
-  let a = 2 * id in
-  if a < 0 || a >= t.arcs then invalid_arg "Flow.flow_on";
-  t.cap0.(a) - t.cap.(a)
-
 (* BFS levels over the residual graph. *)
 let bfs_levels t s =
   let level = Array.make t.n (-1) in

@@ -17,7 +17,7 @@ val node_count : t -> int
 
 (** [add_edge t ~src ~dst ~cap] adds a directed arc with capacity
     [cap >= 0].  Parallel arcs accumulate.  Returns an arc id usable with
-    {!flow_on}. *)
+    {!arc}. *)
 val add_edge : t -> src:int -> dst:int -> cap:int -> int
 
 (** [max_flow t ~s ~t:snk] computes the maximum s-t flow (Dinic) and leaves
@@ -26,9 +26,6 @@ val max_flow : t -> s:int -> t:int -> int
 
 (** Same value, computed with Edmonds-Karp; used as a test oracle. *)
 val max_flow_edmonds_karp : t -> s:int -> t:int -> int
-
-(** Flow currently routed on the given arc (after [max_flow]). *)
-val flow_on : t -> int -> int
 
 (** [min_cut t ~s ~t:snk] computes a maximum flow, then returns
     [(value, side, cut_arcs)] where [side.(v)] is true iff [v] is reachable

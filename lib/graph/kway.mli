@@ -30,8 +30,3 @@ val exact : Undirected.t -> terminals:int list -> cut
 (** [cut_value g assignment] is the total weight of edges whose endpoints
     received different assignments. *)
 val cut_value : Undirected.t -> int array -> int
-
-(** [isolating_cut g ~terminal ~others] is the minimum edge cut separating
-    [terminal] from every node of [others], as (value, removed edges). *)
-val isolating_cut :
-  Undirected.t -> terminal:int -> others:int list -> int * (int * int) list

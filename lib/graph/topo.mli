@@ -16,9 +16,6 @@ val scc : Digraph.t -> int list list
     directed path (possibly empty) from [s] to [v]. *)
 val reachable : Digraph.t -> int -> bool array
 
-(** [reachable_from_set g srcs] marks every node reachable from any source. *)
-val reachable_from_set : Digraph.t -> int list -> bool array
-
 (** [has_path g u v] tests directed reachability from [u] to [v]. *)
 val has_path : Digraph.t -> int -> int -> bool
 

@@ -25,7 +25,3 @@ val edges : t -> (int * int * int) list
 
 (** Connected components as lists of nodes. *)
 val components : t -> int list list
-
-(** [component_of g v] is the set of nodes connected to [v], as a flag
-    array. *)
-val component_of : t -> int -> bool array

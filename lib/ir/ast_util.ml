@@ -223,18 +223,6 @@ let rename_scalar ~from ~into stmts =
   in
   List.map rn_stmt stmts
 
-let rec rewrite_stmts f stmts =
-  List.map
-    (fun s ->
-      let s' =
-        match s with
-        | If (c, t, e) -> If (c, rewrite_stmts f t, rewrite_stmts f e)
-        | For l -> For { l with body = rewrite_stmts f l.body }
-        | Assign _ | Read_input _ | Print _ -> s
-      in
-      f s')
-    stmts
-
 let stmt_count stmts = fold_stmts (fun acc _ -> acc + 1) 0 stmts
 
 let fresh_name ~taken base =

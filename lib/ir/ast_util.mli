@@ -20,10 +20,8 @@ val assoc_name : string -> (string * 'a) list -> 'a option
 (** Every sub-expression of an expression, including itself (pre-order). *)
 val subexprs : expr -> expr list
 
-(** Fold over every expression occurring in a statement, including those
+(** Fold over every expression occurring in statements, including those
     inside nested statements, loop bounds and lvalue subscripts. *)
-val fold_stmt_exprs : ('a -> expr -> 'a) -> 'a -> stmt -> 'a
-
 val fold_stmts_exprs : ('a -> expr -> 'a) -> 'a -> stmt list -> 'a
 
 (** Fold over every statement in a statement list, visiting nested
@@ -65,9 +63,6 @@ val subst_scalar : name:string -> value:expr -> expr -> expr
 (** [subst_scalar_stmts ~name ~value stmts] substitutes in every expression
     position (fails with [Invalid_argument] if [name] is written). *)
 val subst_scalar_stmts : name:string -> value:expr -> stmt list -> stmt list
-
-(** Rewrite every statement bottom-up: children first, then the parent. *)
-val rewrite_stmts : (stmt -> stmt) -> stmt list -> stmt list
 
 (** Structural statement count (loops, assigns, ifs, reads, prints). *)
 val stmt_count : stmt list -> int

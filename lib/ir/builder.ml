@@ -30,7 +30,6 @@ let ( %: ) a b = Binary (Mod, a, b)
 let min_ a b = Binary (Min, a, b)
 let max_ a b = Binary (Max, a, b)
 let neg a = Unary (Neg, a)
-let abs_ a = Unary (Abs, a)
 let sqrt_ a = Unary (Sqrt, a)
 let to_float a = Unary (Int_to_float, a)
 let call name args = Call (name, args)

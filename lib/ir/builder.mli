@@ -40,7 +40,6 @@ val ( %: ) : expr -> expr -> expr
 val min_ : expr -> expr -> expr
 val max_ : expr -> expr -> expr
 val neg : expr -> expr
-val abs_ : expr -> expr
 val sqrt_ : expr -> expr
 
 (** Integer-to-float conversion. *)

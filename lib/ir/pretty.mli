@@ -6,11 +6,8 @@
     End for
     v} *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_cond : Format.formatter -> Ast.cond -> unit
-val pp_lvalue : Format.formatter -> Ast.lvalue -> unit
 val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_stmts : Format.formatter -> Ast.stmt list -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val expr_to_string : Ast.expr -> string
 val program_to_string : Ast.program -> string

@@ -86,7 +86,7 @@ let candidates p =
 let size (p : Ast.program) =
   Ast_util.stmt_count p.Ast.body + List.length p.Ast.decls
 
-let minimize ?(max_candidates = 2000) ~still_fails (p : Ast.program) =
+let minimize ~still_fails (p : Ast.program) =
   let tried = ref 0 and kept = ref 0 and rounds = ref 0 in
   let ok c = Result.is_ok (Check.check c) in
   let rec fixpoint p =
@@ -94,7 +94,7 @@ let minimize ?(max_candidates = 2000) ~still_fails (p : Ast.program) =
     let rec first = function
       | [] -> None
       | c :: rest ->
-        if !tried >= max_candidates then None
+        if !tried >= 2000 then None
         else begin
           incr tried;
           if size c < size p && ok c && still_fails c then begin

@@ -16,10 +16,8 @@ type stats = {
 
 (** [minimize ~still_fails p] assumes [still_fails p = true] (e.g.
     {!Oracle.fails}); the result is guaranteed to satisfy [still_fails]
-    and [Check.check].  [max_candidates] (default 2000) bounds total
-    oracle invocations. *)
+    and [Check.check].  At most 2000 candidates are tried. *)
 val minimize :
-  ?max_candidates:int ->
   still_fails:(Bw_ir.Ast.program -> bool) ->
   Bw_ir.Ast.program ->
   Bw_ir.Ast.program * stats

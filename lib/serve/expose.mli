@@ -8,6 +8,3 @@
     process started) and [gc_heap_words] (the major heap now). *)
 
 val render : unit -> string
-
-(** Map a metric name to its exposition spelling ([.] → [_]). *)
-val sanitize : string -> string

@@ -1,17 +1,15 @@
 (** Loop fusion: the rewriting side.
 
-    [fuse_adjacent] merges two loops that {!Bw_analysis.Depend.fusable}
-    accepts.  Conformable loops concatenate their bodies under one header;
-    constant-bound loops with mismatched ranges fuse over the convex hull
-    of their iteration spaces, with each body guarded by its own range
-    test — the form the paper's Figure 6(b) takes. *)
-
-(** [fuse_adjacent l1 l2] is the fused loop, running over [l1]'s index. *)
-val fuse_adjacent :
-  Bw_ir.Ast.loop -> Bw_ir.Ast.loop -> (Bw_ir.Ast.loop, string) result
+    {!fuse_at} merges two adjacent loops that
+    {!Bw_analysis.Depend.fusable} accepts.  Conformable loops concatenate
+    their bodies under one header; constant-bound loops with mismatched
+    ranges fuse over the convex hull of their iteration spaces, with each
+    body guarded by its own range test — the form the paper's Figure 6(b)
+    takes. *)
 
 (** [fuse_at p position] fuses the top-level statements at [position] and
-    [position + 1] (both must be loops). *)
+    [position + 1] (both must be loops) into one loop over the first
+    one's index. *)
 val fuse_at : Bw_ir.Ast.program -> int -> (Bw_ir.Ast.program, string) result
 
 (** [apply_plan p partitions] reorders the top-level statements into the

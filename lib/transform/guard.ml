@@ -47,8 +47,6 @@ let rollbacks t =
        (fun e -> match e.verdict with Rolled_back _ -> true | _ -> false)
        t.rev_events)
 
-let fuel_left t = t.fuel_left
-
 (* --- fuel ------------------------------------------------------------- *)
 
 exception Out_of_fuel of string

@@ -92,9 +92,6 @@ val events : t -> event list
 
 val rollbacks : t -> int
 
-(** Fuel remaining, if the budget is bounded. *)
-val fuel_left : t -> int option
-
 (** [stage t ~name ~default f p] runs transform [f] on [p] under the
     transaction described above.  Returns [f p] on commit and
     [(p, default)] on rollback.
@@ -127,7 +124,6 @@ val validate_pair :
   (unit, string) result
 
 val pp_failure : Format.formatter -> failure -> unit
-val pp_event : Format.formatter -> event -> unit
 
 (** One line per stage plus a rollback/commit summary line. *)
 val pp_report : Format.formatter -> event list -> unit

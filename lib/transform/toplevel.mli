@@ -7,10 +7,6 @@
 
 val dep_graph : Bw_ir.Ast.program -> Bw_graph.Digraph.t
 
-(** [order_respects_deps p order] checks that the permutation [order] of
-    [0 .. n-1] keeps every dependence edge forward. *)
-val order_respects_deps : Bw_ir.Ast.program -> int list -> bool
-
 (** [reorder p order] permutes the top-level statements; fails when the
     order drops/duplicates positions or violates a dependence. *)
 val reorder : Bw_ir.Ast.program -> int list -> (Bw_ir.Ast.program, string) result

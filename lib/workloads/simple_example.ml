@@ -14,13 +14,3 @@ let read_loop ~n =
     [ for_ "i" (int 1) (int n)
         [ sc "sum" <-- (v "sum" +: ("a" $ [ v "i" ])) ];
       print (v "sum") ]
-
-let combined ~n =
-  program "simple_example"
-    ~decls:[ array "a" [ n ]; scalar "sum" ]
-    ~live_out:[ "sum" ]
-    [ for_ "i" (int 1) (int n)
-        [ ("a" $. [ v "i" ]) <-- (("a" $ [ v "i" ]) +: fl 0.4) ];
-      for_ "i" (int 1) (int n)
-        [ sc "sum" <-- (v "sum" +: ("a" $ [ v "i" ])) ];
-      print (v "sum") ]

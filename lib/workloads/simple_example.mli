@@ -7,6 +7,3 @@ val write_loop : n:int -> Bw_ir.Ast.program
 
 (** [For i: sum = sum + a[i]] — reads [n] doubles, writes nothing. *)
 val read_loop : n:int -> Bw_ir.Ast.program
-
-(** Both loops in one program, in the paper's order. *)
-val combined : n:int -> Bw_ir.Ast.program
