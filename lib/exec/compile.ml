@@ -1,8 +1,6 @@
 open Bw_ir.Ast
 
-exception Runtime_error of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
+let fail fmt = Printf.ksprintf (fun m -> raise (Interp.Runtime_error m)) fmt
 
 type storage = F_data of float array | I_data of int array
 

@@ -10,9 +10,8 @@
 
     Several times faster than the tree-walking interpreter on the large
     Figure 1/8 simulations, which is what the benchmark harness cares
-    about. *)
-
-exception Runtime_error of string
+    about.  Its runtime errors are {!Interp.Runtime_error}, with the
+    interpreter's messages. *)
 
 (** [run ?sink ?base_of ?input_offset p] — same contract as
     {!Interp.run}. *)

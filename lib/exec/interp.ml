@@ -2,6 +2,11 @@ open Bw_ir.Ast
 
 exception Runtime_error of string
 
+let () =
+  Printexc.register_printer (function
+    | Runtime_error m -> Some ("runtime error: " ^ m)
+    | _ -> None)
+
 let fail fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 
 type value = V_int of int | V_float of float

@@ -16,6 +16,8 @@
     produces no memory event, matching the balance model's accounting
     where only array traffic reaches the memory hierarchy. *)
 
+(** A run's failure, raised by both engines with the same message.
+    [Printexc.to_string] renders it as ["runtime error: <message>"]. *)
 exception Runtime_error of string
 
 type value = V_int of int | V_float of float

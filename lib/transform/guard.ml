@@ -125,8 +125,6 @@ let validate_programs ~trials ~before ~after ~charge_fuel =
     | o -> Ok o
     | exception Bw_exec.Interp.Runtime_error msg ->
       Error (Printf.sprintf "%s raised Runtime_error: %s" what msg)
-    | exception Bw_exec.Compile.Runtime_error msg ->
-      Error (Printf.sprintf "%s raised Runtime_error: %s" what msg)
     | exception Invalid_argument msg ->
       Error (Printf.sprintf "%s rejected: %s" what msg)
   in

@@ -72,7 +72,7 @@ let test_compile_bounds_check () =
       |}
   in
   match Bw_exec.Compile.run p with
-  | exception Bw_exec.Compile.Runtime_error _ -> ()
+  | exception Bw_exec.Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected a bounds error"
 
 let test_compile_is_faster () =

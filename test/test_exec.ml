@@ -120,6 +120,35 @@ let test_zero_subscript_rejected () =
   | exception Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected a bounds error (1-based subscripts)"
 
+(* Both engines raise one exception with one message, which prints as
+   one line naming no engine. *)
+let test_engines_raise_one_error () =
+  let p =
+    Parse.parse_program_exn
+      {|
+      program div0
+        real a[4]
+        live_out a
+        for i = 1, 4
+          a[i] = float(8 / 0)
+        end for
+      end
+      |}
+  in
+  let error run =
+    match run p with
+    | exception e -> Printexc.to_string e
+    | _ -> Alcotest.fail "expected a division by zero"
+  in
+  let message = "runtime error: integer division by zero" in
+  check Alcotest.string "interpreted" message (error (fun p -> Interp.run p));
+  check Alcotest.string "compiled" message (error (fun p -> Compile.run p));
+  match Compile.run p with
+  | exception Interp.Runtime_error m ->
+    check Alcotest.string "the compiled engine's exception"
+      "integer division by zero" m
+  | _ -> Alcotest.fail "expected Interp.Runtime_error"
+
 let test_read_input_deterministic () =
   let src =
     {|
@@ -398,6 +427,8 @@ let suites =
         Alcotest.test_case "stepped loop" `Quick test_stepped_loop;
         Alcotest.test_case "out of bounds" `Quick test_out_of_bounds;
         Alcotest.test_case "zero subscript" `Quick test_zero_subscript_rejected;
+        Alcotest.test_case "engines raise one runtime error" `Quick
+          test_engines_raise_one_error;
         Alcotest.test_case "read() deterministic" `Quick test_read_input_deterministic;
         Alcotest.test_case "input_offset shifts stream" `Quick test_input_offset_shifts_stream;
         Alcotest.test_case "intrinsics deterministic" `Quick test_intrinsic_deterministic;

@@ -538,6 +538,23 @@ let test_server_survives_malformed_requests () =
           expect_error
             "{\"v\":1,\"op\":\"analyze\",\"program\":\"read_loop\",\
              \"machines\":[\"cray\"]}";
+          (* an inline source that fails at run time is answered with
+             the engine's message, as bwc prints it after "bwc: " *)
+          let div0 =
+            { (Protocol.default_request Protocol.Analyze) with
+              Protocol.source =
+                Some
+                  "program div0\n  real a[4]\n  live_out a\nfor i = 1, 4\n  \
+                   a[i] = float(8 / 0)\nend for\nend\n" }
+          in
+          (match
+             Protocol.response_result
+               (Result.get_ok (Client.request client div0))
+           with
+          | Ok _ -> Alcotest.fail "server ran a division by zero"
+          | Error msg ->
+            check string "the runtime error's text"
+              "runtime error: integer division by zero" msg);
           (* ...and the same connection still serves valid requests *)
           let r =
             Result.get_ok
