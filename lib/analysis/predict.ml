@@ -25,9 +25,11 @@ let rec const_int (e : Ast.expr) =
 (* Trip-count estimation over an interval environment                  *)
 (* ------------------------------------------------------------------ *)
 
-type env = (string * (int * int)) list
-
-let empty_env = []
+(* An environment maps each enclosing loop's index to the interval of
+   its values.  It lets the symbolic bounds tiling introduces
+   ([lo = Scalar t; hi = min (t + tile - 1) n]) be estimated instead of
+   falling back to [default_trips]. *)
+let empty_env : (string * (int * int)) list = []
 
 (* Interval of an expression's value: affine forms evaluated over the
    index intervals, min/max handled structurally (Affine rejects them). *)
@@ -954,6 +956,20 @@ let[@inline] sum_over groups f =
   done;
   !acc
 
+(* Element loads, and stores, over the top-level groups. *)
+let total_reads groups =
+  sum_over groups (fun g -> float_of_int g.g_reads *. total_iters g ~depth:0)
+
+let total_writes groups =
+  sum_over groups (fun g -> float_of_int g.g_writes *. total_iters g ~depth:0)
+
+let counts p =
+  let ctx = make_ctx p ~n_levels:0 in
+  let groups =
+    Array.of_list (walk_stmts ctx empty_env ~depth:0 ~mult:1.0 p.Ast.body)
+  in
+  (ctx.flops.(0), total_reads groups, total_writes groups)
+
 let level_traffic sums top groups ~write_policy ~cache =
   let linef = cache.c_line in
   let capf = cache.c_bytes in
@@ -1011,14 +1027,7 @@ let predict ~(machine : Bw_machine.Machine.t) (p : Ast.program) =
   let flops = ctx.flops.(0) in
   let groups = Array.of_list top in
   let sums = make_sums ctx in
-  let loads =
-    sum_over groups (fun g ->
-        float_of_int g.g_reads *. total_iters g ~depth:0)
-  in
-  let stores =
-    sum_over groups (fun g ->
-        float_of_int g.g_writes *. total_iters g ~depth:0)
-  in
+  let loads = total_reads groups and stores = total_writes groups in
   let footprint_bytes =
     start_sum sums;
     Array.iter (fun g -> note sums g (group_unique_bytes g)) groups;

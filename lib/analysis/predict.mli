@@ -34,34 +34,6 @@
     callers that need exactness use the higher tiers of
     {!Bw_exec.Evaluate}. *)
 
-(** {1 Trip-count estimation}
-
-    Shared with {!Bw_transform.Ir_stats}: an interval environment for
-    loop indices lets symbolic bounds introduced by tiling
-    ([lo = Scalar tile_origin; hi = min (tile_origin + t - 1) n]) be
-    estimated instead of falling back to a fixed default. *)
-
-(** Maps loop indices to the integer interval their values span. *)
-type env
-
-val empty_env : env
-
-(** [bind_loop env l] extends [env] with [l.index]'s value interval, when
-    the bounds are estimable; otherwise returns [env] unchanged. *)
-val bind_loop : env -> Bw_ir.Ast.loop -> env
-
-(** Fallback trip count when bounds cannot be estimated at all. *)
-val default_trips : int
-
-(** [trips env l] estimates how many iterations [l] executes: exact for
-    constant bounds, the interval-midpoint estimate for affine and
-    min/max bounds over indices in [env] (exact for the loops {!Tile}
-    introduces when the tile divides the extent), [default_trips]
-    otherwise. *)
-val trips : env -> Bw_ir.Ast.loop -> float
-
-(** {1 Prediction} *)
-
 (** Predicted behaviour of one cache level. *)
 type level = {
   capacity_bytes : int;
@@ -86,6 +58,11 @@ type t = {
 
 (** Total predicted memory-bus traffic, in + out. *)
 val memory_bytes : t -> float
+
+(** [counts p] is [(flops, loads, stores)], the fields of {!predict}'s
+    answer that no machine changes, from the same walk without the
+    cache levels. *)
+val counts : Bw_ir.Ast.program -> float * float * float
 
 (** [predict ~machine p] evaluates the model.  Pure and O(program size ×
     cache levels): no execution, no allocation proportional to the trip

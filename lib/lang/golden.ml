@@ -16,8 +16,6 @@ let render (p : Bw_ir.Ast.program) =
   add "toplevel: %d\n" s.Bw_transform.Ir_stats.toplevel;
   add "statements: %d\n" s.Bw_transform.Ir_stats.statements;
   add "distinct arrays: %d\n" s.Bw_transform.Ir_stats.distinct_arrays;
-  add "est flops: %s\n" (fl s.Bw_transform.Ir_stats.est_flops);
-  add "est bytes: %s\n" (fl s.Bw_transform.Ir_stats.est_bytes);
   add "predicted balance: %s\n" (fl s.Bw_transform.Ir_stats.predicted_balance);
   let machine = Bw_machine.Machine.origin2000 in
   let e = Bw_exec.Evaluate.of_program ~machine p in

@@ -7,7 +7,8 @@
     - [== parse ==]: the canonical pretty-print of the parsed program
       (also the answer [bwc fmt] gives for the file);
     - [== check ==]: the {!Bw_ir.Check} verdict and the
-      {!Bw_transform.Ir_stats} shape summary;
+      {!Bw_transform.Ir_stats} shape summary, with the register balance
+      the analytic tier predicts;
     - [== analysis ==]: the analytic tier of {!Bw_exec.Evaluate} on the
       Origin2000 model — flops, loads/stores, per-direction memory
       traffic, predicted seconds and the binding resource.

@@ -9,88 +9,9 @@ type t = {
   predicted_balance : float;
 }
 
-let default_trips = Bw_analysis.Predict.default_trips
-
-(* flops and element references of one expression, subscripts included *)
-let expr_cost e =
-  List.fold_left
-    (fun (flops, elems) sub ->
-      match sub with
-      | Ast.Element _ -> (flops, elems + 1)
-      | Ast.Binary _ | Ast.Unary _ | Ast.Call _ -> (flops + 1, elems)
-      | _ -> (flops, elems))
-    (0, 0) (Ast_util.subexprs e)
-
-let rec cond_cost = function
-  | Ast.Cmp (_, a, b) ->
-    let fa, ea = expr_cost a and fb, eb = expr_cost b in
-    (fa + fb + 1, ea + eb)
-  | Ast.And (a, b) | Ast.Or (a, b) ->
-    let fa, ea = cond_cost a and fb, eb = cond_cost b in
-    (fa + fb, ea + eb)
-  | Ast.Not c -> cond_cost c
-
-let lvalue_cost = function
-  | Ast.Lscalar _ -> (0, 0)
-  | Ast.Lelement (_, subs) ->
-    List.fold_left
-      (fun (f, e) s ->
-        let fs, es = expr_cost s in
-        (f + fs, e + es))
-      (0, 1) (* the store itself *)
-      subs
-
-(* Trip counts delegate to the predictor's interval analysis: constant
-   bounds fold exactly as before, and the index environment lets the
-   symbolic bounds Tile introduces resolve to the real tile extent
-   instead of the default. *)
-let rec stmts_cost env mult stmts acc =
-  List.fold_left
-    (fun (flops, bytes) s ->
-      match s with
-      | Ast.Assign (lv, e) ->
-        let fe, ee = expr_cost e and fl, el = lvalue_cost lv in
-        ( flops +. (mult *. float_of_int (fe + fl)),
-          bytes +. (mult *. float_of_int (8 * (ee + el))) )
-      | Ast.Read_input lv ->
-        let fl, el = lvalue_cost lv in
-        ( flops +. (mult *. float_of_int fl),
-          bytes +. (mult *. float_of_int (8 * el)) )
-      | Ast.Print e ->
-        let fe, ee = expr_cost e in
-        ( flops +. (mult *. float_of_int fe),
-          bytes +. (mult *. float_of_int (8 * ee)) )
-      | Ast.If (c, then_, else_) ->
-        let fc, ec = cond_cost c in
-        let acc =
-          ( flops +. (mult *. float_of_int fc),
-            bytes +. (mult *. float_of_int (8 * ec)) )
-        in
-        stmts_cost env mult else_ (stmts_cost env mult then_ acc)
-      | Ast.For loop ->
-        (* bound expressions evaluate once per entry, charged at [mult] *)
-        let fb, eb =
-          List.fold_left
-            (fun (f, e) bound ->
-              let fs, es = expr_cost bound in
-              (f + fs, e + es))
-            (0, 0)
-            [ loop.Ast.lo; loop.Ast.hi; loop.Ast.step ]
-        in
-        let acc =
-          ( flops +. (mult *. float_of_int fb),
-            bytes +. (mult *. float_of_int (8 * eb)) )
-        in
-        let env' = Bw_analysis.Predict.bind_loop env loop in
-        stmts_cost env'
-          (mult *. Bw_analysis.Predict.trips env loop)
-          loop.Ast.body acc)
-    acc stmts
-
 let of_program (p : Ast.program) =
-  let est_flops, est_bytes =
-    stmts_cost Bw_analysis.Predict.empty_env 1.0 p.Ast.body (0.0, 0.0)
-  in
+  let est_flops, loads, stores = Bw_analysis.Predict.counts p in
+  let est_bytes = 8.0 *. (loads +. stores) in
   { toplevel = List.length p.Ast.body;
     statements = Ast_util.stmt_count p.Ast.body;
     distinct_arrays = List.length (Ast_util.arrays_accessed p p.Ast.body);

@@ -2,15 +2,13 @@
     so every pass's span can carry before/after shape and a predicted
     balance without re-running the simulator.
 
-    The flop/byte estimates come from an abstract walk: each arithmetic
-    operator or intrinsic call costs one flop, each array-element
-    occurrence moves 8 bytes, and loop bodies are multiplied by the trip
-    count when the bounds fold to constants (the shipped workloads bake
-    concrete sizes in, so they fold).  Symbolic bounds are estimated by
-    {!Bw_analysis.Predict.trips}'s interval analysis — in particular the
-    [lo = t, hi = min (t + tile - 1) n] loops Tile introduces resolve to
-    the tile extent instead of {!default_trips}.  Both arms of a
-    conditional are charged — an upper bound. *)
+    The flops and bytes are the analytic tier's
+    ({!Bw_analysis.Predict.counts}), which need no machine: flops are
+    float arithmetic and intrinsic calls, as the engines count them, and
+    the bytes are 8 per array-element load or store, the traffic across
+    the register boundary.  So [predicted_balance] is the register
+    balance {!Bw_analysis.Predict} predicts, the [L1-Reg] term of
+    {!Bw_exec.Run.program_balance} wherever its counts are exact. *)
 
 type t = {
   toplevel : int;  (** top-level statements (fusion merges these) *)
@@ -20,8 +18,6 @@ type t = {
   est_bytes : float;  (** register-boundary traffic: 8 bytes/element *)
   predicted_balance : float;  (** est_bytes / est_flops, bytes per flop *)
 }
-
-val default_trips : int
 
 val of_program : Bw_ir.Ast.program -> t
 

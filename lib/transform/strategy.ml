@@ -49,11 +49,13 @@ let () =
 
 (* Run one pass under observability: a "pass:<name>" span carrying the
    program's static statistics before and after (statement counts,
-   distinct arrays, predicted balance — see Ir_stats) and the words the
-   pass allocated on the minor heap (alloc.minor_words), plus a
-   pass.<name>.runs counter.  The statistics are only computed when
-   tracing is enabled, so the untraced pipeline pays one atomic load and
-   a counter bump per pass. *)
+   distinct arrays, and the analytic tier's flops, bytes and register
+   balance — see Ir_stats) and the words the pass allocated on the minor
+   heap (alloc.minor_words), plus a pass.<name>.runs counter.  The
+   statistics are only computed when tracing is enabled, so the
+   untraced pipeline pays one atomic load and a counter bump per pass.
+   They run inside the guarded stage, where an exception would roll the
+   stage back, so they must not raise on any program a stage returns. *)
 let alloc_since words =
   ( "alloc.minor_words",
     Bw_obs.Trace.Int (int_of_float (Gc.minor_words () -. words)) )

@@ -209,7 +209,31 @@ let test_strategy_emits_pass_spans () =
     (List.length
        (List.filter
           (fun s -> s.Trace.cat = "optimizer")
-          spans))
+          spans));
+  (* the spans' statistics run inside each guarded stage, so a traced
+     pipeline must commit and roll back exactly what an untraced one
+     does *)
+  let nas_sp =
+    match Bw_lang.Parse.parse_file "../corpus/nas_sp.bw" with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let optimize traced =
+    Trace.reset ();
+    Trace.with_enabled traced (fun () ->
+        let q, _, events =
+          Bw_transform.Strategy.run_guarded
+            ~stages:Bw_transform.Strategy.(default @ [ Layout ])
+            nas_sp
+        in
+        (Bw_ir.Digest.program q, events))
+  in
+  let untraced, untraced_events = optimize false in
+  let traced, traced_events = optimize true in
+  Trace.reset ();
+  check Alcotest.string "nas_sp: the same program" untraced traced;
+  check bool "nas_sp: the same guard events" true
+    (untraced_events = traced_events)
 
 let test_disabled_strategy_traces_nothing () =
   Trace.reset ();

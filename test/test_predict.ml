@@ -259,20 +259,51 @@ let test_cost_predicted_traffic () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "incomplete plan accepted")
 
-(* --- Ir_stats symbolic trips ------------------------------------------------- *)
+(* --- Ir_stats: the analytic tier's counts --------------------------------- *)
 
 let test_ir_stats_tiled () =
-  (* Tiling must not distort the flop estimate: the tiled nest runs the
+  (* Tiling must not distort the flop count: the tiled nest runs the
      same iterations, and the interval-based trip estimator sees through
      the min(lo+tile-1, hi) upper bounds. *)
-  let e = Option.get (Bw_workloads.Registry.find "mm_jki") in
-  let b = Option.get (Bw_workloads.Registry.find "mm_blocked") in
-  let plain = Bw_transform.Ir_stats.of_program (e.Bw_workloads.Registry.build ~scale:1) in
-  let tiled = Bw_transform.Ir_stats.of_program (b.Bw_workloads.Registry.build ~scale:1) in
-  let ratio = tiled.Bw_transform.Ir_stats.est_flops /. plain.Bw_transform.Ir_stats.est_flops in
-  if ratio < 0.7 || ratio > 1.5 then
-    Alcotest.failf "tiled/plain est_flops ratio %.2f (trip estimation distorted)"
-      ratio
+  let flops name =
+    let e = Option.get (Bw_workloads.Registry.find name) in
+    (Bw_transform.Ir_stats.of_program (e.Bw_workloads.Registry.build ~scale:1))
+      .Bw_transform.Ir_stats.est_flops
+  in
+  Alcotest.(check (float 0.0)) "mm_jki" 65536.0 (flops "mm_jki");
+  Alcotest.(check (float 0.0)) "mm_blocked" 65536.0 (flops "mm_blocked")
+
+(* Where the analytic tier counts a program's flops, loads and stores
+   exactly, which is every corpus program but the two whose work depends
+   on run-time values (case_mix's branches, fft's stage loops), a pass
+   span's predicted balance is the balance the simulator measures across
+   the register boundary. *)
+let test_ir_stats_register_balance () =
+  let programs =
+    List.filter
+      (fun (name, _) -> not (List.mem name [ "case_mix.bw"; "fft.bw" ]))
+      (Pins.corpus_programs ~corpus:"../corpus")
+  in
+  Alcotest.(check int) "corpus programs counted exactly" 12
+    (List.length programs);
+  List.iter
+    (fun (name, p) ->
+      let r = Bw_exec.Run.simulate ~machine:Machine.origin2000 p in
+      let c = r.Bw_exec.Run.counters in
+      let flops, loads, stores = Bw_analysis.Predict.counts p in
+      let exact what counted predicted =
+        Alcotest.(check (float 0.0))
+          (name ^ " " ^ what) (float_of_int counted) predicted
+      in
+      exact "flops" c.Counters.flops flops;
+      exact "loads" c.Counters.loads loads;
+      exact "stores" c.Counters.stores stores;
+      Alcotest.(check (float 0.0))
+        (name ^ " balance")
+        (List.assoc "L1-Reg" (Bw_exec.Run.program_balance r))
+        (Bw_transform.Ir_stats.of_program p)
+          .Bw_transform.Ir_stats.predicted_balance)
+    programs
 
 (* --- Reuse satellite accessors ----------------------------------------------- *)
 
@@ -368,6 +399,8 @@ let suites =
     ( "predict.satellites",
       [ Alcotest.test_case "Ir_stats sees through tiling" `Quick
           test_ir_stats_tiled;
+        Alcotest.test_case "Ir_stats balance is the register balance" `Quick
+          test_ir_stats_register_balance;
         Alcotest.test_case "Reuse.miss_curve" `Quick test_miss_curve ] );
     ( "predict.properties",
       List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases ) ]
